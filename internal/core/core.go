@@ -435,6 +435,12 @@ func (m Machine) EvaluateKey(c *circuit.Circuit, opt Options) cache.Key {
 			}
 			h.WriteString("shots")
 			h.WriteInt(int64(shots))
+			// The trajectory algorithm's version: a change that moves
+			// Monte-Carlo fidelities (even in the last bits) bumps it, so
+			// disk tiers warmed by an older build recompute instead of
+			// serving its numbers. Count-model and noise-free keys never
+			// carry it.
+			h.WriteString(noise.MonteCarloVersion)
 		}
 		p := m.effectiveNoise(opt)
 		if !p.IsZero() {
@@ -462,9 +468,11 @@ func (m Machine) effectiveNoise(opt Options) *arch.NoiseProfile {
 
 // estimator resolves the Options fidelity-model selection to a
 // noise.Estimator. Monte-Carlo seeds from opt.Seed — the same per-cell
-// derived seed routing uses — and inherits opt.Parallelism for its
-// trajectory fan-out (sweeps pin cells serial, so trajectories never
-// oversubscribe the sweep pool).
+// derived seed routing uses — and inherits opt.Parallelism, which bounds
+// its trajectory-sampling pool (the simulation itself runs serially).
+// Sweep cells run with Parallelism 1 (experiments.SweepSpec.CellOptions),
+// whatever the spec's own pool size, so inside a sweep only the sweep
+// pool runs in parallel.
 func (opt Options) estimator() (noise.Estimator, error) {
 	switch opt.Fidelity {
 	case FidelityCount:

@@ -86,6 +86,35 @@ func TestEvaluateKeyNoiseStability(t *testing.T) {
 	}
 }
 
+// TestEvaluateKeyMonteCarloVersion pins the estimator version tag against
+// keys computed before the tag existed: Monte-Carlo keys moved (the
+// lockstep trajectory runner changes fidelities in the last bits, so warm
+// disk tiers must recompute them), while count-model and noise-free keys
+// are bit-identical to the earlier build's.
+func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
+	noisy := HeavyHex20CX()
+	noisy.Noise = &arch.NoiseProfile{E2Q: 0.002, TDec: 0.001}
+	c := workloads.QFT(8, true)
+	base := Options{Seed: 2022, Trials: 5}
+	count, mc := base, base
+	count.Fidelity = FidelityCount
+	mc.Fidelity = FidelityMonteCarlo
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		before string
+		same   bool
+	}{
+		{"noise-free", base, "5f239e7cdf436a57f0ee283f159b184fc1ddfd03cd3c20591755100d7db2f1ed", true},
+		{"count", count, "e867ac6b38e93661e245cd3e1f5985e94d53736d232439073e3fe7a7ca1fc791", true},
+		{"montecarlo", mc, "81a764cfc7cc82d2b50df32a0ca0a632bb8698f9e0a3c5d5e64ff7ca56353da0", false},
+	} {
+		if got := noisy.EvaluateKey(c, tc.opt).String(); (got == tc.before) != tc.same {
+			t.Errorf("%s key %s (untagged build: %s, want same=%v)", tc.name, got, tc.before, tc.same)
+		}
+	}
+}
+
 // TestFidelityMetrics: evaluating under a noise profile fills the three
 // fidelity metrics; without a fidelity model they stay zero and
 // Metrics.String is unchanged (golden byte-identity).

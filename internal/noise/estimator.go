@@ -3,8 +3,9 @@ package noise
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/par"
@@ -54,39 +55,48 @@ func (CountEstimator) Estimate(_ context.Context, c *circuit.Circuit, m Model) (
 const DefaultShots = 256
 
 // MonteCarloEstimator estimates fidelity by Pauli-twirl trajectory
-// sampling. It compiles the circuit once — one fused, layer-batched
-// sim.Program shared read-only by the ideal reference and every noisy
-// trajectory, error probabilities resolved up front — then fans Shots
-// trajectories over the internal/par worker pool. A noisy trajectory runs
-// the compiled program in segments (sim.RunProgramSteps), injecting its
-// sampled Pauli errors at the fused-step boundaries sim.StepForOp names,
-// so trajectories get the full benefit of fusion and layer batching
-// instead of re-walking the circuit op by op. Each trajectory derives its
-// own RNG from Seed via double-scrambled splitmix64 (see the derivation
-// comment in Estimate), and the per-trajectory fidelities are summed in
-// index order, so the estimate is byte-identical at every Parallelism
-// setting (serial == parallel, pinned under -race).
+// sampling. It schedules the circuit once into a fused, layer-batched
+// sim.Program and samples every trajectory's error events before
+// simulating anything, each event placed after the fused step that
+// executes its op (sim.StepForOp). One ideal state then walks the program
+// step by step, and each errored trajectory rides along as a fork: copied
+// from the ideal state at its first error step, advanced in lockstep with
+// it, and compared with it at its last error step. The circuit after the
+// last error is the same unitary on both states, so that overlap is the
+// end-of-circuit fidelity |⟨ideal|noisy⟩|² exactly. A trajectory whose
+// errors all land on one step needs no fork at all: its fidelity is the
+// ideal state's expectation of the errors' Pauli product, one pass over
+// the amplitudes. An error-free trajectory (probability Π(1−p) over all
+// channels) costs only its random draws, and the ideal state stops at the
+// last step any trajectory needs.
 //
-// Trajectories first sample their error events without touching a
-// statevector; the common error-free trajectory (probability Π(1−p) over
-// all channels) contributes fidelity 1 and skips simulation entirely, so
-// at realistic error rates most shots cost only their random draws.
+// A fork holds a whole state vector, so the forks live at once are capped
+// by a fixed memory budget (32 MiB; one fork from 21 qubits up): a run
+// needing more goes through its trajectories in batches, each walking the
+// ideal state again.
+//
+// Each trajectory draws from its own RNG, derived from Seed by
+// double-scrambled splitmix64 (see the derivation comment in Estimate),
+// and the per-trajectory fidelities are summed in index order.
+// Parallelism bounds the worker pool that samples the trajectories; the
+// simulation itself is serial, its kernels sharding large states on their
+// own. The estimate is byte-identical at every setting (serial ==
+// parallel, pinned under -race).
 type MonteCarloEstimator struct {
 	Shots       int   // trajectories (0 → DefaultShots)
 	Seed        int64 // base seed; trajectory t draws from splitmix64(Seed, t)
-	Parallelism int   // worker pool bound (0 = auto, 1 = serial)
+	Parallelism int   // worker bound for sampling (0 = auto, 1 = serial)
 }
+
+// MonteCarloVersion names the trajectory algorithm behind the Monte-Carlo
+// estimates. core.Machine.EvaluateKey hashes it into Monte-Carlo cache
+// keys: bump it whenever a change moves an estimate for the same inputs,
+// even in the last bits, so a persistent cache never serves an older
+// algorithm's fidelities as fresh ones.
+const MonteCarloVersion = "lockstep/v1"
 
 // Name implements Estimator.
 func (MonteCarloEstimator) Name() string { return "montecarlo" }
-
-// pauliEvent is one sampled error injection: Pauli pi (index into paulis)
-// on compact qubit q, immediately after op opIdx.
-type pauliEvent struct {
-	opIdx int
-	q     int
-	pi    int
-}
 
 // Estimate implements Estimator.
 func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m Model) (Estimate, error) {
@@ -94,42 +104,11 @@ func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m
 	if shots <= 0 {
 		shots = DefaultShots
 	}
-	if err := ValidateForSim(c); err != nil {
-		return Estimate{}, err
-	}
-	compact, _ := c.CompactQubits()
-	// One compiled program serves every trajectory's ideal reference.
-	prog := sim.Schedule(compact)
-	ideal, err := sim.NewState(compact.N)
+	p, err := m.planTrajectories(c)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if err := ideal.RunProgramCtx(ctx, prog); err != nil {
-		return Estimate{}, err
-	}
-	// Resolve per-op error probabilities and injection steps once, shared
-	// read-only by all trajectories. Error probabilities come from the
-	// original ops (physical qubit indices, where EdgeE2Q speaks); the
-	// injection sites from the compact ones, mapped to the compiled
-	// program's fused-step boundaries — an error "after op i" lands after
-	// the schedule step that executes op i (the ops fused alongside it
-	// commute with or are disjoint from it, so the placement is exact up
-	// to the Pauli-twirl approximation already being sampled).
-	ops := compact.Ops
-	gateErr := make([]float64, len(ops))
-	decoErr := make([]float64, len(ops))
-	injStep := make([]int, len(ops))
-	durs := m.durations()
-	for i, op := range ops {
-		injStep[i] = prog.StepForOp(i)
-		gateErr[i] = m.opGateError(c.Ops[i])
-		if m.DecoherenceRate > 0 {
-			if d := durs.Duration(op.Name); d > 0 {
-				decoErr[i] = 1 - math.Exp(-d*m.DecoherenceRate)
-			}
-		}
-	}
-	fids := make([]float64, shots)
+	events := make([][]pauliEvent, shots)
 	err = par.ForEachCtx(ctx, shots, e.Parallelism, func(t int) error {
 		// The derived state is scrambled ONCE MORE before use: the generator
 		// itself steps by smGamma per draw, so unscrambled states of the form
@@ -140,77 +119,268 @@ func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m
 		// extra scramble scatters the starting points across the full 2⁶⁴
 		// state space, where stream overlap is a birthday-bound improbability.
 		rng := rand.New(&splitmix64{state: smScramble(smScramble(uint64(e.Seed)) + uint64(t+1)*smGamma)})
-		// Sample the trajectory's error events first: no events means the
-		// noisy run is the ideal run, fidelity exactly 1, no simulation.
-		var events []pauliEvent
-		for i, op := range ops {
-			if p := gateErr[i]; p > 0 && rng.Float64() < p {
-				k := 1 + rng.Intn(15)
-				if pa := k % 4; pa > 0 {
-					events = append(events, pauliEvent{opIdx: i, q: op.Qubits[0], pi: pa - 1})
-				}
-				if pb := k / 4; pb > 0 {
-					events = append(events, pauliEvent{opIdx: i, q: op.Qubits[1], pi: pb - 1})
-				}
-			}
-			if p := decoErr[i]; p > 0 {
-				for _, q := range op.Qubits {
-					if rng.Float64() < p {
-						events = append(events, pauliEvent{opIdx: i, q: q, pi: rng.Intn(3)})
-					}
-				}
-			}
-		}
-		if len(events) == 0 {
-			fids[t] = 1
-			return nil
-		}
-		st, err := sim.NewState(compact.N)
-		if err != nil {
-			return err
-		}
-		// Run the shared compiled program in segments, stopping after each
-		// step that an event is attached to. Fusion and layering may place
-		// a later op in an earlier step, so order events by step (stable:
-		// ties keep sampling order).
-		sort.SliceStable(events, func(a, b int) bool {
-			return injStep[events[a].opIdx] < injStep[events[b].opIdx]
-		})
-		cur := 0
-		for next := 0; next < len(events); {
-			step := injStep[events[next].opIdx]
-			if err := st.RunProgramSteps(prog, cur, step+1); err != nil {
-				return err
-			}
-			cur = step + 1
-			for next < len(events) && injStep[events[next].opIdx] == step {
-				if err := st.Apply1Q(events[next].q, paulis[events[next].pi]); err != nil {
-					return err
-				}
-				next++
-			}
-		}
-		if err := st.RunProgramSteps(prog, cur, prog.Steps()); err != nil {
-			return err
-		}
-		f, err := ideal.Fidelity(st)
-		if err != nil {
-			return err
-		}
-		fids[t] = f
+		events[t] = p.sample(rng)
 		return nil
 	})
 	if err != nil {
 		return Estimate{}, err
 	}
-	// Fixed-order summation over the index-addressed slots keeps the mean
-	// bit-identical regardless of worker scheduling.
+	f, err := p.mean(ctx, events)
+	if err != nil {
+		return Estimate{}, err
+	}
+	control, decoherence := m.CountComponents(c)
+	return Estimate{Fidelity: f, Control: control, Decoherence: decoherence}, nil
+}
+
+// pauliEvent is one sampled error injection: Pauli pi (index into paulis)
+// on compact qubit q, right after schedule step `step`.
+type pauliEvent struct {
+	step int
+	q    int
+	pi   int
+}
+
+// trajectories is a circuit compiled for trajectory sampling, shared
+// read-only by every trajectory: the scheduled program over the compacted
+// circuit, and per compact op its error probabilities and the step its
+// errors land after. Error probabilities come from the original ops
+// (physical qubit indices, where EdgeE2Q speaks); injection sites from the
+// compact ones, mapped to the compiled program's fused-step boundaries —
+// an error "after op i" lands after the schedule step that executes op i
+// (the ops fused alongside it commute with or are disjoint from it, so the
+// placement is exact up to the Pauli-twirl approximation already being
+// sampled). maxForks is the most forks run keeps live at once.
+type trajectories struct {
+	prog     *sim.Program
+	n        int
+	maxForks int
+	ops      []circuit.Op
+	gateErr  []float64
+	decoErr  []float64
+	step     []int
+}
+
+// planTrajectories validates c, compacts it to its touched qubits and
+// compiles it for trajectory sampling under the model.
+func (m Model) planTrajectories(c *circuit.Circuit) (*trajectories, error) {
+	if err := ValidateForSim(c); err != nil {
+		return nil, err
+	}
+	compact, _ := c.CompactQubits()
+	p := &trajectories{
+		prog:     sim.Schedule(compact),
+		n:        compact.N,
+		maxForks: max(1, forkBudget>>(4+compact.N)), // 16 bytes per amplitude
+		ops:      compact.Ops,
+		gateErr:  make([]float64, len(compact.Ops)),
+		decoErr:  make([]float64, len(compact.Ops)),
+		step:     make([]int, len(compact.Ops)),
+	}
+	durs := m.durations()
+	for i, op := range compact.Ops {
+		p.step[i] = p.prog.StepForOp(i)
+		p.gateErr[i] = m.opGateError(c.Ops[i])
+		if m.DecoherenceRate > 0 {
+			if d := durs.Duration(op.Name); d > 0 {
+				p.decoErr[i] = 1 - math.Exp(-d*m.DecoherenceRate)
+			}
+		}
+	}
+	return p, nil
+}
+
+// sample draws one trajectory's error events from rng, op by op: a
+// control error on a 2Q op is a uniformly random non-identity Pauli pair
+// (one Float64, then one Intn(15) on a hit), and decoherence is one
+// Float64 per touched qubit (then one Intn(3) on a hit). The events come
+// back ordered by step (stably: ties keep sampling order), because fusion
+// and layering may place a later op in an earlier step.
+func (p *trajectories) sample(rng *rand.Rand) []pauliEvent {
+	var events []pauliEvent
+	for i, op := range p.ops {
+		if g := p.gateErr[i]; g > 0 && rng.Float64() < g {
+			k := 1 + rng.Intn(15)
+			if pa := k % 4; pa > 0 {
+				events = append(events, pauliEvent{step: p.step[i], q: op.Qubits[0], pi: pa - 1})
+			}
+			if pb := k / 4; pb > 0 {
+				events = append(events, pauliEvent{step: p.step[i], q: op.Qubits[1], pi: pb - 1})
+			}
+		}
+		if d := p.decoErr[i]; d > 0 {
+			for _, q := range op.Qubits {
+				if rng.Float64() < d {
+					events = append(events, pauliEvent{step: p.step[i], q: q, pi: rng.Intn(3)})
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(events, func(a, b pauliEvent) int { return a.step - b.step })
+	return events
+}
+
+// mean simulates the sampled trajectories (run) and returns their mean
+// fidelity, summed in index order so it is bit-identical however the
+// trajectories were batched.
+func (p *trajectories) mean(ctx context.Context, events [][]pauliEvent) (float64, error) {
+	fids := make([]float64, len(events))
+	if _, err := p.run(ctx, events, fids); err != nil {
+		return 0, err
+	}
 	total := 0.0
 	for _, f := range fids {
 		total += f
 	}
-	control, decoherence := m.CountComponents(c)
-	return Estimate{Fidelity: total / float64(shots), Control: control, Decoherence: decoherence}, nil
+	return total / float64(len(events)), nil
+}
+
+// forkBudget is the memory, in bytes, the live forks of one run may hold
+// together: at most max(1, forkBudget/(16·2^n)) forks of an n-qubit state,
+// so 32 at 16 qubits and 1 from 21 qubits up.
+const forkBudget = 32 << 20
+
+// run simulates trajectories and writes trajectory t's fidelity into
+// fids[t]. events[t] is trajectory t's error events ordered by step; an
+// empty one has fidelity 1 and costs nothing. A trajectory needs a fork
+// when its events span several steps. The trajectories go through
+// runBatch in consecutive batches of at most p.maxForks such forks, each
+// batch walking the ideal state again, so memory stays bounded however
+// many shots there are. Every trajectory's fidelity is the same in any
+// batch. peak is the most forks that were live at once.
+func (p *trajectories) run(ctx context.Context, events [][]pauliEvent, fids []float64) (peak int, err error) {
+	for lo := 0; lo < len(events); {
+		hi, forks := lo, 0
+		for ; hi < len(events); hi++ {
+			if ev := events[hi]; len(ev) > 0 && ev[0].step != ev[len(ev)-1].step {
+				if forks == p.maxForks {
+					break
+				}
+				forks++
+			}
+		}
+		bp, err := p.runBatch(ctx, events[lo:hi], fids[lo:hi])
+		if err != nil {
+			return 0, err
+		}
+		peak = max(peak, bp)
+		lo = hi
+	}
+	return peak, nil
+}
+
+// runBatch simulates one batch of trajectories in lockstep. One ideal
+// state walks steps [0, last] — last being the latest step any trajectory
+// has an event on — checking ctx before every step. A trajectory with
+// events on one step only is scored there against the ideal state alone
+// (see pauliOverlap). Any other forks from the ideal state at its first
+// event step, is advanced with it, and is compared with it and dropped at
+// its last event step. peak is the most forks that were live at once.
+func (p *trajectories) runBatch(ctx context.Context, events [][]pauliEvent, fids []float64) (peak int, err error) {
+	last := -1
+	for t, ev := range events {
+		if len(ev) == 0 {
+			fids[t] = 1
+		} else if s := ev[len(ev)-1].step; s > last {
+			last = s
+		}
+	}
+	if last < 0 {
+		return 0, nil
+	}
+	// byStep[s] lists, in index order, the trajectories with at least one
+	// event on step s.
+	byStep := make([][]int, last+1)
+	for t, ev := range events {
+		for i, e := range ev {
+			if i == 0 || ev[i-1].step != e.step {
+				byStep[e.step] = append(byStep[e.step], t)
+			}
+		}
+	}
+
+	ideal, err := sim.NewState(p.n)
+	if err != nil {
+		return 0, err
+	}
+	forks := make([]*sim.State, len(events)) // trajectory t's fork while live
+	next := make([]int, len(events))         // trajectory t's next event to apply
+	live := []*sim.State{ideal}              // the states each step advances
+	for s := 0; s <= last; s++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		for _, st := range live {
+			if err := st.RunProgramSteps(p.prog, s, s+1); err != nil {
+				return 0, err
+			}
+		}
+		for _, t := range byStep[s] {
+			ev, f := events[t], forks[t]
+			k, end := next[t], next[t]
+			for end < len(ev) && ev[end].step == s {
+				end++
+			}
+			if end == len(ev) {
+				// The trajectory's last errors: they enter the overlap with
+				// the ideal state as a Pauli string, so a trajectory with
+				// errors on this step only needs no fork at all.
+				if f == nil {
+					fids[t] = pauliOverlap(ideal, ideal, ev[k:])
+					continue
+				}
+				fids[t] = pauliOverlap(ideal, f, ev[k:])
+				forks[t] = nil
+				i := slices.Index(live, f)
+				live = slices.Delete(live, i, i+1)
+				continue
+			}
+			if f == nil {
+				f = ideal.Copy()
+				forks[t] = f
+				live = append(live, f)
+				peak = max(peak, len(live)-1)
+			}
+			for _, e := range ev[k:end] {
+				if err := f.Apply1Q(e.q, paulis[e.pi]); err != nil {
+					return 0, err
+				}
+			}
+			next[t] = end
+		}
+	}
+	return peak, nil
+}
+
+// pauliOverlap returns |⟨a|P|b⟩|², where P is the product of the events'
+// Paulis. Paulis on one qubit multiply to another Pauli up to a phase,
+// which the modulus drops, so P is X^x·Z^z for two bit masks over the
+// amplitude index: P|i⟩ = (−1)^|z∧i| |i⊕x⟩. One pass over the amplitudes
+// replaces applying the Paulis to a copy of b and taking the overlap.
+func pauliOverlap(a, b *sim.State, events []pauliEvent) float64 {
+	var x, z int
+	for _, e := range events {
+		bit := 1 << (a.N - 1 - e.q)
+		if e.pi != 2 { // X or Y
+			x ^= bit
+		}
+		if e.pi != 0 { // Y or Z
+			z ^= bit
+		}
+	}
+	var re, im float64
+	for j, u := range a.Amp {
+		v := b.Amp[j^x]
+		// conj(u)·v, signed by the Z part acting on basis state j⊕x.
+		r := real(u)*real(v) + imag(u)*imag(v)
+		i := real(u)*imag(v) - imag(u)*real(v)
+		if bits.OnesCount(uint(z&(j^x)))&1 == 1 {
+			r, i = -r, -i
+		}
+		re += r
+		im += i
+	}
+	return re*re + im*im
 }
 
 // splitmix64 is a tiny rand.Source64 with O(1) construction — the same

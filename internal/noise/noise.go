@@ -15,14 +15,16 @@
 // decoherence is not modeled (documented simplification).
 //
 // Two pluggable estimators (Estimator) serve the evaluation pipeline:
-// CountEstimator is the closed-form count model, MonteCarloEstimator fans
-// deterministic trajectories over internal/par. Both read gate durations
+// CountEstimator is the closed-form count model, MonteCarloEstimator runs
+// deterministic trajectories as forks of one ideal state walking the
+// compiled circuit in lockstep. Both read gate durations
 // from an arch.Timing table — the same source core.Machine.GateDurations
 // and the transpiler's pulse metrics use — so timing has one source of
 // truth.
 package noise
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -153,88 +155,22 @@ func ValidateForSim(c *circuit.Circuit) error {
 // the parallel, per-trajectory-seeded estimator see MonteCarloEstimator).
 // The circuit is compacted to its touched qubits first, so physical
 // circuits on large machines stay simulable; per-edge error overrides are
-// resolved against the original (pre-compaction) qubit indices.
+// resolved against the original (pre-compaction) qubit indices. The shots
+// are sampled in order from rng, then simulated by the same lockstep
+// runner MonteCarloEstimator uses.
 func MonteCarloFidelity(c *circuit.Circuit, m Model, shots int, rng *rand.Rand) (float64, error) {
 	if shots < 1 {
 		return 0, fmt.Errorf("noise: need at least one shot")
 	}
-	if err := ValidateForSim(c); err != nil {
-		return 0, err
-	}
-	compact, _ := c.CompactQubits()
-	ideal, err := sim.RunCircuit(compact)
+	p, err := m.planTrajectories(c)
 	if err != nil {
 		return 0, err
 	}
-	total := 0.0
-	for s := 0; s < shots; s++ {
-		st, err := sim.NewState(compact.N)
-		if err != nil {
-			return 0, err
-		}
-		for i, op := range compact.Ops {
-			u, err := circuit.Unitary(op)
-			if err != nil {
-				return 0, err
-			}
-			switch len(op.Qubits) {
-			case 1:
-				err = st.Apply1Q(op.Qubits[0], u)
-			case 2:
-				err = st.Apply2Q(op.Qubits[0], op.Qubits[1], u)
-			}
-			if err != nil {
-				return 0, err
-			}
-			// The compact op places the errors; the original op names the
-			// physical coupling the per-edge override table speaks about.
-			if err := m.injectErrors(st, op, m.opGateError(c.Ops[i]), rng); err != nil {
-				return 0, err
-			}
-		}
-		f, err := ideal.Fidelity(st)
-		if err != nil {
-			return 0, err
-		}
-		total += f
+	events := make([][]pauliEvent, shots)
+	for s := range events {
+		events[s] = p.sample(rng)
 	}
-	return total / float64(shots), nil
-}
-
-// injectErrors applies the model's stochastic channels after one gate.
-func (m Model) injectErrors(st *sim.State, op circuit.Op, gateErr float64, rng *rand.Rand) error {
-	// Control error: two-qubit depolarizing (uniform non-identity Pauli
-	// pair on the two qubits).
-	if op.Is2Q() && gateErr > 0 && rng.Float64() < gateErr {
-		// Pick a uniformly random non-identity two-qubit Pauli.
-		k := 1 + rng.Intn(15)
-		pa, pb := k%4, k/4
-		if pa > 0 {
-			if err := st.Apply1Q(op.Qubits[0], paulis[pa-1]); err != nil {
-				return err
-			}
-		}
-		if pb > 0 {
-			if err := st.Apply1Q(op.Qubits[1], paulis[pb-1]); err != nil {
-				return err
-			}
-		}
-	}
-	// Decoherence: duration-proportional per-qubit Pauli noise.
-	if m.DecoherenceRate > 0 {
-		d := m.durations().Duration(op.Name)
-		if d > 0 {
-			p := 1 - math.Exp(-d*m.DecoherenceRate)
-			for _, q := range op.Qubits {
-				if rng.Float64() < p {
-					if err := st.Apply1Q(q, paulis[rng.Intn(3)]); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
+	return p.mean(context.Background(), events)
 }
 
 // CountComponents returns the two closed-form factors of the count model:

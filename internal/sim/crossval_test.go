@@ -63,8 +63,6 @@ func fullUnitary3(c *circuit.Circuit) (*linalg.Matrix, error) {
 // forced-shard (threshold 1, 4 workers) arms of the fused/layered engine
 // are checked against the same matrix reference.
 func TestSimulatorAgreesWithExplicitMatrices(t *testing.T) {
-	defer restoreShardOverrides()()
-
 	rng := rand.New(rand.NewSource(71))
 	pairs := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2}, {2, 0}}
 	for trial := 0; trial < 20; trial++ {
@@ -82,30 +80,30 @@ func TestSimulatorAgreesWithExplicitMatrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, arm := range []struct {
-			name      string
-			threshold int64
-			workers   int64
+			name               string
+			threshold, workers int
 		}{
 			{"serial", 1 << 30, 0},
 			{"sharded", 1, 4},
 		} {
-			fusionShardThreshold.Store(arm.threshold)
-			fusionShardWorkers.Store(arm.workers)
-			// Check on every computational basis input.
-			for in := 0; in < 8; in++ {
-				st, err := NewBasisState(3, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Run(c); err != nil {
-					t.Fatal(err)
-				}
-				for out := 0; out < 8; out++ {
-					if d := cmplx.Abs(st.Amp[out] - u.At(out, in)); d > 1e-9 {
-						t.Fatalf("trial %d (%s): amp[%d←%d] differs by %g", trial, arm.name, out, in, d)
+			func() {
+				defer OverrideSharding(arm.threshold, arm.workers)()
+				// Check on every computational basis input.
+				for in := 0; in < 8; in++ {
+					st, err := NewBasisState(3, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Run(c); err != nil {
+						t.Fatal(err)
+					}
+					for out := 0; out < 8; out++ {
+						if d := cmplx.Abs(st.Amp[out] - u.At(out, in)); d > 1e-9 {
+							t.Fatalf("trial %d (%s): amp[%d←%d] differs by %g", trial, arm.name, out, in, d)
+						}
 					}
 				}
-			}
+			}()
 		}
 	}
 }

@@ -161,6 +161,22 @@ func shardThresholdAmps() int {
 	return defaultFusionShardThreshold
 }
 
+// OverrideSharding forces the fused kernels' shard threshold (in
+// amplitudes) and worker count, 0 meaning a knob's default, and returns a
+// func that puts the previous overrides back. It is meant for tests, here
+// and in other packages, that drive the sharded arms on small states
+// (threshold 1) and on single-core runners; results are byte-identical at
+// any setting.
+func OverrideSharding(threshold, workers int) (restore func()) {
+	th, w := fusionShardThreshold.Load(), fusionShardWorkers.Load()
+	fusionShardThreshold.Store(int64(threshold))
+	fusionShardWorkers.Store(int64(workers))
+	return func() {
+		fusionShardThreshold.Store(th)
+		fusionShardWorkers.Store(w)
+	}
+}
+
 // pending1Q accumulates a run of consecutive 1Q gates on one qubit.
 type pending1Q struct {
 	active bool
@@ -634,9 +650,9 @@ func (s *State) RunProgramCtx(ctx context.Context, p *Program) error {
 }
 
 // RunProgramSteps applies schedule steps [from, to) of a compiled program.
-// Noise trajectories run a shared Program in segments, injecting Pauli
-// errors at the boundaries StepForOp names; from/to outside [0, Steps] are
-// clamped.
+// Noise trajectories step a shared Program one step at a time, injecting
+// Pauli errors at the boundaries StepForOp names; from/to outside
+// [0, Steps] are clamped.
 func (s *State) RunProgramSteps(p *Program, from, to int) error {
 	if from < 0 {
 		from = 0

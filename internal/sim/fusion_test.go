@@ -198,20 +198,19 @@ func TestScheduleShapes(t *testing.T) {
 // to be bit-identical to the serial arms: disjoint index ranges, same
 // arithmetic per amplitude.
 func TestShardedKernelsByteIdentical(t *testing.T) {
-	defer restoreShardOverrides()()
-
 	rng := rand.New(rand.NewSource(17))
 	const n = 11
 	c := randomCircuit(n, 220, rng)
 	prog := Schedule(c)
 
-	fusionShardThreshold.Store(1 << 30) // force serial
+	restore := OverrideSharding(1<<30, 0) // force serial
 	serial, _ := NewState(n)
-	if err := serial.RunProgram(prog); err != nil {
+	err := serial.RunProgram(prog)
+	restore()
+	if err != nil {
 		t.Fatal(err)
 	}
-	fusionShardThreshold.Store(1) // force sharding
-	fusionShardWorkers.Store(4)
+	defer OverrideSharding(1, 4)() // force sharding
 	sharded, _ := NewState(n)
 	if err := sharded.RunProgram(prog); err != nil {
 		t.Fatal(err)
@@ -220,16 +219,6 @@ func TestShardedKernelsByteIdentical(t *testing.T) {
 		if serial.Amp[i] != sharded.Amp[i] {
 			t.Fatalf("amplitude %d: serial %v != sharded %v (must be byte-identical)", i, serial.Amp[i], sharded.Amp[i])
 		}
-	}
-}
-
-// restoreShardOverrides snapshots the atomic shard overrides and returns a
-// func that restores them (for defer in tests that force shard arms).
-func restoreShardOverrides() func() {
-	th, w := fusionShardThreshold.Load(), fusionShardWorkers.Load()
-	return func() {
-		fusionShardThreshold.Store(th)
-		fusionShardWorkers.Store(w)
 	}
 }
 

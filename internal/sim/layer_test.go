@@ -62,20 +62,19 @@ func TestLayeredMatchesUnfusedRandom(t *testing.T) {
 // contiguous ranges and member order is fixed before sharding, so every
 // amplitude sees the same arithmetic in the same order.
 func TestLayeredShardedByteIdentical(t *testing.T) {
-	defer restoreShardOverrides()()
-
 	rng := rand.New(rand.NewSource(23))
 	n := layerTileExp + 2
 	c := randomCircuit(n, 180, rng)
 	prog := Schedule(c)
 
-	fusionShardThreshold.Store(1 << 30) // force serial
+	restore := OverrideSharding(1<<30, 0) // force serial
 	serial, _ := NewState(n)
-	if err := serial.RunProgram(prog); err != nil {
+	err := serial.RunProgram(prog)
+	restore()
+	if err != nil {
 		t.Fatal(err)
 	}
-	fusionShardThreshold.Store(1) // force sharding
-	fusionShardWorkers.Store(4)
+	defer OverrideSharding(1, 4)() // force sharding
 	sharded, _ := NewState(n)
 	if err := sharded.RunProgram(prog); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,13 @@
 #     small circuits (TestNoiseEquivalence in internal/noise) — the count
 #     model is the exact expectation of the sampled channels, so drift
 #     means one of the two models broke.
+#   * lockstep differential arm: the lockstep trajectory runner must agree
+#     with the full-run algorithm it replaced within 1e-12 on routed
+#     circuits at widths 12–16, in both regimes and with a per-edge
+#     override, with the kernels' serial and forced-shard arms, and stay
+#     byte-identical at Parallelism 1, 2 and 7; plus hand-built edge
+#     cases, the live-fork cap and the zero-allocation error-free trajectory
+#     (-run TestLockstep in internal/noise), under the race detector.
 #   * chaos arm: the fault-injection suite — panic isolation, injected
 #     disk faults and corruption self-heal, cell timeouts, crash-resume
 #     byte-identity — run under the race detector (-run 'Fault|Chaos|Resume').
@@ -114,6 +121,9 @@ go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
 
 echo "check: noise-model equivalence (Monte-Carlo vs closed-form count model)"
 go test -count=1 -run 'TestNoiseEquivalence' ./internal/noise
+
+echo "check: lockstep trajectories vs the full-run reference under the race detector (serial + forced-shard arms)"
+GOMAXPROCS=4 go test -race -count=1 -run 'TestLockstep' ./internal/noise
 
 echo "check: chaos suite under the race detector (-run 'Fault|Chaos|Resume')"
 GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
