@@ -87,10 +87,12 @@ func TestEvaluateKeyNoiseStability(t *testing.T) {
 }
 
 // TestEvaluateKeyMonteCarloVersion pins the estimator version tag against
-// keys computed before the tag existed: Monte-Carlo keys moved (the
-// lockstep trajectory runner changes fidelities in the last bits, so warm
-// disk tiers must recompute them), while count-model and noise-free keys
-// are bit-identical to the earlier build's.
+// keys computed by earlier builds: Monte-Carlo keys moved, both from the
+// untagged build (the lockstep trajectory runner changes fidelities in the
+// last bits) and from lockstep/v1 (the simulator's layer pass changed its
+// rounding order), so warm disk tiers must recompute them, while
+// count-model and noise-free keys are bit-identical to the earlier
+// builds'.
 func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 	noisy := HeavyHex20CX()
 	noisy.Noise = &arch.NoiseProfile{E2Q: 0.002, TDec: 0.001}
@@ -108,9 +110,10 @@ func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 		{"noise-free", base, "5f239e7cdf436a57f0ee283f159b184fc1ddfd03cd3c20591755100d7db2f1ed", true},
 		{"count", count, "e867ac6b38e93661e245cd3e1f5985e94d53736d232439073e3fe7a7ca1fc791", true},
 		{"montecarlo", mc, "81a764cfc7cc82d2b50df32a0ca0a632bb8698f9e0a3c5d5e64ff7ca56353da0", false},
+		{"montecarlo lockstep/v1", mc, "ff60fb029a6ae2e158c72ba4df223eccc4a889f470f66c1b5bdcaa2aac9e4450", false},
 	} {
 		if got := noisy.EvaluateKey(c, tc.opt).String(); (got == tc.before) != tc.same {
-			t.Errorf("%s key %s (untagged build: %s, want same=%v)", tc.name, got, tc.before, tc.same)
+			t.Errorf("%s key %s (earlier build: %s, want same=%v)", tc.name, got, tc.before, tc.same)
 		}
 	}
 }

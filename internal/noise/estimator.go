@@ -79,9 +79,8 @@ const DefaultShots = 256
 // double-scrambled splitmix64 (see the derivation comment in Estimate),
 // and the per-trajectory fidelities are summed in index order.
 // Parallelism bounds the worker pool that samples the trajectories; the
-// simulation itself is serial, its kernels sharding large states on their
-// own. The estimate is byte-identical at every setting (serial ==
-// parallel, pinned under -race).
+// simulation itself is serial. The estimate is byte-identical at every
+// setting (serial == parallel, pinned under -race).
 type MonteCarloEstimator struct {
 	Shots       int   // trajectories (0 → DefaultShots)
 	Seed        int64 // base seed; trajectory t draws from splitmix64(Seed, t)
@@ -92,8 +91,20 @@ type MonteCarloEstimator struct {
 // estimates. core.Machine.EvaluateKey hashes it into Monte-Carlo cache
 // keys: bump it whenever a change moves an estimate for the same inputs,
 // even in the last bits, so a persistent cache never serves an older
-// algorithm's fidelities as fresh ones.
-const MonteCarloVersion = "lockstep/v1"
+// algorithm's fidelities as fresh ones. v2: the simulator's layer pass no
+// longer fuses a cross-tile 2×2 with a tile-local one, which moves the
+// last bits of some estimates from 14 qubits up.
+const MonteCarloVersion = "lockstep/v2"
+
+// errorSitePins pins where the compiled schedule puts error events on two
+// fixed routed circuits, keyed by width: the routed circuit's fingerprint
+// and an FNV-1a hash of its Program's Steps() and StepForOp over every op
+// (TestErrorSitesPinned). Estimates follow these sites, so a scheduler
+// change that moves them must bump MonteCarloVersion and re-pin here.
+var errorSitePins = map[int]struct{ Circuit, Sites uint64 }{
+	13: {0x43e7acc316fc0dff, 0xc253a69325a0207f},
+	14: {0x6513e234744f09b6, 0x57bf0339d1797923},
+}
 
 // Name implements Estimator.
 func (MonteCarloEstimator) Name() string { return "montecarlo" }

@@ -3,6 +3,7 @@ package noise_test
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -295,31 +296,47 @@ func referenceEstimate(t *testing.T, c *circuit.Circuit, m noise.Model, shots in
 	return total / float64(shots)
 }
 
+// routedFixture routes the width-w input of the lockstep tests (w in
+// 12..16) onto the 16-qubit hypercube trimmed to w qubits, so the state
+// vector holds exactly 2^w amplitudes.
+func routedFixture(t *testing.T, w int) (core.Machine, *circuit.Circuit) {
+	t.Helper()
+	var c *circuit.Circuit
+	switch w {
+	case 12:
+		c = workloads.QFT(12, true)
+	case 13:
+		c = workloads.TIMHamiltonian(13, 2)
+	case 14:
+		c = workloads.QAOAVanilla(14, rand.New(rand.NewSource(14)))
+	case 15:
+		c = workloads.GHZ(15)
+	case 16:
+		c = workloads.QFT(16, false)
+	default:
+		t.Fatalf("no routed fixture of width %d", w)
+	}
+	m, err := core.FromSpec(fmt.Sprintf("hypercube:dim=4,trim=%d", w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.Transpile(c, core.Options{Seed: int64(w), Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, tr.Routed
+}
+
 // TestLockstepMatchesFullRun is the differential test of the lockstep
 // runner against the full-run algorithm: routed circuits at widths 12–16
 // (state vectors on both sides of the simulator's 128 KiB tile), both
-// error regimes and a per-edge override, with the kernels' serial and
-// forced-shard arms, at Parallelism 1, 2 and 7. The estimates must agree
-// with the reference within 1e-12 and be byte-identical to each other.
+// error regimes and a per-edge override, at Parallelism 1, 2 and 7. The
+// estimates must agree with the reference within 1e-12 and be
+// byte-identical to each other.
 func TestLockstepMatchesFullRun(t *testing.T) {
 	const shots = 12
-	circuits := map[int]*circuit.Circuit{
-		12: workloads.QFT(12, true),
-		13: workloads.TIMHamiltonian(13, 2),
-		14: workloads.QAOAVanilla(14, rand.New(rand.NewSource(14))),
-		15: workloads.GHZ(15),
-		16: workloads.QFT(16, false),
-	}
 	for w := 12; w <= 16; w++ {
-		m, err := core.FromSpec(fmt.Sprintf("hypercube:dim=4,trim=%d", w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := m.Transpile(circuits[w], core.Options{Seed: int64(w), Trials: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		routed := tr.Routed
+		m, routed := routedFixture(t, w)
 		var edge [2]int
 		for _, op := range routed.Ops {
 			if op.Is2Q() {
@@ -339,29 +356,56 @@ func TestLockstepMatchesFullRun(t *testing.T) {
 			regime, model := tc.regime, tc.model
 			seed := int64(100*w + len(regime))
 			want := referenceEstimate(t, routed, model, shots, seed)
-			for _, arm := range []struct {
-				name               string
-				threshold, workers int
-			}{{"serial", 1 << 30, 0}, {"sharded", 1, 4}} {
-				restore := sim.OverrideSharding(arm.threshold, arm.workers)
-				var first noise.Estimate
-				for i, p := range []int{1, 2, 7} {
-					got, err := noise.MonteCarloEstimator{Shots: shots, Seed: seed, Parallelism: p}.Estimate(context.Background(), routed, model)
-					if err != nil {
-						restore()
-						t.Fatal(err)
-					}
-					if d := math.Abs(got.Fidelity - want); d > 1e-12 {
-						t.Errorf("width %d %s %s parallelism %d: lockstep %.17g vs full run %.17g (|Δ| %.3g)", w, regime, arm.name, p, got.Fidelity, want, d)
-					}
-					if i == 0 {
-						first = got
-					} else if got != first {
-						t.Errorf("width %d %s %s: parallelism %d gave %+v, parallelism 1 %+v", w, regime, arm.name, p, got, first)
-					}
+			var first noise.Estimate
+			for i, p := range []int{1, 2, 7} {
+				got, err := noise.MonteCarloEstimator{Shots: shots, Seed: seed, Parallelism: p}.Estimate(context.Background(), routed, model)
+				if err != nil {
+					t.Fatal(err)
 				}
-				restore()
+				if d := math.Abs(got.Fidelity - want); d > 1e-12 {
+					t.Errorf("width %d %s parallelism %d: lockstep %.17g vs full run %.17g (|Δ| %.3g)", w, regime, p, got.Fidelity, want, d)
+				}
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Errorf("width %d %s: parallelism %d gave %+v, parallelism 1 %+v", w, regime, p, got, first)
+				}
 			}
+		}
+	}
+}
+
+// errorSites hashes where the estimator's compiled schedule puts error
+// events for c: FNV-1a over Steps() and the StepForOp of every op of the
+// compacted circuit, the program the estimator runs.
+func errorSites(c *circuit.Circuit) uint64 {
+	compact, _ := c.CompactQubits()
+	p := sim.Schedule(compact)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d:", p.Steps())
+	for i := range compact.Ops {
+		fmt.Fprintf(h, " %d", p.StepForOp(i))
+	}
+	return h.Sum64()
+}
+
+// TestErrorSitesPinned holds the schedule's error sites on the routed
+// fixtures of widths 13 and 14 to the values pinned beside
+// MonteCarloVersion. Monte-Carlo estimates follow those sites, so a
+// scheduler change that moves them must fail here rather than silently
+// change fidelities under an unchanged cache key.
+func TestErrorSitesPinned(t *testing.T) {
+	for _, w := range []int{13, 14} {
+		pin, ok := noise.ErrorSitePins[w]
+		if !ok {
+			t.Fatalf("no error-site pin for width %d", w)
+		}
+		_, routed := routedFixture(t, w)
+		if got := routed.Fingerprint(); got != pin.Circuit {
+			t.Fatalf("width %d: routed fixture changed (fingerprint %#x, pinned %#x); re-pin its error sites from the previous build", w, got, pin.Circuit)
+		}
+		if got := errorSites(routed); got != pin.Sites {
+			t.Errorf("width %d: error sites hash %#x, pinned %#x: the scheduler moved Monte-Carlo error sites; bump MonteCarloVersion and re-pin", w, got, pin.Sites)
 		}
 	}
 }

@@ -29,5 +29,8 @@ func (p *trajectories) Sample(rng *rand.Rand) []PauliEvent { return p.sample(rng
 func (p *trajectories) MaxForks() int     { return p.maxForks }
 func (p *trajectories) SetMaxForks(k int) { p.maxForks = k }
 
+// ErrorSitePins is the error-site pin table beside MonteCarloVersion.
+var ErrorSitePins = errorSitePins
+
 // RunLockstep is (*Trajectories).run.
 var RunLockstep = (*trajectories).run

@@ -59,9 +59,7 @@ func fullUnitary3(c *circuit.Circuit) (*linalg.Matrix, error) {
 
 // TestSimulatorAgreesWithExplicitMatrices cross-validates the statevector
 // simulator against dense 8x8 matrix products on random 3-qubit circuits,
-// covering every qubit-pair orientation. Both the serial and the
-// forced-shard (threshold 1, 4 workers) arms of the fused/layered engine
-// are checked against the same matrix reference.
+// covering every qubit-pair orientation, through both Run and RunUnfused.
 func TestSimulatorAgreesWithExplicitMatrices(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pairs := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2}, {2, 0}}
@@ -79,31 +77,27 @@ func TestSimulatorAgreesWithExplicitMatrices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, arm := range []struct {
-			name               string
-			threshold, workers int
-		}{
-			{"serial", 1 << 30, 0},
-			{"sharded", 1, 4},
-		} {
-			func() {
-				defer OverrideSharding(arm.threshold, arm.workers)()
-				// Check on every computational basis input.
-				for in := 0; in < 8; in++ {
-					st, err := NewBasisState(3, in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := st.Run(c); err != nil {
-						t.Fatal(err)
-					}
-					for out := 0; out < 8; out++ {
-						if d := cmplx.Abs(st.Amp[out] - u.At(out, in)); d > 1e-9 {
-							t.Fatalf("trial %d (%s): amp[%d←%d] differs by %g", trial, arm.name, out, in, d)
-						}
+		// Check on every computational basis input, through the schedule
+		// and through the op-by-op reference the property tests trust.
+		for in := 0; in < 8; in++ {
+			for _, unfused := range []bool{false, true} {
+				st, err := NewBasisState(3, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := st.Run
+				if unfused {
+					run = st.RunUnfused
+				}
+				if err := run(c); err != nil {
+					t.Fatal(err)
+				}
+				for out := 0; out < 8; out++ {
+					if d := cmplx.Abs(st.Amp[out] - u.At(out, in)); d > 1e-9 {
+						t.Fatalf("trial %d (unfused %v): amp[%d←%d] differs by %g", trial, unfused, out, in, d)
 					}
 				}
-			}()
+			}
 		}
 	}
 }

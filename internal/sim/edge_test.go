@@ -33,8 +33,8 @@ func TestApply2QRepeatedQubit(t *testing.T) {
 	}
 }
 
-// TestApplyOpRepeatedQubit covers the specialized 2Q kernels' shared
-// check2Q validation: every fast-path gate must reject a repeated qubit
+// TestApplyOpRepeatedQubit covers the 2Q validation opMember shares with
+// the generic path: every specialized gate must reject a repeated qubit
 // with a descriptive error, not corrupt the state. (circuit.Append already
 // panics on such ops; these ops are built directly to reach the kernels.)
 func TestApplyOpRepeatedQubit(t *testing.T) {
@@ -54,13 +54,13 @@ func TestApplyOpRepeatedQubit(t *testing.T) {
 			t.Fatalf("%s on (0,0) corrupted the state", name)
 		}
 	}
-	// The parameterized diagonal fast paths validate through the same gate.
+	// The parameterized diagonal kernels validate through the same gate.
 	s, _ := NewState(2)
 	if err := s.ApplyOp(circuit.Op{Name: "cp", Qubits: []int{1, 1}, Params: []float64{0.5}}); err == nil || !strings.Contains(err.Error(), "distinct") {
 		t.Fatalf("cp on (1,1): got %v, want repeated-qubit error", err)
 	}
-	// Fused programs route hand-built repeated-qubit ops through the same
-	// passthrough validation.
+	// Fused programs keep hand-built repeated-qubit ops as source ops that
+	// fail the same validation when they run.
 	c := &circuit.Circuit{N: 2, Ops: []circuit.Op{{Name: "cx", Qubits: []int{0, 0}}}}
 	st, _ := NewState(2)
 	if err := st.Run(c); err == nil || !strings.Contains(err.Error(), "distinct") {

@@ -14,64 +14,28 @@
 //     a pair) merge into single phase sweeps, including across any
 //     intervening diagonal or disjoint gates, which all commute;
 //   - a pending 1Q run next to a 2Q gate that would take the generic 4×4
-//     path anyway (su4 blocks, rxx/can/..., explicit unitaries) is
+//     kernel anyway (su4 blocks, rxx/can/..., explicit unitaries) is
 //     absorbed into that gate's matrix (U·(A⊗B) via linalg.Mul4x4): the 4×4
 //     sweep costs the same and the 1Q sweeps disappear. Gates with
 //     specialized kernels (cx/cz/swap/iswap/...) are never absorbed into —
 //     trading a phase or permutation kernel for a generic 4×4 is a loss.
 //
-// Single leftover gates stay as ordinary ops and keep their ApplyOp fast
-// paths. For states with at least the fusion shard threshold amplitudes,
-// the fused 1Q and diagonal kernels shard the amplitude array across the
-// internal/par worker pool in disjoint index ranges, so the parallel
-// result is byte-identical to the serial one (each amplitude is written by
-// exactly one worker, with the same arithmetic).
-//
-// A second pass (layer.go) regroups the fused entries into layers of
-// mutually commuting or disjoint operations (fkLayer), executed with
-// cache-blocked kernels that apply a whole layer per pass over the
-// amplitude array instead of one pass per entry.
+// Single leftover gates stay source ops (kOp) through this pass. A second
+// pass (layer.go) converts them to members with opMember — so they keep
+// their specialized kernels — and regroups all entries into layers of
+// mutually commuting or disjoint operations (kLayer), each executed as one
+// cache-blocked pass over the amplitude array. Every step runs serially on
+// the region kernels of kernels.go.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"math/cmplx"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/linalg"
-	"repro/internal/par"
 )
-
-// expi returns e^{iθ}, the phase factor the diagonal kernels use (the same
-// expression ApplyOp evaluates, so fused and unfused phases are identical).
-func expi(t float64) complex128 { return cmplx.Exp(complex(0, t)) }
-
-// fused op kinds.
-const (
-	fkOp     = iota // passthrough: execute via ApplyOp (keeps fast paths)
-	fkMat1Q         // fused 2×2 on q
-	fkDiag1Q        // merged 1Q phase sweep: diag(d[0], d[1]) on q
-	fkDiag2Q        // merged 2Q phase sweep: diag(d) in the |qa qb⟩ basis
-	fkMat2Q         // fused 4×4 on (qa, qb): a 2Q gate with absorbed 1Q runs
-	fkLayer         // batched layer of independent members (layer.go)
-	fkDead          // absorbed into a later entry; dropped by compaction
-)
-
-// fusedOp is one step of a compiled schedule.
-type fusedOp struct {
-	kind int
-	idx  int        // index of the first source op (error reporting)
-	op   circuit.Op // fkOp only
-	qa   int        // target qubit (1Q kinds) or first qubit (2Q kinds)
-	qb   int
-	d    [4]complex128  // fkDiag1Q uses d[0..1]; fkDiag2Q all four
-	u    *linalg.Matrix // fkMat1Q (2×2) and fkMat2Q (4×4)
-
-	members []layerMember // fkLayer only: the batched operations, in order
-}
 
 // Program is a compiled, fusion-scheduled circuit, reusable across runs
 // (Schedule once, RunProgram many — the schedule is independent of state).
@@ -79,7 +43,7 @@ type fusedOp struct {
 // RunProgram calls on distinct states (Monte-Carlo trajectories share one).
 type Program struct {
 	n   int
-	ops []fusedOp
+	ops []member
 
 	// srcStep maps each source-circuit op index to the schedule step that
 	// executes it (runs, merges, absorptions, and layers all record the
@@ -107,7 +71,7 @@ func (p *Program) StepForOp(i int) int {
 // ProgramStats summarizes the layering of a compiled schedule.
 type ProgramStats struct {
 	Steps      int     // executable steps after layering
-	Layers     int     // fkLayer steps (batched groups of ≥ 2 members)
+	Layers     int     // kLayer steps (batched groups of ≥ 2 members)
 	Batched    int     // members batched inside layers
 	AvgWidth   float64 // Batched / Layers (0 when no layers)
 	LayerShare float64 // fraction of kernel applications executed inside layers
@@ -117,7 +81,7 @@ type ProgramStats struct {
 func (p *Program) Stats() ProgramStats {
 	st := ProgramStats{Steps: len(p.ops)}
 	for i := range p.ops {
-		if p.ops[i].kind == fkLayer {
+		if p.ops[i].kind == kLayer {
 			st.Layers++
 			st.Batched += len(p.ops[i].members)
 		}
@@ -135,48 +99,6 @@ func (p *Program) Stats() ProgramStats {
 // gates, keeping Schedule linear-ish on pathological circuits.
 const mergeWindow = 32
 
-// defaultFusionShardThreshold is the state size, in amplitudes, at and
-// above which fused/layer kernels spread their sweep over the worker pool
-// (2^18 amplitudes = 18 qubits, 4 MiB).
-const defaultFusionShardThreshold = 1 << 18
-
-// fusionShardThreshold overrides the shard threshold when non-zero. It is
-// atomic because tests force the sharded arms on small states while
-// parallel sweeps may be running concurrent Runs — a plain package var
-// here is read by every kernel sweep and would race under -race. Results
-// are byte-identical at any threshold.
-var fusionShardThreshold atomic.Int64
-
-// fusionShardWorkers overrides the sharded kernels' worker count when
-// non-zero (tests force the parallel arms on small states and single-core
-// runners); 0 means the par.Resolve auto default. Atomic for the same
-// reason as fusionShardThreshold.
-var fusionShardWorkers atomic.Int64
-
-// shardThresholdAmps returns the active shard threshold in amplitudes.
-func shardThresholdAmps() int {
-	if v := fusionShardThreshold.Load(); v > 0 {
-		return int(v)
-	}
-	return defaultFusionShardThreshold
-}
-
-// OverrideSharding forces the fused kernels' shard threshold (in
-// amplitudes) and worker count, 0 meaning a knob's default, and returns a
-// func that puts the previous overrides back. It is meant for tests, here
-// and in other packages, that drive the sharded arms on small states
-// (threshold 1) and on single-core runners; results are byte-identical at
-// any setting.
-func OverrideSharding(threshold, workers int) (restore func()) {
-	th, w := fusionShardThreshold.Load(), fusionShardWorkers.Load()
-	fusionShardThreshold.Store(int64(threshold))
-	fusionShardWorkers.Store(int64(workers))
-	return func() {
-		fusionShardThreshold.Store(th)
-		fusionShardWorkers.Store(w)
-	}
-}
-
 // pending1Q accumulates a run of consecutive 1Q gates on one qubit.
 type pending1Q struct {
 	active bool
@@ -187,8 +109,7 @@ type pending1Q struct {
 	idxs   []int      // source indices of every op in the run
 }
 
-// fastDiag1Q reports whether a named 1Q gate dispatches to the phase1Q
-// kernel (mirrors ApplyOp).
+// fastDiag1Q reports whether opMember turns a 1Q op into a phase member.
 func fastDiag1Q(op circuit.Op) bool {
 	if op.U != nil {
 		return false
@@ -202,59 +123,33 @@ func fastDiag1Q(op circuit.Op) bool {
 	return false
 }
 
-// fast2Q reports whether a named 2Q gate has a specialized kernel in
-// ApplyOp (phase, permutation, or inner-block mix), i.e. absorbing a 1Q
-// run into it would be unprofitable.
+// fast2Q reports whether a non-diagonal 2Q gate has a specialized
+// permutation or inner-block mix kernel (see opMember), i.e. absorbing a
+// 1Q run into it would be unprofitable. The diagonal cz/cp/rzz are handled
+// before it is asked.
 func fast2Q(op circuit.Op) bool {
 	if op.U != nil {
 		return false
 	}
 	switch op.Name {
-	case "cz", "cx", "swap", "iswap", "siswap":
+	case "cx", "swap", "iswap", "siswap":
 		return true
-	case "cp", "rzz":
-		return len(op.Params) == 1
 	}
 	return false
-}
-
-// diag2QPhases returns the diagonal of a named 2Q phase gate in the
-// |qa qb⟩ basis, mirroring the constants ApplyOp feeds phase2Q.
-func diag2QPhases(op circuit.Op) ([4]complex128, bool) {
-	if op.U != nil {
-		return [4]complex128{}, false
-	}
-	switch op.Name {
-	case "cz":
-		return [4]complex128{1, 1, 1, -1}, true
-	case "cp":
-		if len(op.Params) == 1 {
-			return [4]complex128{1, 1, 1, expi(op.Params[0])}, true
-		}
-	case "rzz":
-		if len(op.Params) == 1 {
-			e, ec := expi(-op.Params[0]/2), expi(op.Params[0]/2)
-			return [4]complex128{e, ec, ec, e}, true
-		}
-	}
-	return [4]complex128{}, false
 }
 
 // isDiagonalEntry reports whether a schedule entry is a pure phase
 // operation (commutes with every other diagonal, on any qubits).
-func (f *fusedOp) isDiagonalEntry() bool {
-	switch f.kind {
-	case fkDiag1Q, fkDiag2Q:
-		return true
-	case fkOp:
+func (f *member) isDiagonalEntry() bool {
+	if f.kind == kOp {
 		return fastDiag1Q(f.op)
 	}
-	return false
+	return f.diagonal()
 }
 
 // touches reports whether the entry acts on qubit q.
-func (f *fusedOp) touches(q int) bool {
-	if f.kind == fkOp {
+func (f *member) touches(q int) bool {
+	if f.kind == kOp {
 		for _, oq := range f.op.Qubits {
 			if oq == q {
 				return true
@@ -265,7 +160,7 @@ func (f *fusedOp) touches(q int) bool {
 	if f.qa == q {
 		return true
 	}
-	return (f.kind == fkDiag2Q || f.kind == fkMat2Q) && f.qb == q
+	return f.twoQ() && f.qb == q
 }
 
 // isDiag2x2 reports whether a 2×2 matrix has exactly zero off-diagonals
@@ -276,9 +171,9 @@ func isDiag2x2(m *linalg.Matrix) bool {
 }
 
 // Schedule builds the fused, layered schedule of a circuit. It never
-// fails: ops it cannot fuse (unknown gates, malformed arities) pass
-// through unchanged and surface their error — with the original op index —
-// when the program runs.
+// fails: ops it cannot convert (unknown gates, malformed arities, invalid
+// qubits) stay source ops and surface their error — with the original op
+// index — when the program runs.
 func Schedule(c *circuit.Circuit) *Program {
 	p := scheduleUnlayered(c)
 	p.layerize()
@@ -292,7 +187,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 	p := &Program{n: c.N, srcStep: make([]int, len(c.Ops))}
 	pend := make([]pending1Q, c.N)
 	src := p.srcStep
-	// Entries absorbed into a later 4×4 (marked fkDead) map to the entry
+	// Entries absorbed into a later 4×4 (marked kDead) map to the entry
 	// that swallowed them; the compaction pass below drops them and chases
 	// these links to fix up srcStep.
 	dead := map[int]int{}
@@ -309,14 +204,14 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 				p.Fused++
 				break
 			}
-			p.ops = append(p.ops, fusedOp{kind: fkOp, idx: pd.idx, op: pd.first})
+			p.ops = append(p.ops, member{kind: kOp, idx: pd.idx, op: pd.first})
 			entry = len(p.ops) - 1
 		case isDiag2x2(pd.mat):
 			p.Fused += pd.count
 			d0, d1 := pd.mat.Data[0], pd.mat.Data[3]
 			if entry = p.mergeDiag1Q(q, d0, d1); entry < 0 {
 				if entry = p.absorbMat1Q(q, pd.mat); entry < 0 {
-					p.ops = append(p.ops, fusedOp{kind: fkDiag1Q, idx: pd.idx, qa: q, d: [4]complex128{d0, d1}})
+					p.ops = append(p.ops, member{kind: kDiag1Q, idx: pd.idx, qa: q, d: [4]complex128{d0, d1}})
 					entry = len(p.ops) - 1
 				}
 			}
@@ -325,7 +220,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 			if entry = p.absorbMat1Q(q, pd.mat); entry >= 0 {
 				break
 			}
-			p.ops = append(p.ops, fusedOp{kind: fkMat1Q, idx: pd.idx, qa: q, u: pd.mat})
+			p.ops = append(p.ops, member{kind: kMat1Q, idx: pd.idx, qa: q, u: pd.mat})
 			entry = len(p.ops) - 1
 		}
 		for _, si := range pd.idxs {
@@ -339,14 +234,14 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 		case 1:
 			q := op.Qubits[0]
 			if q < 0 || q >= c.N {
-				p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 				src[i] = len(p.ops) - 1
 				continue
 			}
 			u, err := circuit.Unitary(op)
 			if err != nil || u.Rows != 2 || u.Cols != 2 {
 				flush(q)
-				p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 				src[i] = len(p.ops) - 1
 				continue
 			}
@@ -362,7 +257,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 		case 2:
 			qa, qb := op.Qubits[0], op.Qubits[1]
 			if qa < 0 || qa >= c.N || qb < 0 || qb >= c.N || qa == qb {
-				p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 				src[i] = len(p.ops) - 1
 				continue
 			}
@@ -381,7 +276,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 					src[i] = e
 					continue
 				}
-				p.ops = append(p.ops, fusedOp{kind: fkDiag2Q, idx: i, qa: qa, qb: qb, d: d})
+				p.ops = append(p.ops, member{kind: kDiag2Q, idx: i, qa: qa, qb: qb, d: d})
 				src[i] = len(p.ops) - 1
 				continue
 			}
@@ -391,7 +286,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 				// 4×4 sweep.
 				flush(qa)
 				flush(qb)
-				p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 				src[i] = len(p.ops) - 1
 				continue
 			}
@@ -403,7 +298,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 			if err != nil || u2q.Rows != 4 || u2q.Cols != 4 {
 				flush(qa)
 				flush(qb)
-				p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 				src[i] = len(p.ops) - 1
 				continue
 			}
@@ -420,7 +315,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 						}
 						absorbed += pd.count
 						for _, si := range pd.idxs {
-							src[si] = len(p.ops) // the fkMat2Q appended below
+							src[si] = len(p.ops) // the kMat2Q appended below
 						}
 						pd.active = false
 					}
@@ -431,10 +326,10 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 				u4 = linalg.Mul4x4(u2q, kron)
 			}
 			u4 = p.absorbBackward2Q(qa, qb, u4, dead)
-			p.ops = append(p.ops, fusedOp{kind: fkMat2Q, idx: i, qa: qa, qb: qb, u: u4})
+			p.ops = append(p.ops, member{kind: kMat2Q, idx: i, qa: qa, qb: qb, u: u4})
 			src[i] = len(p.ops) - 1
 		default:
-			p.ops = append(p.ops, fusedOp{kind: fkOp, idx: i, op: op})
+			p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
 			src[i] = len(p.ops) - 1
 		}
 	}
@@ -445,7 +340,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 		remap := make([]int, len(p.ops))
 		kept := p.ops[:0]
 		for i := range p.ops {
-			if p.ops[i].kind == fkDead {
+			if p.ops[i].kind == kDead {
 				remap[i] = -1
 				continue
 			}
@@ -468,30 +363,30 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 // entries: 1Q entries on either qubit, diagonal/full 4×4 entries on the
 // same pair, and specialized-2Q passthroughs on the same oriented pair all
 // right-multiply into the matrix (they precede it in program order) and
-// their sweeps disappear. Absorbed entries are marked fkDead and recorded
+// their sweeps disappear. Absorbed entries are marked kDead and recorded
 // in dead for the compaction pass. Never mutates u4 in place — it may
 // still alias the source op's own matrix. Returns the folded matrix.
 func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]int) *linalg.Matrix {
-	target := len(p.ops) // the index the arriving fkMat2Q will occupy
+	target := len(p.ops) // the index the arriving kMat2Q will occupy
 	for i, steps := len(p.ops)-1, 0; i >= 0 && steps < mergeWindow; i, steps = i-1, steps+1 {
 		f := &p.ops[i]
-		if f.kind == fkDead {
+		if f.kind == kDead {
 			continue
 		}
 		switch f.kind {
-		case fkMat1Q:
+		case kMat1Q:
 			if f.qa != qa && f.qa != qb {
 				continue // disjoint 1Q: commutes, keep scanning
 			}
 			u4 = linalg.Mul4x4(u4, expand1Q(f.qa == qa, f.u))
-		case fkDiag1Q:
+		case kDiag1Q:
 			if f.qa != qa && f.qa != qb {
 				continue
 			}
 			dm := linalg.New(2, 2)
 			dm.Data[0], dm.Data[3] = f.d[0], f.d[1]
 			u4 = linalg.Mul4x4(u4, expand1Q(f.qa == qa, dm))
-		case fkDiag2Q:
+		case kDiag2Q:
 			if !((f.qa == qa && f.qb == qb) || (f.qa == qb && f.qb == qa)) {
 				if f.touches(qa) || f.touches(qb) {
 					return u4 // shares one qubit: blocks the scan
@@ -508,7 +403,7 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 				scaled.Data[k] = v * d[k%4]
 			}
 			u4 = scaled
-		case fkMat2Q:
+		case kMat2Q:
 			if f.qa != qa || f.qb != qb {
 				if f.touches(qa) || f.touches(qb) {
 					return u4
@@ -516,7 +411,7 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 				continue
 			}
 			u4 = linalg.Mul4x4(u4, f.u)
-		case fkOp:
+		case kOp:
 			if !f.touches(qa) && !f.touches(qb) {
 				continue
 			}
@@ -540,9 +435,9 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 			}
 			return u4
 		default:
-			return u4 // fkLayer or unknown: never absorbed
+			return u4 // kLayer or unknown: never absorbed
 		}
-		f.kind = fkDead
+		f.kind = kDead
 		f.qa, f.qb = -1, -1
 		f.op = circuit.Op{}
 		f.u = nil
@@ -552,7 +447,7 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 	return u4
 }
 
-// absorbMat1Q folds a flushing 2×2 on qubit q into an earlier fkMat2Q
+// absorbMat1Q folds a flushing 2×2 on qubit q into an earlier kMat2Q
 // entry on a pair containing q, if one is reachable by commuting backward
 // over entries disjoint from q (or, when the 2×2 is diagonal, over other
 // diagonal entries). The run follows the 4×4 in program order, so it
@@ -564,7 +459,7 @@ func (p *Program) absorbMat1Q(q int, u *linalg.Matrix) int {
 	diag := isDiag2x2(u)
 	for i, steps := len(p.ops)-1, 0; i >= 0 && steps < mergeWindow; i, steps = i-1, steps+1 {
 		f := &p.ops[i]
-		if f.kind == fkMat2Q && (f.qa == q || f.qb == q) {
+		if f.kind == kMat2Q && (f.qa == q || f.qb == q) {
 			f.u = linalg.Mul4x4(expand1Q(q == f.qa, u), f.u)
 			return i
 		}
@@ -590,14 +485,14 @@ func expand1Q(high bool, u *linalg.Matrix) *linalg.Matrix {
 	return kron
 }
 
-// mergeDiag1Q folds diag(d0, d1) on qubit q into an earlier fkDiag1Q entry
+// mergeDiag1Q folds diag(d0, d1) on qubit q into an earlier kDiag1Q entry
 // on the same qubit if one is reachable by commuting backward over
 // diagonal or disjoint entries. Returns the entry index it merged into, or
 // -1.
 func (p *Program) mergeDiag1Q(q int, d0, d1 complex128) int {
 	for i, steps := len(p.ops)-1, 0; i >= 0 && steps < mergeWindow; i, steps = i-1, steps+1 {
 		f := &p.ops[i]
-		if f.kind == fkDiag1Q && f.qa == q {
+		if f.kind == kDiag1Q && f.qa == q {
 			f.d[0] *= d0
 			f.d[1] *= d1
 			return i
@@ -611,13 +506,13 @@ func (p *Program) mergeDiag1Q(q int, d0, d1 complex128) int {
 }
 
 // mergeDiag2Q folds a diagonal in the |qa qb⟩ basis into an earlier
-// fkDiag2Q entry on the same unordered pair if one is reachable by
+// kDiag2Q entry on the same unordered pair if one is reachable by
 // commuting backward over diagonal or disjoint entries. Returns the entry
 // index it merged into, or -1.
 func (p *Program) mergeDiag2Q(qa, qb int, d [4]complex128) int {
 	for i, steps := len(p.ops)-1, 0; i >= 0 && steps < mergeWindow; i, steps = i-1, steps+1 {
 		f := &p.ops[i]
-		if f.kind == fkDiag2Q && ((f.qa == qa && f.qb == qb) || (f.qa == qb && f.qb == qa)) {
+		if f.kind == kDiag2Q && ((f.qa == qa && f.qb == qb) || (f.qa == qb && f.qb == qa)) {
 			if f.qa != qa {
 				d[1], d[2] = d[2], d[1] // opposite orientation: |01⟩ and |10⟩ swap
 			}
@@ -641,9 +536,10 @@ func (s *State) RunProgram(p *Program) error {
 }
 
 // RunProgramCtx is RunProgram with cooperative cancellation: ctx is checked
-// before every fused op (each op is one full state sweep — the natural
-// stopping granularity), so a deadline-bound simulation stops within one
-// sweep instead of running the schedule to completion. The state is left
+// before every step (one pass over the state, plus one per cross-tile
+// member of a layer — the natural stopping granularity), so a
+// deadline-bound simulation stops within one step instead of running the
+// schedule to completion. The state is left
 // partially evolved on cancellation and must be discarded.
 func (s *State) RunProgramCtx(ctx context.Context, p *Program) error {
 	return s.runSteps(ctx, p, 0, len(p.ops))
@@ -673,184 +569,16 @@ func (s *State) runSteps(ctx context.Context, p *Program, from, to int) error {
 			return err
 		}
 		f := &p.ops[i]
-		var err error
 		switch f.kind {
-		case fkOp:
-			err = s.ApplyOp(f.op)
-		case fkMat1Q:
-			s.fusedMat1Q(f.qa, f.u)
-		case fkDiag1Q:
-			s.fusedDiag1Q(f.qa, f.d[0], f.d[1])
-		case fkDiag2Q:
-			s.fusedDiag2Q(f.qa, f.qb, f.d)
-		case fkMat2Q:
-			err = s.Apply2Q(f.qa, f.qb, f.u)
-		case fkLayer:
-			err = s.applyLayer(f)
-		}
-		if err != nil {
-			if f.kind == fkOp {
+		case kOp:
+			if err := s.ApplyOp(f.op); err != nil {
 				return fmt.Errorf("sim: op %d (%s): %w", f.idx, f.op, err)
 			}
-			return fmt.Errorf("sim: op %d (fused): %w", f.idx, err)
+		case kLayer:
+			s.applyLayer(f.members)
+		default:
+			s.apply(f, s.Amp, 0)
 		}
 	}
 	return nil
-}
-
-// shardSpan picks the worker count for a fused kernel sweep: 1 (serial)
-// below the threshold or when the pool is one core.
-func (s *State) shardSpan() int {
-	if len(s.Amp) < shardThresholdAmps() {
-		return 1
-	}
-	if w := fusionShardWorkers.Load(); w > 0 {
-		return int(w)
-	}
-	return par.Resolve(0)
-}
-
-// fusedMat1Q applies a fused 2×2 to qubit q: the serial arm is Apply1Q's
-// loop; the sharded arm splits the pair-index space [0, 2^(n-1)) into one
-// contiguous range per worker (pair p maps to amplitude index
-// ((p &^ (mask-1)) << 1) | (p & (mask-1))), so every amplitude is written
-// by exactly one worker with identical arithmetic.
-func (s *State) fusedMat1Q(q int, u *linalg.Matrix) {
-	mask := 1 << s.bitPos(q)
-	u00, u01 := u.Data[0], u.Data[1]
-	u10, u11 := u.Data[2], u.Data[3]
-	amp := s.Amp
-	workers := s.shardSpan()
-	if workers <= 1 {
-		for base := 0; base < len(amp); base += mask << 1 {
-			for i := base; i < base+mask; i++ {
-				j := i + mask
-				a0, a1 := amp[i], amp[j]
-				amp[i] = u00*a0 + u01*a1
-				amp[j] = u10*a0 + u11*a1
-			}
-		}
-		return
-	}
-	total := len(amp) >> 1
-	chunk := (total + workers - 1) / workers
-	low := mask - 1
-	par.ForEach(workers, workers, func(w int) error {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > total {
-			hi = total
-		}
-		for pIdx := lo; pIdx < hi; pIdx++ {
-			i := ((pIdx &^ low) << 1) | (pIdx & low)
-			j := i + mask
-			a0, a1 := amp[i], amp[j]
-			amp[i] = u00*a0 + u01*a1
-			amp[j] = u10*a0 + u11*a1
-		}
-		return nil
-	})
-}
-
-// fusedDiag1Q applies a merged phase sweep diag(d0, d1) on qubit q,
-// keeping phase1Q's skip of unit factors; the sharded arm mirrors
-// fusedMat1Q's disjoint pair ranges.
-func (s *State) fusedDiag1Q(q int, d0, d1 complex128) {
-	mask := 1 << s.bitPos(q)
-	amp := s.Amp
-	workers := s.shardSpan()
-	if workers <= 1 {
-		for base := 0; base < len(amp); base += mask << 1 {
-			if d0 != 1 {
-				for i := base; i < base+mask; i++ {
-					amp[i] *= d0
-				}
-			}
-			if d1 != 1 {
-				for i := base + mask; i < base+(mask<<1); i++ {
-					amp[i] *= d1
-				}
-			}
-		}
-		return
-	}
-	total := len(amp) >> 1
-	chunk := (total + workers - 1) / workers
-	low := mask - 1
-	par.ForEach(workers, workers, func(w int) error {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > total {
-			hi = total
-		}
-		for pIdx := lo; pIdx < hi; pIdx++ {
-			i := ((pIdx &^ low) << 1) | (pIdx & low)
-			if d0 != 1 {
-				amp[i] *= d0
-			}
-			if d1 != 1 {
-				amp[i+mask] *= d1
-			}
-		}
-		return nil
-	})
-}
-
-// fusedDiag2Q applies a merged phase sweep diag(d) in the |qa qb⟩ basis,
-// keeping phase2Q's skip of unit factors; the sharded arm splits the
-// quad-index space into contiguous per-worker ranges (quad p expands to
-// its |00⟩ index by re-inserting a zero bit at each mask position).
-func (s *State) fusedDiag2Q(qa, qb int, d [4]complex128) {
-	maskA := 1 << s.bitPos(qa)
-	maskB := 1 << s.bitPos(qb)
-	amp := s.Amp
-	d00, d01, d10, d11 := d[0], d[1], d[2], d[3]
-	workers := s.shardSpan()
-	if workers <= 1 {
-		// The serial closure is kept separate from the sharded one so it
-		// never escapes (the kernel allocation guard pins this at zero).
-		quad2Q(len(amp), maskA, maskB, func(i00 int) {
-			if d00 != 1 {
-				amp[i00] *= d00
-			}
-			if d01 != 1 {
-				amp[i00|maskB] *= d01
-			}
-			if d10 != 1 {
-				amp[i00|maskA] *= d10
-			}
-			if d11 != 1 {
-				amp[i00|maskA|maskB] *= d11
-			}
-		})
-		return
-	}
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	total := len(amp) >> 2
-	chunk := (total + workers - 1) / workers
-	l1, h1 := lo-1, hi-1
-	par.ForEach(workers, workers, func(w int) error {
-		from, to := w*chunk, (w+1)*chunk
-		if to > total {
-			to = total
-		}
-		for pIdx := from; pIdx < to; pIdx++ {
-			x := ((pIdx &^ l1) << 1) | (pIdx & l1)
-			i00 := ((x &^ h1) << 1) | (x & h1)
-			if d00 != 1 {
-				amp[i00] *= d00
-			}
-			if d01 != 1 {
-				amp[i00|maskB] *= d01
-			}
-			if d10 != 1 {
-				amp[i00|maskA] *= d10
-			}
-			if d11 != 1 {
-				amp[i00|maskA|maskB] *= d11
-			}
-		}
-		return nil
-	})
 }

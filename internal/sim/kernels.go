@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/linalg"
 )
 
 // iSWAP-family inner-block entries, read once from the same memoized
@@ -18,234 +19,428 @@ var (
 	siswapDiag, siswapOff = gates.SqrtISwap().At(1, 1), gates.SqrtISwap().At(1, 2)
 )
 
-// ApplyOp applies one circuit op to the state, dispatching by gate name to
-// a specialized kernel when the gate is a pure phase (diagonal) or a pure
-// amplitude permutation, and falling back to the generic Apply1Q/Apply2Q
-// matrix kernels otherwise. The fast paths are exact — they compute the
-// same floating-point products as the generic kernels, minus the terms
-// that are structurally zero or one.
-func (s *State) ApplyOp(op circuit.Op) error {
-	// Explicit unitaries (e.g. Haar-random SU4 blocks) and parameter
-	// mismatches always take the generic path.
-	if op.U == nil {
-		switch op.Name {
-		// ---- 1Q diagonal gates: |1⟩-phase only ----
-		case "z":
-			return s.phase1Q(op, 1, -1)
-		case "s":
-			return s.phase1Q(op, 1, 1i)
-		case "sdg":
-			return s.phase1Q(op, 1, -1i)
-		case "t":
-			return s.phase1Q(op, 1, cmplx.Exp(complex(0, math.Pi/4)))
-		case "tdg":
-			return s.phase1Q(op, 1, cmplx.Exp(complex(0, -math.Pi/4)))
-		case "p":
-			if len(op.Params) == 1 {
-				return s.phase1Q(op, 1, cmplx.Exp(complex(0, op.Params[0])))
-			}
-		case "rz":
-			if len(op.Params) == 1 {
-				half := op.Params[0] / 2
-				return s.phase1Q(op, cmplx.Exp(complex(0, -half)), cmplx.Exp(complex(0, half)))
-			}
-		// ---- 1Q permutation ----
-		case "x":
-			return s.flip1Q(op)
-		// ---- 2Q diagonal gates ----
-		case "cz":
-			return s.phase2Q(op, 1, 1, 1, -1)
-		case "cp":
-			if len(op.Params) == 1 {
-				return s.phase2Q(op, 1, 1, 1, cmplx.Exp(complex(0, op.Params[0])))
-			}
-		case "rzz":
-			if len(op.Params) == 1 {
-				e := cmplx.Exp(complex(0, -op.Params[0]/2))
-				ec := cmplx.Exp(complex(0, op.Params[0]/2))
-				return s.phase2Q(op, e, ec, ec, e)
-			}
-		// ---- 2Q permutations ----
-		case "cx":
-			return s.permCX(op)
-		case "swap":
-			return s.permSwap(op)
-		// ---- 2Q inner-block mixes (iSWAP family) ----
-		case "iswap":
-			return s.mix2Q(op, iswapDiag, iswapOff)
-		case "siswap":
-			return s.mix2Q(op, siswapDiag, siswapOff)
+// kind says what a schedule entry or layer member does.
+type kind uint8
+
+const (
+	kMat1Q  kind = iota // generic 2×2 u on qa
+	kDiag1Q             // diag(d[0], d[1]) on qa
+	kX                  // Pauli-X: amplitude pair exchange on qa
+	kMat2Q              // generic 4×4 u on (qa, qb), qa the high bit of the gate basis
+	kDiag2Q             // diag(d) in the |qa qb⟩ basis
+	kCX                 // CNOT, qa controls
+	kSwap               // SWAP
+	kMix                // iSWAP-family inner block: d[0] = diag, d[1] = off
+	kOp                 // a source op kept as is (see Schedule); a barrier to layering
+	kLayer              // batched independent members (layer.go)
+	kDead               // absorbed into a later entry; dropped by compaction
+)
+
+// member is one operation of a compiled schedule: a step of its own, or
+// one of the members a kLayer step batches.
+type member struct {
+	kind    kind
+	idx     int // index of the first source op (error reporting)
+	qa, qb  int
+	d       [4]complex128  // diagonal kinds; kMix uses d[0] (diag), d[1] (off)
+	u       *linalg.Matrix // kMat1Q (2×2) and kMat2Q (4×4)
+	op      circuit.Op     // kOp only
+	members []member       // kLayer only, in program order
+}
+
+// twoQ reports whether the member acts on two qubits.
+func (m *member) twoQ() bool { return m.kind >= kMat2Q && m.kind <= kMix }
+
+// diagonal reports whether the member is a pure phase (commutes with
+// every other diagonal, on any qubits).
+func (m *member) diagonal() bool { return m.kind == kDiag1Q || m.kind == kDiag2Q }
+
+// expi returns e^{iθ}, the phase factor of the diagonal gates.
+func expi(t float64) complex128 { return cmplx.Exp(complex(0, t)) }
+
+// diag2QPhases returns the diagonal of a named 2Q phase gate in the
+// |qa qb⟩ basis.
+func diag2QPhases(op circuit.Op) ([4]complex128, bool) {
+	if op.U != nil {
+		return [4]complex128{}, false
+	}
+	switch op.Name {
+	case "cz":
+		return [4]complex128{1, 1, 1, -1}, true
+	case "cp":
+		if len(op.Params) == 1 {
+			return [4]complex128{1, 1, 1, expi(op.Params[0])}, true
+		}
+	case "rzz":
+		if len(op.Params) == 1 {
+			e, ec := expi(-op.Params[0]/2), expi(op.Params[0]/2)
+			return [4]complex128{e, ec, ec, e}, true
 		}
 	}
-	u, err := circuit.Unitary(op)
-	if err != nil {
-		return err
-	}
+	return [4]complex128{}, false
+}
+
+// opMember validates an op against an n-qubit register and converts it to
+// the member that applies it: named diagonal gates (z/s/sdg/t/tdg/rz/p,
+// cz/cp/rzz) become pure phase multiplies, x/cx/swap amplitude exchanges,
+// and the iSWAP family (iswap/siswap — the SNAIL-native basis gates) a 2×2
+// mix of each quad's |01⟩/|10⟩ pair. Every other gate, and any op carrying
+// an explicit unitary, becomes a generic 2×2 or 4×4 member. The specialized
+// kernels are exact: they compute the generic kernels' floating-point
+// products minus the terms that are structurally zero or one.
+func opMember(op circuit.Op, n int) (member, error) {
 	switch len(op.Qubits) {
 	case 1:
-		return s.Apply1Q(op.Qubits[0], u)
-	case 2:
-		return s.Apply2Q(op.Qubits[0], op.Qubits[1], u)
-	default:
-		return fmt.Errorf("unsupported arity %d", len(op.Qubits))
-	}
-}
-
-func (s *State) check1Q(op circuit.Op) (int, error) {
-	if len(op.Qubits) != 1 {
-		return 0, fmt.Errorf("sim: %s needs one qubit, got %d", op.Name, len(op.Qubits))
-	}
-	q := op.Qubits[0]
-	if q < 0 || q >= s.N {
-		return 0, fmt.Errorf("sim: qubit %d out of range", q)
-	}
-	return 1 << s.bitPos(q), nil
-}
-
-func (s *State) check2Q(op circuit.Op) (maskA, maskB int, err error) {
-	if len(op.Qubits) != 2 {
-		return 0, 0, fmt.Errorf("sim: %s needs two qubits, got %d", op.Name, len(op.Qubits))
-	}
-	qa, qb := op.Qubits[0], op.Qubits[1]
-	if qa == qb {
-		return 0, 0, fmt.Errorf("sim: %s needs two distinct qubits, got qubit %d twice", op.Name, qa)
-	}
-	if qa < 0 || qa >= s.N || qb < 0 || qb >= s.N {
-		return 0, 0, fmt.Errorf("sim: invalid qubit pair (%d,%d)", qa, qb)
-	}
-	return 1 << s.bitPos(qa), 1 << s.bitPos(qb), nil
-}
-
-// phase1Q applies diag(d0, d1) on one qubit: amplitudes with the qubit
-// clear pick up d0, set pick up d1. The d0 == 1 case (z/s/t/p) touches
-// only half the state.
-func (s *State) phase1Q(op circuit.Op, d0, d1 complex128) error {
-	mask, err := s.check1Q(op)
-	if err != nil {
-		return err
-	}
-	amp := s.Amp
-	for base := 0; base < len(amp); base += mask << 1 {
-		if d0 != 1 {
-			for i := base; i < base+mask; i++ {
-				amp[i] *= d0
+		q := op.Qubits[0]
+		if q < 0 || q >= n {
+			return member{}, fmt.Errorf("sim: qubit %d out of range", q)
+		}
+		if op.U == nil {
+			diag := func(d0, d1 complex128) (member, error) {
+				return member{kind: kDiag1Q, qa: q, d: [4]complex128{d0, d1}}, nil
+			}
+			switch op.Name {
+			case "z":
+				return diag(1, -1)
+			case "s":
+				return diag(1, 1i)
+			case "sdg":
+				return diag(1, -1i)
+			case "t":
+				return diag(1, expi(math.Pi/4))
+			case "tdg":
+				return diag(1, expi(-math.Pi/4))
+			case "p":
+				if len(op.Params) == 1 {
+					return diag(1, expi(op.Params[0]))
+				}
+			case "rz":
+				if len(op.Params) == 1 {
+					half := op.Params[0] / 2
+					return diag(expi(-half), expi(half))
+				}
+			case "x":
+				return member{kind: kX, qa: q}, nil
 			}
 		}
-		for i := base + mask; i < base+(mask<<1); i++ {
-			amp[i] *= d1
+		u, err := circuit.Unitary(op)
+		if err != nil {
+			return member{}, err
 		}
+		if u.Rows != 2 || u.Cols != 2 {
+			return member{}, fmt.Errorf("sim: %s on one qubit needs a 2x2 matrix", op.Name)
+		}
+		return member{kind: kMat1Q, qa: q, u: u}, nil
+	case 2:
+		qa, qb := op.Qubits[0], op.Qubits[1]
+		if qa == qb {
+			return member{}, fmt.Errorf("sim: %s needs two distinct qubits, got qubit %d twice", op.Name, qa)
+		}
+		if qa < 0 || qa >= n || qb < 0 || qb >= n {
+			return member{}, fmt.Errorf("sim: invalid qubit pair (%d,%d)", qa, qb)
+		}
+		if d, ok := diag2QPhases(op); ok {
+			return member{kind: kDiag2Q, qa: qa, qb: qb, d: d}, nil
+		}
+		if op.U == nil {
+			switch op.Name {
+			case "cx":
+				return member{kind: kCX, qa: qa, qb: qb}, nil
+			case "swap":
+				return member{kind: kSwap, qa: qa, qb: qb}, nil
+			case "iswap":
+				return member{kind: kMix, qa: qa, qb: qb, d: [4]complex128{iswapDiag, iswapOff}}, nil
+			case "siswap":
+				return member{kind: kMix, qa: qa, qb: qb, d: [4]complex128{siswapDiag, siswapOff}}, nil
+			}
+		}
+		u, err := circuit.Unitary(op)
+		if err != nil {
+			return member{}, err
+		}
+		if u.Rows != 4 || u.Cols != 4 {
+			return member{}, fmt.Errorf("sim: %s on two qubits needs a 4x4 matrix", op.Name)
+		}
+		return member{kind: kMat2Q, qa: qa, qb: qb, u: u}, nil
 	}
-	return nil
+	return member{}, fmt.Errorf("sim: %s: unsupported arity %d", op.Name, len(op.Qubits))
 }
 
-// flip1Q applies Pauli-X: exchange each (clear, set) amplitude pair.
-func (s *State) flip1Q(op circuit.Op) error {
-	mask, err := s.check1Q(op)
+// ApplyOp applies one circuit op to the state: it validates and converts
+// the op (opMember) and sweeps the whole amplitude array with the member's
+// kernel.
+func (s *State) ApplyOp(op circuit.Op) error {
+	m, err := opMember(op, s.N)
 	if err != nil {
 		return err
 	}
-	amp := s.Amp
-	for base := 0; base < len(amp); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			j := i + mask
-			amp[i], amp[j] = amp[j], amp[i]
-		}
-	}
+	s.apply(&m, s.Amp, 0)
 	return nil
 }
 
-// quad2Q iterates the |00⟩ index of every (i00, i01, i10, i11) quad.
-func quad2Q(n, maskA, maskB int, f func(i00 int)) {
+// apply runs a member's kernel over region, a block of the state whose
+// first amplitude has global index base. region = s.Amp, base = 0 is a
+// whole-array sweep; a layer pass hands in one tile at a time, and only
+// diagonal members may have a stride outside it (their kernels read the
+// qubit's bit from base).
+func (s *State) apply(m *member, region []complex128, base int) {
+	switch m.kind {
+	case kMat1Q:
+		tileMat1Q(region, s.maskOf(m.qa), m.u)
+	case kDiag1Q:
+		tileDiag1Q(region, base, s.maskOf(m.qa), m.d[0], m.d[1])
+	case kX:
+		tileX(region, s.maskOf(m.qa))
+	case kMat2Q:
+		tileMat2Q(region, s.maskOf(m.qa), s.maskOf(m.qb), m.u)
+	case kDiag2Q:
+		tileDiag2Q(region, base, s.maskOf(m.qa), s.maskOf(m.qb), m.d)
+	case kCX:
+		tileCX(region, s.maskOf(m.qa), s.maskOf(m.qb))
+	case kSwap:
+		tileSwap(region, s.maskOf(m.qa), s.maskOf(m.qb))
+	case kMix:
+		tileMix(region, s.maskOf(m.qa), s.maskOf(m.qb), m.d[0], m.d[1])
+	}
+}
+
+// tileMat1Q applies a 2×2 over a region; mask < len(region).
+func tileMat1Q(region []complex128, mask int, u *linalg.Matrix) {
+	u00, u01 := u.Data[0], u.Data[1]
+	u10, u11 := u.Data[2], u.Data[3]
+	for base := 0; base < len(region); base += mask << 1 {
+		for i := base; i < base+mask; i++ {
+			j := i + mask
+			a0, a1 := region[i], region[j]
+			region[i] = u00*a0 + u01*a1
+			region[j] = u10*a0 + u11*a1
+		}
+	}
+}
+
+// tileMat1QPair applies two 2×2s on distinct bits of a region in one quad
+// pass: ux mixes along mx first, then uy along my, loading and storing each
+// amplitude once — bit-identical to the two strided sweeps.
+func tileMat1QPair(region []complex128, mx int, ux *linalg.Matrix, my int, uy *linalg.Matrix) {
+	x00, x01 := ux.Data[0], ux.Data[1]
+	x10, x11 := ux.Data[2], ux.Data[3]
+	y00, y01 := uy.Data[0], uy.Data[1]
+	y10, y11 := uy.Data[2], uy.Data[3]
+	lo, hi := mx, my
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	for outer := 0; outer < len(region); outer += hi << 1 {
+		for mid := outer; mid < outer+hi; mid += lo << 1 {
+			for i := mid; i < mid+lo; i++ {
+				ix, iy := i+mx, i+my
+				ixy := ix + my
+				a00, ax, ay, axy := region[i], region[ix], region[iy], region[ixy]
+				b00 := x00*a00 + x01*ax
+				bx := x10*a00 + x11*ax
+				by := x00*ay + x01*axy
+				bxy := x10*ay + x11*axy
+				region[i] = y00*b00 + y01*by
+				region[iy] = y10*b00 + y11*by
+				region[ix] = y00*bx + y01*bxy
+				region[ixy] = y10*bx + y11*bxy
+			}
+		}
+	}
+}
+
+// tileX applies Pauli-X over a region; mask < len(region).
+func tileX(region []complex128, mask int) {
+	for base := 0; base < len(region); base += mask << 1 {
+		for i := base; i < base+mask; i++ {
+			j := i + mask
+			region[i], region[j] = region[j], region[i]
+		}
+	}
+}
+
+// tileDiag1Q applies diag(d0, d1) on a region at any stride: below the
+// region size it is the strided phase sweep, skipping unit factors (so
+// z/s/t/p touch only half the state); at or above it the qubit's bit is
+// constant over the region — read it from the region's global base and do
+// one scalar multiply.
+func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
+	if mask < len(region) {
+		for base := 0; base < len(region); base += mask << 1 {
+			if d0 != 1 {
+				for i := base; i < base+mask; i++ {
+					region[i] *= d0
+				}
+			}
+			if d1 != 1 {
+				for i := base + mask; i < base+(mask<<1); i++ {
+					region[i] *= d1
+				}
+			}
+		}
+		return
+	}
+	d := d0
+	if gbase&mask != 0 {
+		d = d1
+	}
+	if d != 1 {
+		for i := range region {
+			region[i] *= d
+		}
+	}
+}
+
+// tileDiag2Q applies diag(d) in the |qa qb⟩ basis on a region at any
+// stride pair: each bit above the region is constant over it and selects
+// a diagonal slice, reducing to a 1Q phase sweep or a scalar. Inside the
+// region each non-unit diagonal entry gets its own tight multiply loop over
+// its quarter of the indices — merged cp·cz ladders (only d11 ≠ 1) touch a
+// quarter of the state with zero branch tests per amplitude.
+func tileDiag2Q(region []complex128, gbase, maskA, maskB int, d [4]complex128) {
+	inA, inB := maskA < len(region), maskB < len(region)
+	switch {
+	case inA && inB:
+		if d[0] != 1 {
+			diagQuarter(region, maskA, maskB, 0, d[0])
+		}
+		if d[1] != 1 {
+			diagQuarter(region, maskA, maskB, maskB, d[1])
+		}
+		if d[2] != 1 {
+			diagQuarter(region, maskA, maskB, maskA, d[2])
+		}
+		if d[3] != 1 {
+			diagQuarter(region, maskA, maskB, maskA|maskB, d[3])
+		}
+	case inA: // qb's bit fixed over the region
+		b := 0
+		if gbase&maskB != 0 {
+			b = 1
+		}
+		tileDiag1Q(region, gbase, maskA, d[b], d[2+b])
+	case inB: // qa's bit fixed over the region
+		a := 0
+		if gbase&maskA != 0 {
+			a = 1
+		}
+		tileDiag1Q(region, gbase, maskB, d[2*a], d[2*a+1])
+	default: // both fixed: one scalar
+		sel := 0
+		if gbase&maskA != 0 {
+			sel |= 2
+		}
+		if gbase&maskB != 0 {
+			sel |= 1
+		}
+		if dv := d[sel]; dv != 1 {
+			for i := range region {
+				region[i] *= dv
+			}
+		}
+	}
+}
+
+// diagQuarter multiplies one quarter of a region's quad lattice — the
+// indices congruent to off under the two masks — by a scalar.
+func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
 	lo, hi := maskA, maskB
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	for outer := 0; outer < n; outer += hi << 1 {
+	for outer := 0; outer < len(region); outer += hi << 1 {
 		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i := mid; i < mid+lo; i++ {
-				f(i)
+			for i := mid + off; i < mid+off+lo; i++ {
+				region[i] *= d
 			}
 		}
 	}
 }
 
-// phase2Q applies diag(d00, d01, d10, d11) in the |qa qb⟩ basis. Unit
-// entries are skipped, so cz/cp touch only the quarter of the state with
-// both qubits set.
-func (s *State) phase2Q(op circuit.Op, d00, d01, d10, d11 complex128) error {
-	maskA, maskB, err := s.check2Q(op)
-	if err != nil {
-		return err
+// tileMat2Q applies a 4×4 over a region, visiting each index quad
+// (i00, i01, i10, i11) once; both masks below the region size.
+func tileMat2Q(region []complex128, maskA, maskB int, u *linalg.Matrix) {
+	m00, m01, m02, m03 := u.At(0, 0), u.At(0, 1), u.At(0, 2), u.At(0, 3)
+	m10, m11, m12, m13 := u.At(1, 0), u.At(1, 1), u.At(1, 2), u.At(1, 3)
+	m20, m21, m22, m23 := u.At(2, 0), u.At(2, 1), u.At(2, 2), u.At(2, 3)
+	m30, m31, m32, m33 := u.At(3, 0), u.At(3, 1), u.At(3, 2), u.At(3, 3)
+	lo, hi := maskA, maskB
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	amp := s.Amp
-	quad2Q(len(amp), maskA, maskB, func(i00 int) {
-		if d00 != 1 {
-			amp[i00] *= d00
+	for outer := 0; outer < len(region); outer += hi << 1 {
+		for mid := outer; mid < outer+hi; mid += lo << 1 {
+			for i00 := mid; i00 < mid+lo; i00++ {
+				i01, i10 := i00+maskB, i00+maskA
+				i11 := i10 + maskB
+				a00, a01, a10, a11 := region[i00], region[i01], region[i10], region[i11]
+				region[i00] = m00*a00 + m01*a01 + m02*a10 + m03*a11
+				region[i01] = m10*a00 + m11*a01 + m12*a10 + m13*a11
+				region[i10] = m20*a00 + m21*a01 + m22*a10 + m23*a11
+				region[i11] = m30*a00 + m31*a01 + m32*a10 + m33*a11
+			}
 		}
-		if d01 != 1 {
-			amp[i00|maskB] *= d01
-		}
-		if d10 != 1 {
-			amp[i00|maskA] *= d10
-		}
-		if d11 != 1 {
-			amp[i00|maskA|maskB] *= d11
-		}
-	})
-	return nil
+	}
 }
 
-// mix2Q applies a unitary of the iSWAP-family inner-block form
+// tileCX applies CNOT (qa controls) over a region: where the control is
+// set, exchange the target pair.
+func tileCX(region []complex128, maskA, maskB int) {
+	lo, hi := maskA, maskB
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	for outer := 0; outer < len(region); outer += hi << 1 {
+		for mid := outer; mid < outer+hi; mid += lo << 1 {
+			for i00 := mid; i00 < mid+lo; i00++ {
+				i10 := i00 + maskA
+				i11 := i10 + maskB
+				region[i10], region[i11] = region[i11], region[i10]
+			}
+		}
+	}
+}
+
+// tileSwap applies SWAP over a region: exchange the |01⟩ and |10⟩
+// amplitudes of every quad.
+func tileSwap(region []complex128, maskA, maskB int) {
+	lo, hi := maskA, maskB
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	for outer := 0; outer < len(region); outer += hi << 1 {
+		for mid := outer; mid < outer+hi; mid += lo << 1 {
+			for i00 := mid; i00 < mid+lo; i00++ {
+				i01, i10 := i00+maskB, i00+maskA
+				region[i01], region[i10] = region[i10], region[i01]
+			}
+		}
+	}
+}
+
+// tileMix applies a unitary of the iSWAP-family inner-block form
 //
 //	[[1, 0,    0,    0],
 //	 [0, diag, off,  0],
 //	 [0, off,  diag, 0],
 //	 [0, 0,    0,    1]]
 //
-// (iSWAP: diag = cos(π/2), off = i; √iSWAP: diag = cos(π/4), off =
-// i·sin(π/4); any gates.NRootISwap member fits). Only the |01⟩/|10⟩
-// amplitude pair of each quad mixes — half the state is untouched and the
-// 4×4 matrix product collapses to a 2×2 rotation per quad.
-func (s *State) mix2Q(op circuit.Op, diag, off complex128) error {
-	maskA, maskB, err := s.check2Q(op)
-	if err != nil {
-		return err
+// over a region (iSWAP: diag = cos(π/2), off = i; √iSWAP: diag = cos(π/4),
+// off = i·sin(π/4)). Only the |01⟩/|10⟩ pair of each quad mixes — half the
+// state is untouched and the 4×4 product collapses to a 2×2 rotation.
+func tileMix(region []complex128, maskA, maskB int, diag, off complex128) {
+	lo, hi := maskA, maskB
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	amp := s.Amp
-	quad2Q(len(amp), maskA, maskB, func(i00 int) {
-		i01, i10 := i00|maskB, i00|maskA
-		a01, a10 := amp[i01], amp[i10]
-		amp[i01] = diag*a01 + off*a10
-		amp[i10] = off*a01 + diag*a10
-	})
-	return nil
-}
-
-// permCX applies CNOT (first qubit controls): where the control is set,
-// exchange the target pair.
-func (s *State) permCX(op circuit.Op) error {
-	maskA, maskB, err := s.check2Q(op)
-	if err != nil {
-		return err
+	for outer := 0; outer < len(region); outer += hi << 1 {
+		for mid := outer; mid < outer+hi; mid += lo << 1 {
+			for i00 := mid; i00 < mid+lo; i00++ {
+				i01, i10 := i00+maskB, i00+maskA
+				a01, a10 := region[i01], region[i10]
+				region[i01] = diag*a01 + off*a10
+				region[i10] = off*a01 + diag*a10
+			}
+		}
 	}
-	amp := s.Amp
-	quad2Q(len(amp), maskA, maskB, func(i00 int) {
-		i10, i11 := i00|maskA, i00|maskA|maskB
-		amp[i10], amp[i11] = amp[i11], amp[i10]
-	})
-	return nil
-}
-
-// permSwap applies SWAP: exchange the |01⟩ and |10⟩ amplitudes.
-func (s *State) permSwap(op circuit.Op) error {
-	maskA, maskB, err := s.check2Q(op)
-	if err != nil {
-		return err
-	}
-	amp := s.Amp
-	quad2Q(len(amp), maskA, maskB, func(i00 int) {
-		i01, i10 := i00|maskB, i00|maskA
-		amp[i01], amp[i10] = amp[i10], amp[i01]
-	})
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -59,9 +60,10 @@ func applyGeneric(t *testing.T, s *State, op circuit.Op) {
 	}
 }
 
-// TestFastPathsMatchGeneric checks every specialized kernel against the
-// generic Apply1Q/Apply2Q result on random states, over several random
-// qubit assignments (covering maskA < maskB and maskA > maskB orders).
+// TestFastPathsMatchGeneric checks every specialized kernel ApplyOp
+// dispatches to against the generic 2×2/4×4 matrix kernels (Apply1Q/
+// Apply2Q) on random states, over several random qubit assignments
+// (covering maskA < maskB and maskA > maskB orders).
 func TestFastPathsMatchGeneric(t *testing.T) {
 	const n = 6
 	const tol = 1e-12
@@ -86,6 +88,22 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 		{Name: "h", Qubits: []int{0}},
 		{Name: "syc", Qubits: []int{0, 1}},
 	}
+	// Every name opMember special-cases must have a row: walk the whole
+	// vocabulary and flag any specialized kernel the table would miss.
+	covered := map[string]bool{}
+	for _, op := range cases {
+		covered[op.Name] = true
+	}
+	for _, name := range append(append([]string(nil), oneQNames...), twoQNames...) {
+		qubits := []int{0}
+		if !slices.Contains(oneQNames, name) {
+			qubits = []int{0, 1}
+		}
+		m, err := opMember(circuit.Op{Name: name, Qubits: qubits, Params: make([]float64, nParams[name])}, n)
+		if err == nil && m.kind != kMat1Q && m.kind != kMat2Q && !covered[name] {
+			t.Errorf("%s has a specialized kernel (kind %d) but no row here", name, m.kind)
+		}
+	}
 	for _, op := range cases {
 		t.Run(op.Name, func(t *testing.T) {
 			for rep := 0; rep < 8; rep++ {
@@ -102,7 +120,7 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 				}
 				applyGeneric(t, slow, got)
 				if d := maxAmpDiff(fast, slow); d > tol {
-					t.Fatalf("%s on %v: fast path diverges from generic by %g", op.Name, got.Qubits, d)
+					t.Fatalf("%s on %v: specialized kernel diverges from generic by %g", op.Name, got.Qubits, d)
 				}
 			}
 		})
@@ -111,7 +129,7 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 
 // TestISwapFamilyCircuitCrossval runs a whole random circuit built from
 // iSWAP-family gates interleaved with 1Q rotations twice — once through the
-// ApplyOp mix2Q fast path, once through the generic Apply2Q kernel — and
+// ApplyOp inner-block mix kernel, once through the generic Apply2Q kernel — and
 // requires the final states to agree. This exercises the kernel the way
 // translated SNAIL circuits do: long chains of siswap ops on overlapping
 // qubit pairs.
@@ -148,7 +166,7 @@ func TestISwapFamilyCircuitCrossval(t *testing.T) {
 }
 
 // TestApplyOpExplicitUnitary ensures ops carrying an explicit U never take
-// a named fast path, even under a specialized name.
+// a named specialized kernel, even under a specialized name.
 func TestApplyOpExplicitUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	u, err := circuit.Unitary(circuit.Op{Name: "h", Qubits: []int{0}})
@@ -170,8 +188,8 @@ func TestApplyOpExplicitUnitary(t *testing.T) {
 	}
 }
 
-// TestApplyOpValidation checks the fast paths enforce the same qubit
-// validation as the generic kernels.
+// TestApplyOpValidation checks the specialized kernels' ops get the same
+// qubit validation as the generic kernels.
 func TestApplyOpValidation(t *testing.T) {
 	s, err := NewState(3)
 	if err != nil {

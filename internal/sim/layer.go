@@ -1,15 +1,14 @@
 // Layer batching: a second scheduling pass over the fused program that
 // groups independent entries — gates on disjoint qubits, plus diagonal
-// gates that commute with everything diagonal — into fkLayer steps, and a
-// cache-blocked execution engine that applies a whole layer per pass over
-// the amplitude array.
+// gates that commute with everything diagonal — into kLayer steps, and a
+// cache-blocked pass that applies a whole layer per trip over the
+// amplitude array.
 //
 // Why: the fusion pass (fusion.go) coalesces *sequential* gates, but a
 // circuit layer of k independent gates still costs k full passes over the
-// 2^n amplitudes, and at ≥ 16 qubits every pass is a trip through memory.
-// Batching the layer turns k passes into one (plus one extra pass per
-// group of cross-tile 1Q targets beyond the cache budget), so throughput
-// is bounded by bandwidth once instead of k times.
+// 2^n amplitudes. Batching the layer turns the k passes of its tile-local
+// members into one, so throughput is bounded by bandwidth once instead of
+// k times.
 //
 // Grouping rule (buildLayers): scanning entries in program order, an entry
 // joins the earliest open group it does not conflict with; it conflicts
@@ -18,164 +17,30 @@
 // may share qubits — diagonals commute exactly. An entry the batcher
 // cannot convert (invalid qubits, unknown arity, unresolvable unitary) is
 // a barrier: groups never extend across it, and it executes unchanged. A
-// group that ends up with a single member keeps its original fused entry,
-// so lone gates keep their ApplyOp fast paths and pay no layer overhead.
-// Because a member placed into an earlier group than a preceding entry
-// provably commutes with (or is disjoint from) every member of all later
-// groups it skipped, executing groups in order is exact.
+// group that ends up with a single member is a step of its own: one
+// whole-array sweep of its kernel. Because a member placed into an earlier
+// group than a preceding entry provably commutes with (or is disjoint
+// from) every member of all later groups it skipped, executing groups in
+// order is exact.
 //
 // Execution (applyLayer) blocks the amplitude array into tiles of
 // 2^layerTileExp amplitudes (128 KiB — comfortably L2-resident):
 //
-//   - members whose strides lie inside one tile (all masks < tile size)
-//     are applied tile-by-tile: each tile is loaded once and every such
-//     member's kernel runs over it while it is cache-hot;
+//   - a non-diagonal member whose stride crosses tiles (a mask ≥ the tile
+//     size) gets its own whole-array sweep first — the pass the unlayered
+//     schedule would have paid;
+//   - every other member runs tile by tile: each tile is loaded once and
+//     each member's kernel runs over it while it is cache-hot, with 2×2
+//     members fused in pairs into one quad pass;
 //   - diagonal members ride along at any stride: a diagonal factor whose
 //     mask spans tiles is constant over a tile, so it degenerates to one
-//     scalar multiply selected from the tile's global base index;
-//   - 1Q members whose stride crosses tiles (mat/X on a high bit) batch
-//     into superblocks: up to layerMaxCross distinct high bits form a
-//     2^L-tile working set (≤ 2^layerBudgetExp amplitudes = 1 MiB) whose
-//     tile pairs are mixed elementwise while resident; additional high
-//     bits cost one extra pass per group of layerMaxCross;
-//   - 2Q mixing members with a cross-tile stride keep their specialized
-//     global kernels (cx/swap/iswap quads or the generic 4×4) as their own
-//     sweep — batching them would need 4-way tile joins for a kernel that
-//     is already one pass, exactly what the unlayered schedule paid.
+//     scalar multiply selected from the tile's global base index.
 //
-// Sharding: superblocks (or tiles, when no high bits are in play) are
-// disjoint contiguous index sets, so workers split them by range — each
-// amplitude is written by exactly one worker walking a cache-resident
-// block, and the member order within every block is fixed, making the
-// parallel result byte-identical to the serial one.
+// The same kernels (kernels.go) run on a tile and on the whole array; only
+// the region they are handed differs.
 package sim
 
-import (
-	"math"
-	"math/cmplx"
-
-	"repro/internal/circuit"
-	"repro/internal/linalg"
-	"repro/internal/par"
-)
-
-// layer member kinds.
-const (
-	lmMat1Q  = iota // generic 2×2 on qa
-	lmDiag1Q        // diag(d[0], d[1]) on qa
-	lmX             // Pauli-X pair exchange on qa
-	lmMat2Q         // generic 4×4 on (qa, qb)
-	lmDiag2Q        // diag(d) in the |qa qb⟩ basis
-	lmCX            // CNOT, qa controls
-	lmSwap          // SWAP
-	lmMix           // iSWAP-family inner block: d[0] = diag, d[1] = off
-)
-
-// layerMember is one batched operation inside an fkLayer step.
-type layerMember struct {
-	kind   int
-	qa, qb int
-	d      [4]complex128  // diagonal kinds; lmMix uses d[0] (diag), d[1] (off)
-	u      *linalg.Matrix // lmMat1Q (2×2), lmMat2Q (4×4)
-}
-
-// lm2Q reports whether a member kind acts on two qubits.
-func lm2Q(kind int) bool { return kind >= lmMat2Q }
-
-// lmDiagonal reports whether a member kind is a pure phase (commutes with
-// every diagonal on any qubits).
-func lmDiagonal(kind int) bool { return kind == lmDiag1Q || kind == lmDiag2Q }
-
-// layerMemberOf converts a fused entry into a batchable layer member,
-// mirroring the exact constants and matrices ApplyOp would use. The second
-// result is false for entries that must stay barriers (invalid qubits,
-// unsupported arity, unresolvable unitaries).
-func layerMemberOf(f *fusedOp, n int) (layerMember, bool) {
-	switch f.kind {
-	case fkMat1Q:
-		return layerMember{kind: lmMat1Q, qa: f.qa, u: f.u}, true
-	case fkDiag1Q:
-		return layerMember{kind: lmDiag1Q, qa: f.qa, d: f.d}, true
-	case fkDiag2Q:
-		return layerMember{kind: lmDiag2Q, qa: f.qa, qb: f.qb, d: f.d}, true
-	case fkMat2Q:
-		return layerMember{kind: lmMat2Q, qa: f.qa, qb: f.qb, u: f.u}, true
-	case fkOp:
-		return opMember(f.op, n)
-	}
-	return layerMember{}, false
-}
-
-// opMember converts a passthrough op into a layer member, following
-// ApplyOp's dispatch so the batched arithmetic matches the unbatched fast
-// paths (same phase constants, same memoized matrices).
-func opMember(op circuit.Op, n int) (layerMember, bool) {
-	switch len(op.Qubits) {
-	case 1:
-		q := op.Qubits[0]
-		if q < 0 || q >= n {
-			return layerMember{}, false
-		}
-		if op.U == nil {
-			switch op.Name {
-			case "z":
-				return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, -1}}, true
-			case "s":
-				return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, 1i}}, true
-			case "sdg":
-				return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, -1i}}, true
-			case "t":
-				return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, cmplx.Exp(complex(0, math.Pi/4))}}, true
-			case "tdg":
-				return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, cmplx.Exp(complex(0, -math.Pi/4))}}, true
-			case "p":
-				if len(op.Params) == 1 {
-					return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{1, expi(op.Params[0])}}, true
-				}
-			case "rz":
-				if len(op.Params) == 1 {
-					half := op.Params[0] / 2
-					return layerMember{kind: lmDiag1Q, qa: q, d: [4]complex128{expi(-half), expi(half)}}, true
-				}
-			case "x":
-				return layerMember{kind: lmX, qa: q}, true
-			}
-		}
-		u, err := circuit.Unitary(op)
-		if err != nil || u.Rows != 2 || u.Cols != 2 {
-			return layerMember{}, false
-		}
-		return layerMember{kind: lmMat1Q, qa: q, u: u}, true
-	case 2:
-		qa, qb := op.Qubits[0], op.Qubits[1]
-		if qa < 0 || qa >= n || qb < 0 || qb >= n || qa == qb {
-			return layerMember{}, false
-		}
-		if d, ok := diag2QPhases(op); ok {
-			return layerMember{kind: lmDiag2Q, qa: qa, qb: qb, d: d}, true
-		}
-		if op.U == nil {
-			switch op.Name {
-			case "cx":
-				return layerMember{kind: lmCX, qa: qa, qb: qb}, true
-			case "swap":
-				return layerMember{kind: lmSwap, qa: qa, qb: qb}, true
-			case "iswap":
-				return layerMember{kind: lmMix, qa: qa, qb: qb, d: [4]complex128{iswapDiag, iswapOff}}, true
-			case "siswap":
-				return layerMember{kind: lmMix, qa: qa, qb: qb, d: [4]complex128{siswapDiag, siswapOff}}, true
-			}
-		}
-		u, err := circuit.Unitary(op)
-		if err != nil || u.Rows != 4 || u.Cols != 4 {
-			return layerMember{}, false
-		}
-		return layerMember{kind: lmMat2Q, qa: qa, qb: qb, u: u}, true
-	}
-	return layerMember{}, false
-}
-
-// layerize regroups the pass-1 schedule into fkLayer steps and remaps the
+// layerize regroups the pass-1 schedule into kLayer steps and remaps the
 // source-op→step table accordingly.
 func (p *Program) layerize() {
 	ops, stepOf := buildLayers(p.ops, p.n)
@@ -185,33 +50,41 @@ func (p *Program) layerize() {
 	}
 }
 
-// buildLayers greedily places each entry into the earliest open group it
-// does not conflict with (see the package comment for the conflict rule)
-// and emits groups in order: barriers and single-member groups keep their
-// original entries, larger groups become fkLayer steps. It returns the new
-// schedule and the mapping from old entry index to new step index.
-func buildLayers(ops []fusedOp, n int) ([]fusedOp, []int) {
+// buildLayers converts every source-op entry with opMember, greedily
+// places each entry into the earliest open group it does not conflict with
+// (see the package comment for the conflict rule), and emits groups in
+// order: barriers and single-member groups become steps of their own,
+// larger groups kLayer steps. It returns the new schedule and the mapping
+// from old entry index to new step index.
+func buildLayers(ops []member, n int) ([]member, []int) {
 	type group struct {
 		barrier  bool
 		mixMask  uint64 // qubits of non-diagonal members
 		diagMask uint64 // qubits of diagonal members
-		members  []layerMember
-		entries  []int // indices into ops, in program order
+		members  []member
 	}
 	groups := make([]*group, 0, len(ops))
+	groupOf := make([]int, len(ops))
 	floor := 0 // groups[floor:] are open; a barrier closes everything before it
 	for oi := range ops {
-		m, ok := layerMemberOf(&ops[oi], n)
-		if !ok {
-			groups = append(groups, &group{barrier: true, entries: []int{oi}})
+		m := ops[oi]
+		if m.kind == kOp {
+			if c, err := opMember(m.op, n); err == nil {
+				c.idx = m.idx
+				m = c
+			}
+		}
+		if m.kind == kOp {
+			groupOf[oi] = len(groups)
+			groups = append(groups, &group{barrier: true, members: []member{m}})
 			floor = len(groups)
 			continue
 		}
 		bits := uint64(1) << uint(m.qa)
-		if lm2Q(m.kind) {
+		if m.twoQ() {
 			bits |= uint64(1) << uint(m.qb)
 		}
-		diag := lmDiagonal(m.kind)
+		diag := m.diagonal()
 		place := floor
 		for gi := len(groups) - 1; gi >= floor; gi-- {
 			conflict := bits & groups[gi].mixMask
@@ -233,645 +106,65 @@ func buildLayers(ops []fusedOp, n int) ([]fusedOp, []int) {
 			g.mixMask |= bits
 		}
 		g.members = append(g.members, m)
-		g.entries = append(g.entries, oi)
+		groupOf[oi] = place
 	}
 
-	out := make([]fusedOp, 0, len(groups))
-	stepOf := make([]int, len(ops))
+	out := make([]member, 0, len(groups))
 	for _, g := range groups {
-		if g.barrier || len(g.members) == 1 {
-			for _, oi := range g.entries {
-				out = append(out, ops[oi])
-				stepOf[oi] = len(out) - 1
-			}
-			continue
-		}
-		out = append(out, fusedOp{kind: fkLayer, idx: ops[g.entries[0]].idx, members: g.members})
-		for _, oi := range g.entries {
-			stepOf[oi] = len(out) - 1
+		if len(g.members) == 1 {
+			out = append(out, g.members[0])
+		} else {
+			out = append(out, member{kind: kLayer, idx: g.members[0].idx, members: g.members})
 		}
 	}
-	return out, stepOf
+	return out, groupOf
 }
 
-// Cache-blocking geometry: tiles of 2^layerTileExp amplitudes (128 KiB)
-// are the unit every member's kernel runs over while it is resident; a
-// superblock of up to 2^layerMaxCross tiles (≤ 2^layerBudgetExp amplitudes
-// = 1 MiB) is the working set for cross-tile 1Q members. The exponents
-// were measured, not derived: on the bench host, larger tiles beat
-// L1-sized ones because the fused-pair kernels are arithmetic-bound and
-// smaller tiles just multiply per-tile dispatch overhead.
-const (
-	layerTileExp   = 13
-	layerBudgetExp = 16
-	layerMaxCross  = layerBudgetExp - layerTileExp
-)
+// layerTileExp sets the cache-blocking tile: 2^layerTileExp amplitudes
+// (128 KiB), the unit every tile-local member's kernel runs over while it
+// is resident. The exponent was measured, not derived: on the bench host,
+// larger tiles beat L1-sized ones because the fused-pair kernels are
+// arithmetic-bound and smaller tiles just multiply per-tile overhead.
+const layerTileExp = 13
 
-// maskOf returns the amplitude-index mask of qubit q.
-func (s *State) maskOf(q int) int { return 1 << s.bitPos(q) }
-
-// applyLayer executes an fkLayer step: standalone sweeps for cross-tile 2Q
-// mixing members, then one cache-blocked pass per group of ≤ layerMaxCross
-// cross-tile 1Q bits, with every tile-local and diagonal member riding the
-// first pass.
-func (s *State) applyLayer(f *fusedOp) error {
-	members := f.members
-	tile := 1 << layerTileExp
-	if tile > len(s.Amp) {
-		tile = len(s.Amp)
+// crossTile reports whether a member must sweep the whole array on its
+// own: it mixes amplitudes along a stride of at least one tile.
+// Diagonals never do — above the tile they are a scalar per tile.
+func (s *State) crossTile(m *member, tile int) bool {
+	if m.diagonal() {
+		return false
 	}
+	return s.maskOf(m.qa) >= tile || (m.twoQ() && s.maskOf(m.qb) >= tile)
+}
 
-	// Cross-tile 2Q mixing members: their own (specialized) global sweeps.
-	riders := 0
-	var highBits uint64 // bit positions ≥ layerTileExp used by 1Q members
+// applyLayer executes a kLayer step: one whole-array sweep per cross-tile
+// member, then one cache-blocked pass that runs every other member over
+// each tile in member order, fusing 2×2 members in pairs.
+func (s *State) applyLayer(members []member) {
+	tile := min(1<<layerTileExp, len(s.Amp))
 	for i := range members {
-		m := &members[i]
-		switch {
-		case lmDiagonal(m.kind):
-			riders++ // diagonals ride the tile pass at any stride
-		case !lm2Q(m.kind):
-			if mask := s.maskOf(m.qa); mask >= tile {
-				highBits |= uint64(1) << s.bitPos(m.qa)
-			} else {
-				riders++
-			}
-		default:
-			if s.maskOf(m.qa) >= tile || s.maskOf(m.qb) >= tile {
-				if err := s.applyMemberGlobal(m); err != nil {
-					return err
-				}
-			} else {
-				riders++
-			}
+		if m := &members[i]; s.crossTile(m, tile) {
+			s.apply(m, s.Amp, 0)
 		}
 	}
-
-	// Blocked passes: round 0 carries the riders; each round consumes up
-	// to layerMaxCross distinct high bits.
-	round := 0
-	for {
-		var pos [layerMaxCross]uint
-		cross := 0
-		for b := uint(layerTileExp); cross < layerMaxCross && b < 64; b++ {
-			if highBits&(uint64(1)<<b) != 0 {
-				pos[cross] = b
-				cross++
-				highBits &^= uint64(1) << b
+	for base := 0; base < len(s.Amp); base += tile {
+		region := s.Amp[base : base+tile]
+		var pend *member // a tile-local 2×2 waiting for its pair
+		for i := range members {
+			m := &members[i]
+			switch {
+			case s.crossTile(m, tile):
+			case m.kind != kMat1Q:
+				s.apply(m, region, base)
+			case pend == nil:
+				pend = m
+			default:
+				tileMat1QPair(region, s.maskOf(pend.qa), pend.u, s.maskOf(m.qa), m.u)
+				pend = nil
 			}
 		}
-		if round > 0 && cross == 0 {
-			break
-		}
-		if round == 0 && cross == 0 && riders == 0 {
-			break // nothing left: the layer was all standalone 2Q sweeps
-		}
-		s.layerPass(members, pos, cross, round == 0, tile)
-		round++
-		if highBits == 0 {
-			break
-		}
-	}
-	return nil
-}
-
-// applyMemberGlobal applies one member as its own full-array sweep — the
-// same kernel the unlayered schedule would have used.
-func (s *State) applyMemberGlobal(m *layerMember) error {
-	switch m.kind {
-	case lmMat2Q:
-		return s.Apply2Q(m.qa, m.qb, m.u)
-	case lmCX:
-		tileCX(s.Amp, s.maskOf(m.qa), s.maskOf(m.qb))
-	case lmSwap:
-		tileSwap(s.Amp, s.maskOf(m.qa), s.maskOf(m.qb))
-	case lmMix:
-		tileMix(s.Amp, s.maskOf(m.qa), s.maskOf(m.qb), m.d[0], m.d[1])
-	}
-	return nil
-}
-
-// layerPass is one cache-blocked pass: the amplitude array is walked in
-// superblocks of 2^cross tiles (one tile when cross == 0); within each
-// superblock the round's cross-tile 1Q members mix their tile pairs, then
-// (round 0 only) every tile-local and diagonal member runs over each tile
-// while it is resident. pos[:cross] holds the round's high bit positions,
-// ascending. Superblocks are disjoint, so sharding splits them by
-// contiguous range with byte-identical results.
-func (s *State) layerPass(members []layerMember, pos [layerMaxCross]uint, cross int, riders bool, tile int) {
-	sbCount := (len(s.Amp) / tile) >> cross
-
-	// Pair up this round's cross-tile mat1Q members (≤ layerMaxCross of
-	// them — each owns a distinct bit) and, separately, the tile-local
-	// ones: two disjoint 2×2s fuse into one quad pass that loads and
-	// stores each amplitude once for both gates, with arithmetic
-	// bit-identical to the two sequential sweeps. Pairing is fixed before
-	// sharding, so every worker applies the same member order.
-	var crossIdx [layerMaxCross]int
-	nCross := 0
-	for mi := range members {
-		m := &members[mi]
-		if m.kind != lmMat1Q && m.kind != lmX {
-			continue
-		}
-		bp := s.bitPos(m.qa)
-		for k := 0; k < cross; k++ {
-			if pos[k] == bp {
-				crossIdx[nCross] = mi
-				nCross++
-				break
-			}
-		}
-	}
-	// When this round leaves both an unpaired cross mat1Q AND an unpaired
-	// tile-local mat1Q, fuse the two leftovers into one mixed pass over the
-	// cross member's tile pairs instead of paying two separate sweeps. The
-	// cross leftover must come from replaying the greedy pairing walk below
-	// — lmX members break pair adjacency, so an odd mat1Q count does NOT
-	// mean the last cross member is unpaired (e.g. [X, mat, mat] pairs both
-	// mats and leaves nothing). The tile-local leftover under greedy
-	// in-order pairing is always the last tile-local mat1Q member.
-	crossLeftover := -1
-	for ci := 0; ci < nCross; {
-		if members[crossIdx[ci]].kind == lmMat1Q {
-			if ci+1 < nCross && members[crossIdx[ci+1]].kind == lmMat1Q {
-				ci += 2
-				continue
-			}
-			crossLeftover = ci
-		}
-		ci++
-	}
-	reserved := -1
-	if riders && crossLeftover >= 0 {
-		nTile := 0
-		for mi := range members {
-			m := &members[mi]
-			if m.kind == lmMat1Q && s.maskOf(m.qa) < tile {
-				nTile++
-				reserved = mi
-			}
-		}
-		if nTile%2 == 0 {
-			reserved = -1
-		}
-	}
-
-	workers := s.shardSpan()
-	if workers <= 1 {
-		// Serial arm: calling the superblock body directly (instead of
-		// through a closure shared with the sharded arm) keeps the whole
-		// pass allocation-free — a closure here would escape into
-		// par.ForEach and be heap-allocated even when unused.
-		for sb := 0; sb < sbCount; sb++ {
-			s.layerPassSB(sb, members, pos, cross, riders, tile, crossIdx, nCross, crossLeftover, reserved)
-		}
-		return
-	}
-	chunk := (sbCount + workers - 1) / workers
-	par.ForEach(workers, workers, func(w int) error {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > sbCount {
-			hi = sbCount
-		}
-		for sb := lo; sb < hi; sb++ {
-			s.layerPassSB(sb, members, pos, cross, riders, tile, crossIdx, nCross, crossLeftover, reserved)
-		}
-		return nil
-	})
-}
-
-// layerPassSB processes one superblock of a layer pass (see layerPass).
-func (s *State) layerPassSB(sb int, members []layerMember, pos [layerMaxCross]uint, cross int, riders bool, tile int, crossIdx [layerMaxCross]int, nCross, crossLeftover, reserved int) {
-	amp := s.Amp
-	sbTiles := 1 << cross
-	{
-		// Expand the superblock index: insert a zero bit at each of the
-		// round's high positions (ascending) to get the base address.
-		base := sb * tile
-		for k := 0; k < cross; k++ {
-			p := pos[k]
-			high := base &^ ((1 << p) - 1)
-			base = (high << 1) | (base & ((1 << p) - 1))
-		}
-		// Cross-tile 1Q members: mix tile pairs (or, for a fused pair of
-		// members, tile quads) along their bits.
-		for ci := 0; ci < nCross; {
-			mx := &members[crossIdx[ci]]
-			if ci+1 < nCross && mx.kind == lmMat1Q && members[crossIdx[ci+1]].kind == lmMat1Q {
-				my := &members[crossIdx[ci+1]]
-				rx := crossRank(pos, cross, s.bitPos(mx.qa))
-				ry := crossRank(pos, cross, s.bitPos(my.qa))
-				for j := 0; j < sbTiles; j++ {
-					if j&(1<<rx) != 0 || j&(1<<ry) != 0 {
-						continue
-					}
-					t00 := base + tileOffset(j, pos, cross)
-					tX := base + tileOffset(j|1<<rx, pos, cross)
-					tY := base + tileOffset(j|1<<ry, pos, cross)
-					tXY := base + tileOffset(j|1<<rx|1<<ry, pos, cross)
-					crossMat1QPair(amp[t00:t00+tile], amp[tX:tX+tile], amp[tY:tY+tile], amp[tXY:tXY+tile], mx.u, my.u)
-				}
-				ci += 2
-				continue
-			}
-			rank := crossRank(pos, cross, s.bitPos(mx.qa))
-			for j := 0; j < sbTiles; j++ {
-				if j&(1<<rank) != 0 {
-					continue
-				}
-				ta := base + tileOffset(j, pos, cross)
-				tb := base + tileOffset(j|1<<rank, pos, cross)
-				switch {
-				case mx.kind == lmX:
-					crossX(amp[ta:ta+tile], amp[tb:tb+tile])
-				case ci == crossLeftover && reserved >= 0:
-					mr := &members[reserved]
-					crossTileMat1QPair(amp[ta:ta+tile], amp[tb:tb+tile], mx.u, s.maskOf(mr.qa), mr.u)
-				default:
-					crossMat1Q(amp[ta:ta+tile], amp[tb:tb+tile], mx.u)
-				}
-			}
-			ci++
-		}
-		if !riders {
-			return
-		}
-		// Tile-local and diagonal members, per tile: mat1Q members fuse in
-		// pairs, everything else runs in member order.
-		for j := 0; j < sbTiles; j++ {
-			tb := base + tileOffset(j, pos, cross)
-			region := amp[tb : tb+tile]
-			prevMat := -1
-			for mi := range members {
-				if mi == reserved {
-					continue // fused with the cross leftover above
-				}
-				m := &members[mi]
-				switch m.kind {
-				case lmDiag1Q:
-					tileDiag1Q(region, tb, s.maskOf(m.qa), m.d[0], m.d[1])
-				case lmDiag2Q:
-					tileDiag2Q(region, tb, s.maskOf(m.qa), s.maskOf(m.qb), m.d)
-				case lmMat1Q:
-					if mask := s.maskOf(m.qa); mask < tile {
-						if prevMat >= 0 {
-							tileMat1QPair(region, s.maskOf(members[prevMat].qa), members[prevMat].u, mask, m.u)
-							prevMat = -1
-						} else {
-							prevMat = mi
-						}
-					}
-				case lmX:
-					if mask := s.maskOf(m.qa); mask < tile {
-						tileX(region, mask)
-					}
-				default:
-					maskA, maskB := s.maskOf(m.qa), s.maskOf(m.qb)
-					if maskA >= tile || maskB >= tile {
-						continue // already applied as a standalone sweep
-					}
-					switch m.kind {
-					case lmMat2Q:
-						tileMat2Q(region, maskA, maskB, m.u)
-					case lmCX:
-						tileCX(region, maskA, maskB)
-					case lmSwap:
-						tileSwap(region, maskA, maskB)
-					case lmMix:
-						tileMix(region, maskA, maskB, m.d[0], m.d[1])
-					}
-				}
-			}
-			if prevMat >= 0 {
-				tileMat1Q(region, s.maskOf(members[prevMat].qa), members[prevMat].u)
-			}
-		}
-	}
-}
-
-// tileOffset maps a tile's index within its superblock to its address
-// offset: bit k of j lands at high position pos[k].
-func tileOffset(j int, pos [layerMaxCross]uint, cross int) int {
-	off := 0
-	for k := 0; k < cross; k++ {
-		if j&(1<<k) != 0 {
-			off |= 1 << pos[k]
-		}
-	}
-	return off
-}
-
-// crossRank returns the index of bit position bp in the round's high-bit
-// set (-1 when absent).
-func crossRank(pos [layerMaxCross]uint, cross int, bp uint) int {
-	for k := 0; k < cross; k++ {
-		if pos[k] == bp {
-			return k
-		}
-	}
-	return -1
-}
-
-// crossMat1Q mixes two equal-length tiles elementwise with a 2×2: a holds
-// the qubit-clear amplitudes, b the qubit-set ones.
-func crossMat1Q(a, b []complex128, u *linalg.Matrix) {
-	u00, u01 := u.Data[0], u.Data[1]
-	u10, u11 := u.Data[2], u.Data[3]
-	b = b[:len(a)] // one bounds fact; the loop body is check-free
-	for i := range a {
-		a0, a1 := a[i], b[i]
-		a[i] = u00*a0 + u01*a1
-		b[i] = u10*a0 + u11*a1
-	}
-}
-
-// crossX exchanges two tiles elementwise (Pauli-X along a cross-tile bit).
-func crossX(a, b []complex128) {
-	b = b[:len(a)]
-	for i := range a {
-		a[i], b[i] = b[i], a[i]
-	}
-}
-
-// crossMat1QPair applies two fused 2×2s along two cross-tile bits over a
-// tile quad: s00 holds both-clear amplitudes, sx/sy one bit set, sxy both.
-// Gate ux mixes along the x bit first, then uy along the y bit — the same
-// values the two sequential tile-pair passes would produce, with each
-// amplitude loaded and stored once.
-func crossMat1QPair(s00, sx, sy, sxy []complex128, ux, uy *linalg.Matrix) {
-	x00, x01 := ux.Data[0], ux.Data[1]
-	x10, x11 := ux.Data[2], ux.Data[3]
-	y00, y01 := uy.Data[0], uy.Data[1]
-	y10, y11 := uy.Data[2], uy.Data[3]
-	sx = sx[:len(s00)]
-	sy = sy[:len(s00)]
-	sxy = sxy[:len(s00)]
-	for i := range s00 {
-		a00, ax, ay, axy := s00[i], sx[i], sy[i], sxy[i]
-		b00 := x00*a00 + x01*ax
-		bx := x10*a00 + x11*ax
-		by := x00*ay + x01*axy
-		bxy := x10*ay + x11*axy
-		s00[i] = y00*b00 + y01*by
-		sy[i] = y10*b00 + y11*by
-		sx[i] = y00*bx + y01*bxy
-		sxy[i] = y10*bx + y11*bxy
-	}
-}
-
-// crossTileMat1QPair fuses an unpaired cross-tile 2×2 (uc, mixing tiles a
-// and b) with an unpaired tile-local 2×2 (us, along mask ms inside each
-// tile) into one pass over the tile pair: the tile-local gate applies
-// first, then the cross gate — bit-identical to those two sequential
-// sweeps, with each amplitude loaded and stored once.
-func crossTileMat1QPair(a, b []complex128, uc *linalg.Matrix, ms int, us *linalg.Matrix) {
-	c00, c01 := uc.Data[0], uc.Data[1]
-	c10, c11 := uc.Data[2], uc.Data[3]
-	s00, s01 := us.Data[0], us.Data[1]
-	s10, s11 := us.Data[2], us.Data[3]
-	b = b[:len(a)]
-	for base := 0; base < len(a); base += ms << 1 {
-		for i := base; i < base+ms; i++ {
-			j := i + ms
-			a0, a1, b0, b1 := a[i], a[j], b[i], b[j]
-			ta0 := s00*a0 + s01*a1
-			ta1 := s10*a0 + s11*a1
-			tb0 := s00*b0 + s01*b1
-			tb1 := s10*b0 + s11*b1
-			a[i] = c00*ta0 + c01*tb0
-			b[i] = c10*ta0 + c11*tb0
-			a[j] = c00*ta1 + c01*tb1
-			b[j] = c10*ta1 + c11*tb1
-		}
-	}
-}
-
-// tileMat1QPair applies two fused 2×2s on distinct tile-local bits in one
-// quad pass: ux mixes along mx first, then uy along my, loading and
-// storing each amplitude once — bit-identical to the two strided sweeps.
-func tileMat1QPair(region []complex128, mx int, ux *linalg.Matrix, my int, uy *linalg.Matrix) {
-	x00, x01 := ux.Data[0], ux.Data[1]
-	x10, x11 := ux.Data[2], ux.Data[3]
-	y00, y01 := uy.Data[0], uy.Data[1]
-	y10, y11 := uy.Data[2], uy.Data[3]
-	lo, hi := mx, my
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i := mid; i < mid+lo; i++ {
-				ix, iy := i+mx, i+my
-				ixy := ix + my
-				a00, ax, ay, axy := region[i], region[ix], region[iy], region[ixy]
-				b00 := x00*a00 + x01*ax
-				bx := x10*a00 + x11*ax
-				by := x00*ay + x01*axy
-				bxy := x10*ay + x11*axy
-				region[i] = y00*b00 + y01*by
-				region[iy] = y10*b00 + y11*by
-				region[ix] = y00*bx + y01*bxy
-				region[ixy] = y10*bx + y11*bxy
-			}
-		}
-	}
-}
-
-// tileMat1Q applies a 2×2 over one resident region; mask < len(region).
-func tileMat1Q(region []complex128, mask int, u *linalg.Matrix) {
-	u00, u01 := u.Data[0], u.Data[1]
-	u10, u11 := u.Data[2], u.Data[3]
-	for base := 0; base < len(region); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			j := i + mask
-			a0, a1 := region[i], region[j]
-			region[i] = u00*a0 + u01*a1
-			region[j] = u10*a0 + u11*a1
-		}
-	}
-}
-
-// tileX applies Pauli-X over one resident region; mask < len(region).
-func tileX(region []complex128, mask int) {
-	for base := 0; base < len(region); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			j := i + mask
-			region[i], region[j] = region[j], region[i]
-		}
-	}
-}
-
-// tileDiag1Q applies diag(d0, d1) on a region at any stride: below the
-// region size it is the strided phase sweep (unit factors skipped, as in
-// phase1Q); at or above it the qubit's bit is constant over the region —
-// read it from the region's global base and do one scalar multiply.
-func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
-	if mask < len(region) {
-		for base := 0; base < len(region); base += mask << 1 {
-			if d0 != 1 {
-				for i := base; i < base+mask; i++ {
-					region[i] *= d0
-				}
-			}
-			if d1 != 1 {
-				for i := base + mask; i < base+(mask<<1); i++ {
-					region[i] *= d1
-				}
-			}
-		}
-		return
-	}
-	d := d0
-	if gbase&mask != 0 {
-		d = d1
-	}
-	if d != 1 {
-		for i := range region {
-			region[i] *= d
-		}
-	}
-}
-
-// tileDiag2Q applies diag(d) in the |qa qb⟩ basis on a region at any
-// stride pair: each cross-region bit is constant over the region and
-// selects a diagonal slice, reducing to a 1Q phase sweep or a scalar.
-// Inside the region each non-unit diagonal entry gets its own tight
-// multiply loop over its quarter of the indices — merged cp·cz ladders
-// (only d11 ≠ 1) touch a quarter of the state with zero branch tests per
-// amplitude.
-func tileDiag2Q(region []complex128, gbase, maskA, maskB int, d [4]complex128) {
-	inA, inB := maskA < len(region), maskB < len(region)
-	switch {
-	case inA && inB:
-		if d[0] != 1 {
-			diagQuarter(region, maskA, maskB, 0, d[0])
-		}
-		if d[1] != 1 {
-			diagQuarter(region, maskA, maskB, maskB, d[1])
-		}
-		if d[2] != 1 {
-			diagQuarter(region, maskA, maskB, maskA, d[2])
-		}
-		if d[3] != 1 {
-			diagQuarter(region, maskA, maskB, maskA|maskB, d[3])
-		}
-	case inA: // qb's bit fixed over the region
-		b := 0
-		if gbase&maskB != 0 {
-			b = 1
-		}
-		tileDiag1Q(region, gbase, maskA, d[b], d[2+b])
-	case inB: // qa's bit fixed over the region
-		a := 0
-		if gbase&maskA != 0 {
-			a = 1
-		}
-		tileDiag1Q(region, gbase, maskB, d[2*a], d[2*a+1])
-	default: // both fixed: one scalar
-		sel := 0
-		if gbase&maskA != 0 {
-			sel |= 2
-		}
-		if gbase&maskB != 0 {
-			sel |= 1
-		}
-		if dv := d[sel]; dv != 1 {
-			for i := range region {
-				region[i] *= dv
-			}
-		}
-	}
-}
-
-// diagQuarter multiplies one quarter of a region's quad lattice — the
-// indices congruent to off under the two masks — by a scalar.
-func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i := mid + off; i < mid+off+lo; i++ {
-				region[i] *= d
-			}
-		}
-	}
-}
-
-// tileMat2Q applies a 4×4 over one resident region; both masks below the
-// region size. Same quad arithmetic as Apply2Q.
-func tileMat2Q(region []complex128, maskA, maskB int, u *linalg.Matrix) {
-	m00, m01, m02, m03 := u.At(0, 0), u.At(0, 1), u.At(0, 2), u.At(0, 3)
-	m10, m11, m12, m13 := u.At(1, 0), u.At(1, 1), u.At(1, 2), u.At(1, 3)
-	m20, m21, m22, m23 := u.At(2, 0), u.At(2, 1), u.At(2, 2), u.At(2, 3)
-	m30, m31, m32, m33 := u.At(3, 0), u.At(3, 1), u.At(3, 2), u.At(3, 3)
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i00 := mid; i00 < mid+lo; i00++ {
-				i01, i10 := i00+maskB, i00+maskA
-				i11 := i10 + maskB
-				a00, a01, a10, a11 := region[i00], region[i01], region[i10], region[i11]
-				region[i00] = m00*a00 + m01*a01 + m02*a10 + m03*a11
-				region[i01] = m10*a00 + m11*a01 + m12*a10 + m13*a11
-				region[i10] = m20*a00 + m21*a01 + m22*a10 + m23*a11
-				region[i11] = m30*a00 + m31*a01 + m32*a10 + m33*a11
-			}
-		}
-	}
-}
-
-// tileCX applies CNOT (qa controls) over one resident region.
-func tileCX(region []complex128, maskA, maskB int) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i00 := mid; i00 < mid+lo; i00++ {
-				i10 := i00 + maskA
-				i11 := i10 + maskB
-				region[i10], region[i11] = region[i11], region[i10]
-			}
-		}
-	}
-}
-
-// tileSwap applies SWAP over one resident region.
-func tileSwap(region []complex128, maskA, maskB int) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i00 := mid; i00 < mid+lo; i00++ {
-				i01, i10 := i00+maskB, i00+maskA
-				region[i01], region[i10] = region[i10], region[i01]
-			}
-		}
-	}
-}
-
-// tileMix applies an iSWAP-family inner-block mix over one resident region.
-func tileMix(region []complex128, maskA, maskB int, diag, off complex128) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i00 := mid; i00 < mid+lo; i00++ {
-				i01, i10 := i00+maskB, i00+maskA
-				a01, a10 := region[i01], region[i10]
-				region[i01] = diag*a01 + off*a10
-				region[i10] = off*a01 + diag*a10
-			}
+		if pend != nil {
+			tileMat1Q(region, s.maskOf(pend.qa), pend.u)
 		}
 	}
 }

@@ -10,92 +10,85 @@ import (
 
 // TestLayeredMatchesUnfusedRandom is the layering engine's property test:
 // at widths where the cache-blocked geometry is actually exercised —
-// cross-tile 1Q bits, superblock rounds, standalone 2Q sweeps, tile-local
-// riders — the layered Run must agree with the op-by-op reference path
-// within 1e-12 over the full gate vocabulary. (Widths ≤ 8, where every
-// member is tile-local, are covered by TestFusedMatchesUnfusedRandom.)
+// cross-tile members on their own sweeps, cross-tile diagonals as
+// per-tile scalars, tile-local riders and fused 2×2 pairs — the layered
+// Run must agree with the op-by-op reference path within 1e-12 over the
+// full gate vocabulary. (Widths ≤ 8, where every member is tile-local, are
+// covered by TestFusedMatchesUnfusedRandom.)
 func TestLayeredMatchesUnfusedRandom(t *testing.T) {
 	cases := []struct {
 		n, ops int
 		seed   int64
 	}{
-		{layerTileExp + 1, 160, 41}, // one cross-tile bit: pairs can't form
-		{layerTileExp + 2, 160, 42}, // two cross bits: cross pairs + mixed pair
-		{layerTileExp + 4, 120, 43}, // > layerMaxCross cross bits: multi-round
+		{layerTileExp + 1, 160, 41}, // one cross-tile bit
+		{layerTileExp + 2, 160, 42}, // two cross-tile bits
+		{layerTileExp + 4, 120, 43}, // four cross-tile bits
 	}
 	for _, tc := range cases {
-		rng := rand.New(rand.NewSource(tc.seed))
-		c := randomCircuit(tc.n, tc.ops, rng)
-		prog := Schedule(c)
-		layered := 0
-		for i := range prog.ops {
-			if prog.ops[i].kind == fkLayer {
-				layered++
-			}
-		}
-		if layered == 0 {
-			t.Fatalf("n=%d: schedule built no fkLayer steps — the property run would not exercise layering", tc.n)
-		}
-		fused, err := NewState(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fused.RunProgram(prog); err != nil {
-			t.Fatalf("n=%d: layered run: %v", tc.n, err)
-		}
-		ref, err := NewState(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.RunUnfused(c); err != nil {
-			t.Fatalf("n=%d: unfused run: %v", tc.n, err)
-		}
-		if d := maxAmpDiff(fused, ref); d > 1e-12 {
-			t.Fatalf("n=%d (%d ops, %d layers): layered deviates from unfused by %g", tc.n, tc.ops, layered, d)
-		}
+		c := randomCircuit(tc.n, tc.ops, rand.New(rand.NewSource(tc.seed)))
+		checkLayeredMatchesUnfused(t, c)
 	}
 }
 
-// TestLayeredShardedByteIdentical forces the sharded arm of the layer
-// engine (threshold 1, 4 workers) at a width with cross-tile superblocks
-// and requires byte-identity with the serial arm: superblocks are disjoint
-// contiguous ranges and member order is fixed before sharding, so every
-// amplitude sees the same arithmetic in the same order.
-func TestLayeredShardedByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := layerTileExp + 2
-	c := randomCircuit(n, 180, rng)
-	prog := Schedule(c)
+// TestReservedDropRepro pins one hand-built input: an x and two h on
+// cross-tile bits batched with three tile-local h, so one tile-local 2×2
+// is left unpaired in the tile pass and must still be applied exactly once.
+func TestReservedDropRepro(t *testing.T) {
+	n := layerTileExp + 3 // qubits 0..2 are cross-tile bits
+	c := circuit.New(n)
+	c.X(0)
+	c.H(1)
+	c.H(2)
+	for q := n - 3; q < n; q++ {
+		c.H(q)
+	}
+	checkLayeredMatchesUnfused(t, c)
+}
 
-	restore := OverrideSharding(1<<30, 0) // force serial
-	serial, _ := NewState(n)
-	err := serial.RunProgram(prog)
-	restore()
+// checkLayeredMatchesUnfused requires c to schedule at least one kLayer
+// step and the layered run to agree with the op-by-op path within 1e-12.
+func checkLayeredMatchesUnfused(t *testing.T, c *circuit.Circuit) {
+	t.Helper()
+	n := c.N
+	prog := Schedule(c)
+	layered := 0
+	for i := range prog.ops {
+		if prog.ops[i].kind == kLayer {
+			layered++
+		}
+	}
+	if layered == 0 {
+		t.Fatalf("n=%d: schedule built no kLayer steps — the property run would not exercise layering", n)
+	}
+	fused, err := NewState(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer OverrideSharding(1, 4)() // force sharding
-	sharded, _ := NewState(n)
-	if err := sharded.RunProgram(prog); err != nil {
+	if err := fused.RunProgram(prog); err != nil {
+		t.Fatalf("n=%d: layered run: %v", n, err)
+	}
+	ref, err := NewState(n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Amp {
-		if serial.Amp[i] != sharded.Amp[i] {
-			t.Fatalf("amplitude %d: serial %v != sharded %v (must be byte-identical)", i, serial.Amp[i], sharded.Amp[i])
-		}
+	if err := ref.RunUnfused(c); err != nil {
+		t.Fatalf("n=%d: unfused run: %v", n, err)
+	}
+	if d := maxAmpDiff(fused, ref); d > 1e-12 {
+		t.Fatalf("n=%d (%d ops, %d layers): layered deviates from unfused by %g", n, len(c.Ops), layered, d)
 	}
 }
 
 // TestBuildLayersStructure pins the grouping rule on hand-built schedules.
 func TestBuildLayersStructure(t *testing.T) {
-	// Two su4s on disjoint pairs batch into one fkLayer of two members.
+	// Two su4s on disjoint pairs batch into one kLayer of two members.
 	rng := rand.New(rand.NewSource(7))
 	c := circuit.New(4)
 	c.SU4(0, 1, gates.RandomSU4(rng))
 	c.SU4(2, 3, gates.RandomSU4(rng))
 	p := Schedule(c)
-	if len(p.ops) != 1 || p.ops[0].kind != fkLayer || len(p.ops[0].members) != 2 {
-		t.Fatalf("disjoint su4 pair: got %+v, want one fkLayer of 2 members", p.ops)
+	if len(p.ops) != 1 || p.ops[0].kind != kLayer || len(p.ops[0].members) != 2 {
+		t.Fatalf("disjoint su4 pair: got %+v, want one kLayer of 2 members", p.ops)
 	}
 	if p.StepForOp(0) != 0 || p.StepForOp(1) != 0 {
 		t.Fatalf("disjoint su4 pair: srcStep %v, want both 0", p.srcStep)
@@ -115,8 +108,8 @@ func TestBuildLayersStructure(t *testing.T) {
 	c.CZ(0, 1)
 	c.CP(1, 2, 0.4)
 	p = Schedule(c)
-	if len(p.ops) != 1 || p.ops[0].kind != fkLayer || len(p.ops[0].members) != 2 {
-		t.Fatalf("cz·cp sharing qubit 1: got %+v, want one fkLayer of 2 diagonal members", p.ops)
+	if len(p.ops) != 1 || p.ops[0].kind != kLayer || len(p.ops[0].members) != 2 {
+		t.Fatalf("cz·cp sharing qubit 1: got %+v, want one kLayer of 2 diagonal members", p.ops)
 	}
 
 	// A non-diagonal member conflicts with a diagonal on its qubit.
@@ -125,7 +118,7 @@ func TestBuildLayersStructure(t *testing.T) {
 	c.SU4(0, 1, gates.RandomSU4(rng))
 	p = Schedule(c)
 	for i := range p.ops {
-		if p.ops[i].kind == fkLayer {
+		if p.ops[i].kind == kLayer {
 			t.Fatalf("cz then su4 on same pair: step %d layered, want none", i)
 		}
 	}
@@ -141,7 +134,7 @@ func TestBuildLayersStructure(t *testing.T) {
 		t.Fatalf("barrier between su4s: got %d steps, want 3", len(p.ops))
 	}
 	for i := range p.ops {
-		if p.ops[i].kind == fkLayer {
+		if p.ops[i].kind == kLayer {
 			t.Fatalf("barrier between su4s: step %d layered, want none", i)
 		}
 	}
@@ -160,8 +153,8 @@ func TestScheduleBackwardAbsorption(t *testing.T) {
 	c.H(0)
 	c.RX(0, 0.3)
 	p := Schedule(c)
-	if len(p.ops) != 1 || p.ops[0].kind != fkMat2Q {
-		t.Fatalf("su4·h·rx: got %+v, want one fkMat2Q", p.ops)
+	if len(p.ops) != 1 || p.ops[0].kind != kMat2Q {
+		t.Fatalf("su4·h·rx: got %+v, want one kMat2Q", p.ops)
 	}
 
 	// The chain preceding an su4 on its own pair — 1Q entries on both
@@ -178,16 +171,16 @@ func TestScheduleBackwardAbsorption(t *testing.T) {
 	p = scheduleUnlayered(c) // pinned pre-layering: the layer pass would batch the leftover t
 	n2q := 0
 	for i := range p.ops {
-		if p.ops[i].kind == fkMat2Q {
+		if p.ops[i].kind == kMat2Q {
 			n2q++
 		}
 	}
 	if len(p.ops) != 2 || n2q != 1 {
-		t.Fatalf("chain before su4: got %d steps (%d fkMat2Q), want 2 steps with 1 fkMat2Q", len(p.ops), n2q)
+		t.Fatalf("chain before su4: got %d steps (%d kMat2Q), want 2 steps with 1 kMat2Q", len(p.ops), n2q)
 	}
 	for i := 0; i < 5; i++ {
-		if s := p.StepForOp(i); s < 0 || s >= len(p.ops) || p.ops[s].kind != fkMat2Q {
-			t.Fatalf("chain before su4: op %d maps to step %d, want the fkMat2Q step", i, s)
+		if s := p.StepForOp(i); s < 0 || s >= len(p.ops) || p.ops[s].kind != kMat2Q {
+			t.Fatalf("chain before su4: op %d maps to step %d, want the kMat2Q step", i, s)
 		}
 	}
 

@@ -5,16 +5,17 @@
 // Bit convention: qubit 0 is the most significant bit of the state index,
 // so the amplitude of |q0 q1 ... q(n-1)⟩ sits at index q0·2^(n-1) + ... .
 //
-// Gate application is stride-based: Apply1Q visits each (i, i+2^k) pair
-// and Apply2Q each index quad exactly once, never scanning amplitudes it
-// won't touch. On top of the generic kernels, ApplyOp (used by Run)
-// dispatches known gate names to specialized fast paths: diagonal gates
-// (z/s/sdg/t/tdg/rz/p/cz/cp/rzz) reduce to pure phase multiplies,
-// permutation gates (x/cx/swap) to amplitude exchanges, and the iSWAP
-// family (iswap/siswap — the SNAIL-native basis gates) to a 2×2 inner-block
-// mix of each quad's |01⟩/|10⟩ pair, skipping the 2×2 or 4×4 complex
-// matrix arithmetic entirely. Every fast path is verified against the
-// generic kernels in kernels_test.go.
+// Every gate, fused or not, runs through one set of stride-based region
+// kernels (kernels.go): a 2×2 or 4×4 matrix for generic gates, phase
+// multiplies for diagonals (z/s/sdg/t/tdg/rz/p/cz/cp/rzz), amplitude
+// exchanges for x/cx/swap, and a 2×2 inner-block mix for the iSWAP family
+// (iswap/siswap — the SNAIL-native basis gates). A kernel visits each
+// (i, i+2^k) pair or index quad of its region exactly once, and the same
+// kernel sweeps either the whole amplitude array or one cache-sized tile
+// of a batched layer (layer.go). Apply1Q, Apply2Q and ApplyOp validate
+// their input and sweep the whole array; Run compiles the circuit with the
+// fusion scheduler (fusion.go) first. Every specialized kernel is checked
+// against the generic matrix kernels in kernels_test.go.
 package sim
 
 import (
@@ -68,8 +69,8 @@ func (s *State) Copy() *State {
 	return out
 }
 
-// bitPos maps qubit index to its bit position in amplitude indices.
-func (s *State) bitPos(q int) uint { return uint(s.N - 1 - q) }
+// maskOf returns the amplitude-index mask of qubit q.
+func (s *State) maskOf(q int) int { return 1 << (s.N - 1 - q) }
 
 // Apply1Q applies a 2x2 unitary to qubit q.
 func (s *State) Apply1Q(q int, u *linalg.Matrix) error {
@@ -79,18 +80,7 @@ func (s *State) Apply1Q(q int, u *linalg.Matrix) error {
 	if u.Rows != 2 || u.Cols != 2 {
 		return fmt.Errorf("sim: Apply1Q needs a 2x2 matrix")
 	}
-	mask := 1 << s.bitPos(q)
-	u00, u01 := u.At(0, 0), u.At(0, 1)
-	u10, u11 := u.At(1, 0), u.At(1, 1)
-	amp := s.Amp
-	for base := 0; base < len(amp); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			j := i + mask
-			a0, a1 := amp[i], amp[j]
-			amp[i] = u00*a0 + u01*a1
-			amp[j] = u10*a0 + u11*a1
-		}
-	}
+	tileMat1Q(s.Amp, s.maskOf(q), u)
 	return nil
 }
 
@@ -109,41 +99,17 @@ func (s *State) Apply2Q(qa, qb int, u *linalg.Matrix) error {
 	if u.Rows != 4 || u.Cols != 4 {
 		return fmt.Errorf("sim: Apply2Q needs a 4x4 matrix")
 	}
-	maskA := 1 << s.bitPos(qa)
-	maskB := 1 << s.bitPos(qb)
-	m00, m01, m02, m03 := u.At(0, 0), u.At(0, 1), u.At(0, 2), u.At(0, 3)
-	m10, m11, m12, m13 := u.At(1, 0), u.At(1, 1), u.At(1, 2), u.At(1, 3)
-	m20, m21, m22, m23 := u.At(2, 0), u.At(2, 1), u.At(2, 2), u.At(2, 3)
-	m30, m31, m32, m33 := u.At(3, 0), u.At(3, 1), u.At(3, 2), u.At(3, 3)
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	amp := s.Amp
-	for outer := 0; outer < len(amp); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i := mid; i < mid+lo; i++ {
-				i01 := i | maskB
-				i10 := i | maskA
-				i11 := i10 | maskB
-				a00, a01, a10, a11 := amp[i], amp[i01], amp[i10], amp[i11]
-				amp[i] = m00*a00 + m01*a01 + m02*a10 + m03*a11
-				amp[i01] = m10*a00 + m11*a01 + m12*a10 + m13*a11
-				amp[i10] = m20*a00 + m21*a01 + m22*a10 + m23*a11
-				amp[i11] = m30*a00 + m31*a01 + m32*a10 + m33*a11
-			}
-		}
-	}
+	tileMat2Q(s.Amp, s.maskOf(qa), s.maskOf(qb), u)
 	return nil
 }
 
 // Run applies the circuit through the gate-fusion scheduler (Schedule):
 // runs of 1Q gates, merged diagonals, and absorbed 4×4s execute as single
-// sweeps, and large states shard the fused 1Q/diagonal kernels over the
-// worker pool. Amplitudes agree with the unfused path to rounding
-// (crossvalidated in fusion_test.go); RunUnfused is the op-by-op escape
-// hatch for debugging a suspected fusion discrepancy. An empty circuit is
-// a no-op.
+// sweeps, and layers of independent gates as one cache-blocked pass. All
+// of it runs serially on the same kernels ApplyOp uses. Amplitudes agree
+// with the unfused path to rounding (crossvalidated in fusion_test.go and
+// layer_test.go); RunUnfused is the op-by-op reference. An empty circuit
+// is a no-op.
 func (s *State) Run(c *circuit.Circuit) error {
 	return s.RunCtx(context.Background(), c)
 }
@@ -160,9 +126,9 @@ func (s *State) RunCtx(ctx context.Context, c *circuit.Circuit) error {
 	return s.RunProgramCtx(ctx, Schedule(c))
 }
 
-// RunUnfused applies every op of the circuit in order, dispatching each
-// through the ApplyOp fast paths with no fusion pre-pass. It is the
-// reference semantics Run's fused schedule is validated against.
+// RunUnfused applies every op of the circuit in order through ApplyOp, with
+// no fusion or layering. It is the reference semantics Run's schedule is
+// validated against.
 func (s *State) RunUnfused(c *circuit.Circuit) error {
 	if c.N > s.N {
 		return fmt.Errorf("sim: circuit has %d qubits, state has %d", c.N, s.N)

@@ -23,10 +23,16 @@
 #   * lockstep differential arm: the lockstep trajectory runner must agree
 #     with the full-run algorithm it replaced within 1e-12 on routed
 #     circuits at widths 12–16, in both regimes and with a per-edge
-#     override, with the kernels' serial and forced-shard arms, and stay
-#     byte-identical at Parallelism 1, 2 and 7; plus hand-built edge
-#     cases, the live-fork cap and the zero-allocation error-free trajectory
-#     (-run TestLockstep in internal/noise), under the race detector.
+#     override, and stay byte-identical at Parallelism 1, 2 and 7; plus
+#     hand-built edge cases, the live-fork cap and the zero-allocation
+#     error-free trajectory (-run TestLockstep in internal/noise), under the
+#     race detector.
+#   * layered statevector arm: the layered and fused schedules must match
+#     the op-by-op reference within 1e-12, the layer grouping and backward
+#     absorption keep their pinned shapes, and the kernels and layer steps
+#     allocate nothing (TestLayered|TestFused|TestBuildLayers|
+#     TestKernelAllocs|TestLayerKernelAllocs|TestScheduleBackwardAbsorption
+#     in internal/sim). The simulator is serial, so this is a plain run.
 #   * chaos arm: the fault-injection suite — panic isolation, injected
 #     disk faults and corruption self-heal, cell timeouts, crash-resume
 #     byte-identity — run under the race detector (-run 'Fault|Chaos|Resume').
@@ -38,12 +44,11 @@
 #   * race-detector runs of the packages with real concurrency surface
 #     (the content-addressed cache, the parallel sweep engine, the
 #     transpile pass pipeline with its parallel router trials and
-#     per-worker routing scratch, and the sim package including the
-#     sharded fusion kernels — TestShardedKernelsByteIdentical forces the
-#     parallel arms with 4 workers, and the noise package whose Monte-Carlo
-#     trajectories fan out over the same pool — TestTrajectoryDeterminism
-#     pins serial == parallel), pinned to GOMAXPROCS=4 so races reproduce
-#     even on single-core runners.
+#     per-worker routing scratch, the sim package, whose compiled Programs
+#     are shared read-only across concurrent runs, and the noise package
+#     whose Monte-Carlo trajectories fan out over the worker pool —
+#     TestTrajectoryDeterminism pins serial == parallel), pinned to
+#     GOMAXPROCS=4 so races reproduce even on single-core runners.
 #
 # Run directly, or via scripts/bench.sh which uses it as its preflight.
 set -euo pipefail
@@ -122,15 +127,15 @@ go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
 echo "check: noise-model equivalence (Monte-Carlo vs closed-form count model)"
 go test -count=1 -run 'TestNoiseEquivalence' ./internal/noise
 
-echo "check: lockstep trajectories vs the full-run reference under the race detector (serial + forced-shard arms)"
+echo "check: lockstep trajectories vs the full-run reference under the race detector"
 GOMAXPROCS=4 go test -race -count=1 -run 'TestLockstep' ./internal/noise
 
 echo "check: chaos suite under the race detector (-run 'Fault|Chaos|Resume')"
 GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
 
-echo "check: layered statevector kernels under the race detector (forced-shard + forced-4-worker arms)"
-GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestLayered|TestBuildLayers|TestLayerKernelAllocs|TestShardedKernelsByteIdentical|TestScheduleBackwardAbsorption' \
+echo "check: layered statevector kernels vs the op-by-op reference, and the allocation guard"
+go test -count=1 \
+    -run 'TestLayered|TestFused|TestBuildLayers|TestKernelAllocs|TestLayerKernelAllocs|TestScheduleBackwardAbsorption' \
     ./internal/sim
 
 echo "check: race-testing cache + sweep engine + transpile pipeline + sim kernels + noise estimators (GOMAXPROCS=4)"
