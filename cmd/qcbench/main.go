@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	trialsFlag := fs.Int("trials", 0,
 		"stochastic-router trials per layer (0 = mode default: 5 quick, 20 full)")
 	parallelism := fs.Int("parallelism", 0,
-		"sweep worker pool size (0 = all cores, 1 = serial; output is identical at any setting)")
+		"cell pool size for -fig, -headline and -corralscaling (0 = all cores, 1 = serial; output is identical at any setting)")
 	cachedir := fs.String("cachedir", "",
 		"directory for the on-disk result cache (default off; warm entries make repeated runs skip identical routing)")
 	posts := fs.String("posts", "6,8,10,12,16",

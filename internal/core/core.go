@@ -144,16 +144,18 @@ const (
 
 // Options controls an evaluation run.
 //
-// Parallelism bounds the worker pool used for the router's randomized
-// trials: 0 means auto (runtime.GOMAXPROCS), 1 pins the run serial, and
-// larger values cap the pool explicitly. Results are bit-identical across
-// all settings — every trial draws from its own deterministically derived
-// RNG, so Parallelism only changes wall-clock time, never metrics.
+// Parallelism bounds the cell pool of the multi-cell drivers (sweeps,
+// Headlines, CorralScaling, Fig. 15): 0 means auto (runtime.GOMAXPROCS), 1
+// pins the run serial, and larger values cap the pool explicitly. A single
+// Evaluate or Transpile is serial and ignores it. Results are
+// bit-identical across all settings — every cell derives its seed from
+// its coordinates and lands in an index-addressed slot, so Parallelism
+// only changes wall-clock time, never metrics.
 type Options struct {
 	Seed        int64      // RNG seed for routing (fixed per experiment)
 	Trials      int        // StochasticSwap trials (0 → default 20)
 	Router      RouterKind // routing algorithm
-	Parallelism int        // routing-trial workers (0 = auto, 1 = serial)
+	Parallelism int        // cell-pool workers of multi-cell drivers (0 = auto, 1 = serial)
 
 	// CellTimeout bounds the wall-clock of one evaluation (one sweep cell):
 	// EvaluateContext derives a deadline child context and the pipeline's
@@ -468,17 +470,14 @@ func (m Machine) effectiveNoise(opt Options) *arch.NoiseProfile {
 
 // estimator resolves the Options fidelity-model selection to a
 // noise.Estimator. Monte-Carlo seeds from opt.Seed — the same per-cell
-// derived seed routing uses — and inherits opt.Parallelism, which bounds
-// its trajectory-sampling pool (the simulation itself runs serially).
-// Sweep cells run with Parallelism 1 (experiments.SweepSpec.CellOptions),
-// whatever the spec's own pool size, so inside a sweep only the sweep
-// pool runs in parallel.
+// derived seed routing uses — and samples serially like the rest of the
+// evaluation.
 func (opt Options) estimator() (noise.Estimator, error) {
 	switch opt.Fidelity {
 	case FidelityCount:
 		return noise.CountEstimator{}, nil
 	case FidelityMonteCarlo:
-		return noise.MonteCarloEstimator{Shots: opt.NoiseShots, Seed: opt.Seed, Parallelism: opt.Parallelism}, nil
+		return noise.MonteCarloEstimator{Shots: opt.NoiseShots, Seed: opt.Seed}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown fidelity model %d", opt.Fidelity)
 	}
@@ -489,7 +488,7 @@ func (opt Options) estimator() (noise.Estimator, error) {
 func (opt Options) routerFunc() (transpile.RouterFunc, error) {
 	switch opt.Router {
 	case RouterStochastic:
-		return transpile.StochasticRouter, nil
+		return transpile.StochasticSwapCostCtx, nil
 	case RouterSabre:
 		return transpile.SabreRouter, nil
 	default:
@@ -582,13 +581,12 @@ func (m Machine) TranspileContext(ctx context.Context, c *circuit.Circuit, opt O
 		return nil, err
 	}
 	pctx := &transpile.PassContext{
-		Graph:       m.Graph,
-		Basis:       m.Basis,
-		Circuit:     c,
-		Seed:        opt.Seed,
-		Trials:      opt.Trials,
-		Parallelism: opt.Parallelism,
-		Ctx:         ctx,
+		Graph:   m.Graph,
+		Basis:   m.Basis,
+		Circuit: c,
+		Seed:    opt.Seed,
+		Trials:  opt.Trials,
+		Ctx:     ctx,
 	}
 	if err := pipe.Run(pctx); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", m.Name, err)

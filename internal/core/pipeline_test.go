@@ -25,7 +25,7 @@ func legacyTranspile(m Machine, c *circuit.Circuit, opt Options) (*Transpiled, e
 		var routed *transpile.RouteResult
 		switch opt.Router {
 		case RouterStochastic:
-			routed, err = transpile.StochasticSwapCost(m.Graph, c, layout, rng, opt.Trials, opt.Parallelism, cost)
+			routed, err = transpile.StochasticSwapCost(m.Graph, c, layout, rng, opt.Trials, cost)
 		case RouterSabre:
 			routed, err = transpile.SabreSwapCost(m.Graph, c, layout, rng, cost)
 		default:

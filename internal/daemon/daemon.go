@@ -476,7 +476,6 @@ func buildEvaluate(req EvaluateRequest) (core.Machine, *circuit.Circuit, core.Op
 		Seed:              req.Seed,
 		Trials:            req.Trials,
 		Router:            rk,
-		Parallelism:       1, // concurrency unit is the request, not the trial
 		ProfileGuided:     req.Profile,
 		ProfileIterations: req.ProfileIterations,
 	}

@@ -328,16 +328,14 @@ func (s SweepSpec) Cells() []SweepCell {
 func (s SweepSpec) NumSeries() int { return len(s.Workloads) * len(s.Machines) }
 
 // CellOptions resolves the evaluation options of one cell: the spec's
-// Options with the cell's FNV-derived seed, the mode-resolved trial
-// count, and a serial router-trial pool (cells already saturate the sweep
-// workers). Every evaluator of a sweep cell — the local engine and the
+// Options with the cell's FNV-derived seed and the mode-resolved trial
+// count. Every evaluator of a sweep cell — the local engine and the
 // remote daemon — must build its options exactly this way for cache keys
 // and metrics to agree.
 func (s SweepSpec) CellOptions(c SweepCell) core.Options {
 	opt := s.Options
 	opt.Seed = s.taskSeed(s.Workloads[c.Workload], c.Size, s.Machines[c.Machine].Name)
 	opt.Trials = s.effectiveTrials()
-	opt.Parallelism = 1
 	return opt
 }
 
@@ -392,9 +390,8 @@ func (s SweepSpec) RunContext(ctx context.Context) ([]Series, error) {
 	}
 	// Stage 2: evaluate every (workload, machine, size) cell that fits the
 	// machine, in the shared Cells() enumeration order. Each cell routes
-	// with its own FNV-derived seed (CellOptions); the router's internal
-	// trial pool stays serial to avoid oversubscribing the sweep pool when
-	// cells already saturate it.
+	// serially with its own FNV-derived seed (CellOptions); the cells are
+	// the only thing that runs in parallel.
 	cells := s.Cells()
 	points := make([]Point, len(cells))
 	runCell := func(i int) error {
@@ -670,13 +667,14 @@ type Headline struct {
 }
 
 // Headlines computes the headline ratios on QuantumVolume circuits under
-// the unified Config: cfg.Parallelism bounds the router's trial pool (0 =
-// auto, 1 = serial; the ratios are identical at every setting), cfg.Cache,
-// when non-nil, serves repeated invocations from the content-addressed
-// Evaluate cache — a second Headlines call sharing a store performs zero
-// additional routing — and cfg.ProfileGuided routes both machines with the
-// pressure-weighted pipeline (cache-keyed separately from baseline runs,
-// iterated cfg.ProfileIterations times).
+// the unified Config: cfg.Parallelism bounds the pool that evaluates the
+// study's (size, machine) cells (0 = auto, 1 = serial; the ratios are
+// identical at every setting), cfg.Cache, when non-nil, serves repeated
+// invocations from the content-addressed Evaluate cache — a second
+// Headlines call sharing a store performs zero additional routing — and
+// cfg.ProfileGuided routes both machines with the pressure-weighted
+// pipeline (cache-keyed separately from baseline runs, iterated
+// cfg.ProfileIterations times).
 func Headlines(cfg Config) (Headline, error) {
 	return HeadlinesContext(context.Background(), cfg)
 }
@@ -692,37 +690,44 @@ func HeadlinesContext(ctx context.Context, cfg Config) (Headline, error) {
 		defer cancel()
 	}
 	sizes := sizes84(cfg.Quick)
-	hh := core.HeavyHex84CX()
-	hc := core.Hypercube84SqrtISwap()
-	res := Headline{Sizes: sizes}
-	var sw, cs, tq, du float64
-	n := 0
-	for _, size := range sizes {
+	machines := []core.Machine{core.HeavyHex84CX(), core.Hypercube84SqrtISwap()}
+	opt := cfg.Options
+	opt.Trials = cfg.effectiveTrials()
+	circs := make([]*circuit.Circuit, len(sizes))
+	for i, size := range sizes {
 		c, err := circuitFor("QuantumVolume", size, cfg.Seed)
 		if err != nil {
 			return Headline{}, err
 		}
-		opt := cfg.Options
-		opt.Trials = cfg.effectiveTrials()
-		a, err := hh.EvaluateContext(ctx, c, opt)
-		if err != nil {
-			return Headline{}, err
-		}
-		b, err := hc.EvaluateContext(ctx, c, opt)
-		if err != nil {
-			return Headline{}, err
-		}
+		circs[i] = c
+	}
+	// Cell i is size i/2 on machine i%2; the ratios are reduced below in
+	// index order, so the sums round exactly as a serial loop's would.
+	mets := make([]core.Metrics, 2*len(sizes))
+	err := par.ForEachCtx(ctx, len(mets), cfg.Parallelism, func(i int) error {
+		var err error
+		mets[i], err = machines[i%2].EvaluateContext(ctx, circs[i/2], opt)
+		return err
+	})
+	if err != nil {
+		return Headline{}, err
+	}
+	var sw, cs, tq, du float64
+	for i := 0; i < len(mets); i += 2 {
+		a, b := mets[i], mets[i+1]
 		sw += float64(a.TotalSwaps) / float64(b.TotalSwaps)
 		cs += float64(a.CriticalSwaps) / float64(b.CriticalSwaps)
 		tq += float64(a.Total2Q) / float64(b.Total2Q)
 		du += a.PulseDuration / b.PulseDuration
-		n++
 	}
-	res.SwapRatio = sw / float64(n)
-	res.CriticalSwapRatio = cs / float64(n)
-	res.Total2QRatio = tq / float64(n)
-	res.DurationRatio = du / float64(n)
-	return res, nil
+	n := float64(len(sizes))
+	return Headline{
+		Sizes:             sizes,
+		SwapRatio:         sw / n,
+		CriticalSwapRatio: cs / n,
+		Total2QRatio:      tq / n,
+		DurationRatio:     du / n,
+	}, nil
 }
 
 // FormatSeries renders sweep results as an aligned text table, one block

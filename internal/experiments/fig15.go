@@ -203,13 +203,8 @@ func runFig15(ctx context.Context, samples int, seed int64, cfg decomp.Config, p
 			row := make([]float64, gridN)
 			for fi, fbISwap := range res.FbGrid {
 				// Eq. 12's per-pulse base fidelity becomes the per-gate
-				// depolarizing probability; the estimator runs serially here
-				// because the cells themselves are already fanned out.
-				est := noise.MonteCarloEstimator{
-					Shots:       mcShots,
-					Seed:        fig15MCSeed(seed, n, k, si, fi),
-					Parallelism: 1,
-				}
+				// depolarizing probability.
+				est := noise.MonteCarloEstimator{Shots: mcShots, Seed: fig15MCSeed(seed, n, k, si, fi)}
 				m := noise.Model{GateError: 1 - decomp.BaseFidelity(fbISwap, n)}
 				e, err := est.Estimate(ctx, tc, m)
 				if err != nil {

@@ -80,6 +80,51 @@ func TestFig15ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestHeadlinesParallelMatchesSerial moves the router's old serial ==
+// parallel invariant to cell level: the headline study evaluates its
+// (size, machine) cells on the cell pool and reduces them in index order,
+// so the ratios are bit-identical at every Parallelism.
+func TestHeadlinesParallelMatchesSerial(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Parallelism = 1
+	want, err := Headlines(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 4} {
+		cfg.Parallelism = p
+		got, err := Headlines(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parallelism=%d diverges from serial:\n got: %+v\nwant: %+v", p, got, want)
+		}
+	}
+}
+
+// TestCorralScalingParallelMatchesSerial is the same invariant for the
+// Corral scaling study, whose rings are its cells.
+func TestCorralScalingParallelMatchesSerial(t *testing.T) {
+	posts := []int{6, 8, 10}
+	cfg := QuickConfig()
+	cfg.Parallelism = 1
+	want, err := CorralScaling(posts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 4} {
+		cfg.Parallelism = p
+		got, err := CorralScaling(posts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parallelism=%d diverges from serial:\n got: %+v\nwant: %+v", p, got, want)
+		}
+	}
+}
+
 // TestFig15CellSeedStability pins the per-cell seed scheme (a seed is a
 // pure function of coordinates, so schedules can never change results).
 func TestFig15CellSeedStability(t *testing.T) {
@@ -106,6 +151,30 @@ func TestRunContextCancelled(t *testing.T) {
 	spec := Fig11Spec(true)
 	spec.Parallelism = 2
 	if _, err := spec.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestHeadlinesContextCancelled ensures a cancelled context aborts the
+// headline study before its cell pool runs.
+func TestHeadlinesContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := QuickConfig()
+	cfg.Parallelism = 2
+	if _, err := HeadlinesContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestCorralScalingContextCancelled ensures a cancelled context aborts the
+// Corral scaling study before its cell pool runs.
+func TestCorralScalingContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := QuickConfig()
+	cfg.Parallelism = 2
+	if _, err := CorralScalingContext(ctx, []int{6, 8, 10}, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

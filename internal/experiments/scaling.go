@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 )
@@ -30,12 +31,13 @@ type CorralScalingRow struct {
 // Strides follow the Corral(1,k) pattern with the long fence at roughly a
 // third of the ring (the stride-3-of-8 ratio that realizes the paper's
 // Corral 1,2), so the design keeps its low-diameter property as it scales.
-// The unified Config supplies the evaluation knobs: cfg.Parallelism bounds
-// the router's trial pool (0 = auto, 1 = serial) and never changes the
-// measured rows; cfg.Cache, when non-nil, memoizes the routed QV
-// evaluations so repeated studies skip identical routing; cfg.ProfileGuided
-// routes each ring with the pressure-weighted pipeline (cache-keyed
-// separately from baseline runs, iterated cfg.ProfileIterations times).
+// Each ring is one cell. The unified Config supplies the evaluation knobs:
+// cfg.Parallelism bounds the pool the rings run on (0 = auto, 1 = serial)
+// and never changes the measured rows; cfg.Cache, when non-nil, memoizes
+// the routed QV evaluations so repeated studies skip identical routing;
+// cfg.ProfileGuided routes each ring with the pressure-weighted pipeline
+// (cache-keyed separately from baseline runs, iterated
+// cfg.ProfileIterations times).
 func CorralScaling(posts []int, cfg Config) ([]CorralScalingRow, error) {
 	return CorralScalingContext(context.Background(), posts, cfg)
 }
@@ -43,38 +45,47 @@ func CorralScaling(posts []int, cfg Config) ([]CorralScalingRow, error) {
 // CorralScalingContext is CorralScaling with cancellation: ctx (tightened
 // by cfg.Deadline when set) threads into each ring's evaluation, and
 // cfg.CellTimeout bounds the rings individually. Neither changes the rows
-// a completed study reports.
+// a completed study reports. Every post count is validated before any
+// ring is built.
 func CorralScalingContext(ctx context.Context, posts []int, cfg Config) ([]CorralScalingRow, error) {
+	for _, p := range posts {
+		if p < 5 {
+			return nil, fmt.Errorf("experiments: corral scaling needs ≥5 posts")
+		}
+	}
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	var out []CorralScalingRow
-	for _, p := range posts {
-		if p < 5 {
-			return nil, fmt.Errorf("experiments: corral scaling needs ≥5 posts")
-		}
+	opt := cfg.Options
+	opt.Trials = cfg.effectiveTrials()
+	out := make([]CorralScalingRow, len(posts))
+	err := par.ForEachCtx(ctx, len(posts), cfg.Parallelism, func(i int) error {
+		p := posts[i]
 		long := p/3 + 1
 		strides := []int{1, long}
 		g := topology.CorralRing(p, strides)
 		g.Name = fmt.Sprintf("Corral-%dp(1,%d)", p, long)
-		row := CorralScalingRow{Posts: p, Strides: strides, Stats: g.Stats()}
-		width := g.N() * 4 / 5
-		c, err := circuitFor("QuantumVolume", width, cfg.Seed)
+		c, err := circuitFor("QuantumVolume", g.N()*4/5, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m := core.NewMachine(g.Name, g, weyl.BasisSqrtISwap)
-		opt := cfg.Options
-		opt.Trials = cfg.effectiveTrials()
-		met, err := m.EvaluateContext(ctx, c, opt)
+		met, err := core.NewMachine(g.Name, g, weyl.BasisSqrtISwap).EvaluateContext(ctx, c, opt)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row.QVSwaps = met.TotalSwaps
-		row.QVDuration = met.PulseDuration
-		out = append(out, row)
+		out[i] = CorralScalingRow{
+			Posts:      p,
+			Strides:    strides,
+			Stats:      g.Stats(),
+			QVSwaps:    met.TotalSwaps,
+			QVDuration: met.PulseDuration,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

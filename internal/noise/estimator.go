@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/circuit"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -77,14 +76,16 @@ const DefaultShots = 256
 //
 // Each trajectory draws from its own RNG, derived from Seed by
 // double-scrambled splitmix64 (see the derivation comment in Estimate),
-// and the per-trajectory fidelities are summed in index order.
-// Parallelism bounds the worker pool that samples the trajectories; the
-// simulation itself is serial. The estimate is byte-identical at every
-// setting (serial == parallel, pinned under -race).
+// and the per-trajectory fidelities are summed in index order. Sampling
+// and simulation are both serial: an estimate is one evaluation cell's
+// work, and cells are what run in parallel.
 type MonteCarloEstimator struct {
-	Shots       int   // trajectories (0 → DefaultShots)
-	Seed        int64 // base seed; trajectory t draws from splitmix64(Seed, t)
-	Parallelism int   // worker bound for sampling (0 = auto, 1 = serial)
+	Shots int   // trajectories (0 → DefaultShots)
+	Seed  int64 // base seed; trajectory t draws from splitmix64(Seed, t)
+
+	// Parallelism is ignored: sampling is serial. The field stays so that
+	// callers outside this module that set it keep compiling.
+	Parallelism int
 }
 
 // MonteCarloVersion names the trajectory algorithm behind the Monte-Carlo
@@ -120,7 +121,10 @@ func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m
 		return Estimate{}, err
 	}
 	events := make([][]pauliEvent, shots)
-	err = par.ForEachCtx(ctx, shots, e.Parallelism, func(t int) error {
+	for t := range events {
+		if err := ctx.Err(); err != nil {
+			return Estimate{}, err
+		}
 		// The derived state is scrambled ONCE MORE before use: the generator
 		// itself steps by smGamma per draw, so unscrambled states of the form
 		// base + t·smGamma would put every trajectory on the same arithmetic
@@ -131,10 +135,6 @@ func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m
 		// state space, where stream overlap is a birthday-bound improbability.
 		rng := rand.New(&splitmix64{state: smScramble(smScramble(uint64(e.Seed)) + uint64(t+1)*smGamma)})
 		events[t] = p.sample(rng)
-		return nil
-	})
-	if err != nil {
-		return Estimate{}, err
 	}
 	f, err := p.mean(ctx, events)
 	if err != nil {

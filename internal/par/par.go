@@ -1,12 +1,15 @@
 // Package par provides the bounded worker-pool primitive behind the
-// repository's parallel sweep engine. It is deliberately tiny: a
+// repository's one level of parallelism, the cell: sweep cells, the
+// multi-cell drivers (Headlines, CorralScaling, Fig. 15) and the daemon's
+// evaluation slots. Everything below a cell — routing, simulation, noise
+// estimation — runs serially. The package is deliberately tiny: a
 // deterministic parallel-for with errgroup-style first-error aggregation
 // and context cancellation, with no external dependencies.
 //
 // Callers make results deterministic by writing into index-addressed
-// slots: ForEach guarantees every index in [0, n) is visited exactly once
-// (unless cancelled), but promises nothing about visiting order, so any
-// ordering must come from the caller's index→slot mapping, never from
+// slots: ForEachCtx guarantees every index in [0, n) is visited exactly
+// once (unless cancelled), but promises nothing about visiting order, so
+// any ordering must come from the caller's index→slot mapping, never from
 // completion order.
 //
 // Every task runs under recover(): a panicking task becomes a *PanicError
@@ -55,43 +58,21 @@ func Resolve(parallelism int) int {
 	return parallelism
 }
 
-// safeCall runs fn(worker, i) with panic isolation: a panic is recovered
-// into a *PanicError so the caller's other tasks are unaffected.
-func safeCall(fn func(worker, i int) error, worker, i int) (err error) {
+// safeCall runs fn(i) with panic isolation: a panic is recovered into a
+// *PanicError so the caller's other tasks are unaffected.
+func safeCall(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(worker, i)
+	return fn(i)
 }
 
-// ForEach invokes fn(i) for every i in [0, n) on up to `parallelism`
-// goroutines (after Resolve) and returns the first error. A failing task
-// cancels the dispatch of tasks that have not started; in-flight tasks
-// run to completion.
-func ForEach(n, parallelism int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, parallelism, fn)
-}
-
-// ForEachCtx is ForEach with caller-supplied cancellation: once ctx is
-// done, no new task starts and the context error is returned (unless a
-// task error arrived first).
-func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, n, parallelism, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the executing worker's pool slot passed to
-// fn alongside the task index. Worker slots are dense in [0, W) where W is
-// the resolved worker count (clamped to n), and at most one task runs on a
-// slot at a time, so callers can give each slot its own reusable scratch
-// state without locking. Task-to-slot assignment is scheduling-dependent;
-// only the slot-exclusivity invariant is guaranteed.
-func ForEachWorker(n, parallelism int, fn func(worker, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), n, parallelism, fn)
-}
-
-// ForEachWorkerCtx is ForEachWorker with caller-supplied cancellation.
+// ForEachCtx invokes fn(i) for every i in [0, n) on up to `parallelism`
+// goroutines (after Resolve). A failing task cancels the dispatch of
+// tasks that have not started; in-flight tasks run to completion. Once
+// ctx is done, no new task starts.
 //
 // Error semantics: a task failure (including a recovered panic, reported
 // as *PanicError) is returned as the lowest-index error observed. A pure
@@ -100,7 +81,7 @@ func ForEachWorker(n, parallelism int, fn func(worker, i int) error) error {
 // rely on errors.Is(err, context.Canceled/DeadlineExceeded) to mean "the
 // run was cancelled", not "some task happened to fail with that". When
 // both occur, the task failure wins: it is the more specific diagnosis.
-func ForEachWorkerCtx(ctx context.Context, n, parallelism int, fn func(worker, i int) error) error {
+func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
 	workers := Resolve(parallelism)
 	if workers > n {
 		workers = n
@@ -110,7 +91,7 @@ func ForEachWorkerCtx(ctx context.Context, n, parallelism int, fn func(worker, i
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := safeCall(fn, 0, i); err != nil {
+			if err := safeCall(fn, i); err != nil {
 				return err
 			}
 		}
@@ -140,7 +121,7 @@ func ForEachWorkerCtx(ctx context.Context, n, parallelism int, fn func(worker, i
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				if stop.Load() {
@@ -157,12 +138,12 @@ func ForEachWorkerCtx(ctx context.Context, n, parallelism int, fn func(worker, i
 					stop.Store(true)
 					return
 				}
-				if err := safeCall(fn, worker, i); err != nil {
+				if err := safeCall(fn, i); err != nil {
 					fail(i, err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if bestErr != nil {
@@ -197,7 +178,7 @@ func ForEachAllCtx(ctx context.Context, n, parallelism int, fn func(i int) error
 				}
 				return errs, err
 			}
-			errs[i] = safeCall(func(_, i int) error { return fn(i) }, 0, i)
+			errs[i] = safeCall(fn, i)
 		}
 		return errs, nil
 	}
@@ -221,7 +202,7 @@ func ForEachAllCtx(ctx context.Context, n, parallelism int, fn func(i int) error
 					errs[i] = err
 					continue // mark every undispatched slot, don't run it
 				}
-				errs[i] = safeCall(func(_, i int) error { return fn(i) }, 0, i)
+				errs[i] = safeCall(fn, i)
 			}
 		}()
 	}

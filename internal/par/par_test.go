@@ -22,7 +22,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		const n = 100
 		counts := make([]atomic.Int64, n)
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -38,7 +38,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForEachFirstError(t *testing.T) {
 	wantErr := errors.New("boom")
-	err := ForEach(50, 4, func(i int) error {
+	err := ForEachCtx(context.Background(), 50, 4, func(i int) error {
 		if i == 7 {
 			return wantErr
 		}
@@ -51,7 +51,7 @@ func TestForEachFirstError(t *testing.T) {
 
 func TestForEachErrorStopsDispatch(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(1_000_000, 2, func(i int) error {
+	err := ForEachCtx(context.Background(), 1_000_000, 2, func(i int) error {
 		ran.Add(1)
 		return fmt.Errorf("fail at %d", i)
 	})
@@ -77,7 +77,7 @@ func TestForEachCtxCancel(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +87,7 @@ func TestForEachZeroTasks(t *testing.T) {
 // both the serial and pooled paths, and never crashes the process.
 func TestPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForEach(20, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 20, workers, func(i int) error {
 			if i == 3 {
 				panic("cell exploded")
 			}
@@ -116,7 +116,7 @@ func TestPanicBecomesError(t *testing.T) {
 // while every task dispatched before the stop still completes normally.
 func TestPanicOnlyFailsOneTask(t *testing.T) {
 	var ok atomic.Int64
-	err := ForEach(8, 8, func(i int) error {
+	err := ForEachCtx(context.Background(), 8, 8, func(i int) error {
 		if i == 0 {
 			// Wait for a sibling to finish first so the stop that follows
 			// the panic cannot be the reason nothing else ran.

@@ -28,13 +28,13 @@ func TestRouterTrialAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &router{
-		g:       g,
-		dist:    g.Distances(),
-		cost:    flat,
-		layout:  layout.Copy(),
-		rng:     rand.New(rand.NewSource(4)),
-		trials:  5,
-		workers: 1,
+		g:      g,
+		dist:   g.Distances(),
+		cost:   flat,
+		layout: layout.Copy(),
+		rng:    rand.New(rand.NewSource(4)),
+		trials: 5,
+		sc:     newRouterScratch(g.N()),
 	}
 	// One non-adjacent pair under the dense layout (virtual endpoints far
 	// apart keep findSwaps from returning the trivial empty sequence).

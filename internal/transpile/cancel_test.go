@@ -27,7 +27,7 @@ func TestRoutersReturnCtxErrWhenCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := StochasticSwapCostCtx(ctx, g, c, layout, rand.New(rand.NewSource(1)), 5, 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := StochasticSwapCostCtx(ctx, g, c, layout, rand.New(rand.NewSource(1)), 5, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("stochastic router under dead ctx = %v, want context.Canceled", err)
 	}
 	if _, err := SabreSwapCostCtx(ctx, g, c, layout, rand.New(rand.NewSource(1)), nil); !errors.Is(err, context.Canceled) {
@@ -66,11 +66,11 @@ func TestCtxNeverChangesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(9)), 5, 1, nil)
+	plain, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(9)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(9)), 5, 1, nil)
+	withCtx, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(9)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

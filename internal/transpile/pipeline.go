@@ -13,7 +13,7 @@ import (
 
 // PassContext is the shared state a Pipeline threads through its passes:
 // the immutable problem description (graph, basis, logical circuit, seed,
-// trials, parallelism) plus the artifacts the stages of the paper's Fig. 10
+// trials) plus the artifacts the stages of the paper's Fig. 10
 // flow produce and consume — the routing cost matrix, the chosen layout,
 // the routed circuit, the measured pressure profile, and the translated
 // circuit. Passes communicate exclusively through this struct, so any stage
@@ -22,14 +22,13 @@ type PassContext struct {
 	// Inputs. Circuit is the logical circuit and is never mutated; Seed is
 	// the deterministic base every routing pass derives its RNG from (a
 	// fresh rand.New(rand.NewSource(Seed)) per pass, so each pass is
-	// independently reproducible); Trials and Parallelism parameterize the
-	// stochastic router exactly as in StochasticSwapCost.
-	Graph       *topology.Graph
-	Basis       weyl.Basis
-	Circuit     *circuit.Circuit
-	Seed        int64
-	Trials      int
-	Parallelism int
+	// independently reproducible); Trials parameterizes the stochastic
+	// router exactly as in StochasticSwapCost.
+	Graph   *topology.Graph
+	Basis   weyl.Basis
+	Circuit *circuit.Circuit
+	Seed    int64
+	Trials  int
 
 	// Ctx carries the caller's deadline/cancellation into the passes: the
 	// pipeline checks it between passes, and the long-running passes (the
@@ -106,19 +105,14 @@ func (p Pipeline) Run(ctx *PassContext) error {
 // RouterFunc is the routing algorithm slot of RoutePass and
 // ProfileGuidedPass: route c onto g from layout under cost (nil = uniform
 // hops) with the caller's rng, polling rctx cooperatively so a
-// deadline-bound cell can stop a long search. StochasticRouter and
-// SabreRouter adapt the two in-tree routers; alternative routers plug in
-// without a new pass type.
-type RouterFunc func(rctx context.Context, g *topology.Graph, c *circuit.Circuit, layout Layout, rng *rand.Rand, trials, parallelism int, cost [][]float64) (*RouteResult, error)
+// deadline-bound cell can stop a long search. StochasticSwapCostCtx fills
+// the slot as it is and SabreRouter adapts SABRE; alternative routers plug
+// in without a new pass type.
+type RouterFunc func(rctx context.Context, g *topology.Graph, c *circuit.Circuit, layout Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error)
 
-// StochasticRouter adapts StochasticSwapCostCtx to the RouterFunc slot.
-func StochasticRouter(rctx context.Context, g *topology.Graph, c *circuit.Circuit, layout Layout, rng *rand.Rand, trials, parallelism int, cost [][]float64) (*RouteResult, error) {
-	return StochasticSwapCostCtx(rctx, g, c, layout, rng, trials, parallelism, cost)
-}
-
-// SabreRouter adapts SabreSwapCostCtx to the RouterFunc slot (SABRE has no
-// trial fan-out, so trials and parallelism are unused).
-func SabreRouter(rctx context.Context, g *topology.Graph, c *circuit.Circuit, layout Layout, rng *rand.Rand, trials, parallelism int, cost [][]float64) (*RouteResult, error) {
+// SabreRouter adapts SabreSwapCostCtx to the RouterFunc slot (SABRE runs
+// no randomized trials, so trials is unused).
+func SabreRouter(rctx context.Context, g *topology.Graph, c *circuit.Circuit, layout Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error) {
 	return SabreSwapCostCtx(rctx, g, c, layout, rng, cost)
 }
 
@@ -153,13 +147,13 @@ func (RoutePass) Name() string { return "route" }
 func (p RoutePass) Apply(ctx *PassContext) error {
 	router := p.Router
 	if router == nil {
-		router = StochasticRouter
+		router = StochasticSwapCostCtx
 	}
 	if ctx.Layout == nil {
 		return fmt.Errorf("no layout (run a layout pass first)")
 	}
 	rng := rand.New(rand.NewSource(ctx.Seed))
-	routed, err := router(ctx.context(), ctx.Graph, ctx.Circuit, ctx.Layout, rng, ctx.Trials, ctx.Parallelism, ctx.Cost)
+	routed, err := router(ctx.context(), ctx.Graph, ctx.Circuit, ctx.Layout, rng, ctx.Trials, ctx.Cost)
 	if err != nil {
 		return err
 	}
@@ -364,7 +358,7 @@ func (p ProfileGuidedPass) Apply(ctx *PassContext) error {
 	}
 	router := p.Router
 	if router == nil {
-		router = StochasticRouter
+		router = StochasticSwapCostCtx
 	}
 	alpha := p.Alpha
 	if alpha <= 0 {
@@ -409,7 +403,7 @@ func (p ProfileGuidedPass) Apply(ctx *PassContext) error {
 			return err
 		}
 		rng := rand.New(rand.NewSource(ctx.Seed))
-		routed, err := router(ctx.context(), ctx.Graph, ctx.Circuit, layout, rng, ctx.Trials, ctx.Parallelism, cost)
+		routed, err := router(ctx.context(), ctx.Graph, ctx.Circuit, layout, rng, ctx.Trials, cost)
 		if err != nil {
 			return err
 		}

@@ -128,16 +128,16 @@ func TestNilCostReproducesBaselineRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := StochasticSwapParallel(g, c, layout, rand.New(rand.NewSource(7)), 5, 1)
+	base, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(7)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCost, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(7)), 5, 1, nil)
+	viaCost, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(7)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !routedEqual(base.Circuit, viaCost.Circuit) || base.SwapCount != viaCost.SwapCount {
-		t.Error("StochasticSwapCost(nil) diverged from StochasticSwapParallel")
+		t.Error("StochasticSwapCost(nil) diverged from StochasticSwap")
 	}
 	sb, err := SabreSwap(g, c, layout, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -177,11 +177,11 @@ func TestWeightedCostSteersRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, 1, nil)
+	base, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaUniform, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, 1, uni)
+	viaUniform, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, uni)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestWeightedCostSteersRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, 1, wd)
+	guided, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCostMatrixValidation(t *testing.T) {
 	for i := range bad {
 		bad[i] = make([]float64, 3)
 	}
-	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, 1, bad); err == nil {
+	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, bad); err == nil {
 		t.Error("undersized cost matrix accepted by StochasticSwapCost")
 	}
 	if _, err := SabreSwapCost(g, c, layout, rand.New(rand.NewSource(1)), bad); err == nil {
@@ -232,7 +232,7 @@ func TestCostMatrixValidation(t *testing.T) {
 		ragged[i] = make([]float64, g.N())
 	}
 	ragged[4] = ragged[4][:2]
-	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, 1, ragged); err == nil {
+	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, ragged); err == nil {
 		t.Error("ragged cost matrix accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/circuit"
-	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -32,40 +31,31 @@ const DefaultTrials = 20
 //
 // Each trial runs on its own RNG seeded from the caller's stream up front,
 // so the routed circuit is a pure function of (graph, circuit, layout, rng
-// seed, trials) — StochasticSwapParallel produces bit-identical output.
+// seed, trials). The trials of a layer run serially; parallelism lives one
+// level up, across independent evaluation cells.
 func StochasticSwap(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int) (*RouteResult, error) {
-	return StochasticSwapParallel(g, c, initial, rng, trials, 1)
+	return StochasticSwapCost(g, c, initial, rng, trials, nil)
 }
 
-// StochasticSwapParallel is StochasticSwap with the per-layer randomized
-// trials spread over a bounded worker pool. parallelism follows the
-// par.Resolve convention (0 = auto/GOMAXPROCS, ≤1 = serial). The result is
-// bit-identical to the serial pass for the same inputs: trial seeds are
-// pre-drawn from rng, and the winning sequence is picked by (length,
-// lowest trial index) independent of completion order.
-func StochasticSwapParallel(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials, parallelism int) (*RouteResult, error) {
-	return StochasticSwapCost(g, c, initial, rng, trials, parallelism, nil)
-}
-
-// StochasticSwapCost is StochasticSwapParallel with an explicit routing cost
+// StochasticSwapCost is StochasticSwap with an explicit routing cost
 // matrix: cost[i][j] replaces the hop distance between physical vertices i
 // and j in the randomized trials' objective, so a profile-guided caller can
 // price congested edges above idle ones (see EdgeProfile). A nil cost means
-// uniform hop distances, which reproduces StochasticSwapParallel exactly —
+// uniform hop distances, which reproduces StochasticSwap exactly —
 // the default pipeline routes through this same code path byte-for-byte.
 // The cost matrix only shapes the search; adjacency (when a gate can
 // execute) and the greedy fallback still come from the coupling graph.
-func StochasticSwapCost(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials, parallelism int, cost [][]float64) (*RouteResult, error) {
-	return StochasticSwapCostCtx(context.Background(), g, c, initial, rng, trials, parallelism, cost)
+func StochasticSwapCost(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error) {
+	return StochasticSwapCostCtx(context.Background(), g, c, initial, rng, trials, cost)
 }
 
 // StochasticSwapCostCtx is StochasticSwapCost with cooperative cancellation:
 // ctx is polled once per circuit layer and once per serial-fallback routing
-// step — the units of trial fan-out, where a cell's wall-clock actually
-// accumulates — so a deadline-bound evaluation stops within one layer's
+// step — the units of randomized search, where a cell's wall-clock
+// actually accumulates — so a deadline-bound evaluation stops within one layer's
 // worth of trials instead of routing the whole circuit. Cancellation never
 // alters output: a run that completes is byte-identical with any ctx.
-func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials, parallelism int, cost [][]float64) (*RouteResult, error) {
+func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error) {
 	if len(initial) != c.N {
 		return nil, fmt.Errorf("transpile: layout covers %d qubits, circuit has %d", len(initial), c.N)
 	}
@@ -83,14 +73,14 @@ func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Ci
 		return nil, err
 	}
 	r := &router{
-		g:       g,
-		dist:    g.Distances(),
-		cost:    flat,
-		out:     circuit.New(g.N()),
-		layout:  initial.Copy(),
-		rng:     rng,
-		trials:  trials,
-		workers: par.Resolve(parallelism),
+		g:      g,
+		dist:   g.Distances(),
+		cost:   flat,
+		out:    circuit.New(g.N()),
+		layout: initial.Copy(),
+		rng:    rng,
+		trials: trials,
+		sc:     newRouterScratch(g.N()),
 	}
 	for _, layer := range c.Layers() {
 		if err := ctx.Err(); err != nil {
@@ -145,35 +135,33 @@ func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Ci
 // matrix under profile-guided routing.
 //
 // All per-layer and per-trial working memory lives in reusable buffers:
-// scratches holds one routerScratch per trial worker (slot 0 doubles as the
-// serial-path scratch), and the seeds/lens/best/inv buffers plus the qubit
-// arena amortize the remaining per-layer allocations, so the N-trials ×
-// L-layers inner loop stops re-making O(n²) state (see routerScratch).
+// sc is the one trial scratch every trial of every layer reuses, and the
+// seeds/best/inv buffers plus the qubit arena amortize the remaining
+// per-layer allocations, so the N-trials × L-layers inner loop stops
+// re-making O(n²) state (see routerScratch).
 type router struct {
-	g       *topology.Graph
-	dist    [][]int
-	cost    []float64
-	out     *circuit.Circuit
-	layout  Layout
-	swaps   int
-	rng     *rand.Rand
-	trials  int
-	workers int
+	g      *topology.Graph
+	dist   [][]int
+	cost   []float64
+	out    *circuit.Circuit
+	layout Layout
+	swaps  int
+	rng    *rand.Rand
+	trials int
 
-	scratches []*routerScratch // lazily sized to the resolved worker count
-	seeds     []int64          // per-trial RNG seeds, drawn up front
-	lens      []int            // per-trial result lengths (parallel path)
-	best      [][2]int         // winning swap sequence, reused across layers
-	inv       []int            // physical→virtual scratch for applySwaps
-	arena     intArena         // backing storage for emitted ops' qubit slices
+	sc    *routerScratch // trial working state, reused by every trial
+	seeds []int64        // per-trial RNG seeds, drawn up front
+	best  [][2]int       // winning swap sequence, reused across layers
+	inv   []int          // physical→virtual scratch for applySwaps
+	arena intArena       // backing storage for emitted ops' qubit slices
 }
 
 // routerScratch is the reusable working state of one routing trial
 // (trialSearch): the lazily materialized perturbed cost matrix, the
 // per-pair endpoint and per-vertex incidence tables, the epoch-stamped
-// visited marks, and the swap sequence under construction. One scratch is
-// bound to one par worker slot at a time, so trials reuse these buffers
-// without locking and the trial loop runs allocation-free after warm-up.
+// visited marks, and the swap sequence under construction. The router's
+// trials run one after another on its single scratch, so the trial loop
+// runs allocation-free after warm-up.
 //
 // The perturbed matrix is not computed up front. A trial draws one gaussian
 // per unordered vertex pair — the stream order is fixed, so prep walks the
@@ -202,21 +190,13 @@ type routerScratch struct {
 	seq     [][2]int // swap sequence under construction
 }
 
-// scratch returns the worker's reusable trial scratch, growing the slot
-// table and the matrix buffers on first use (the router is per-call, so n
-// is fixed for its lifetime).
-func (r *router) scratch(worker int) *routerScratch {
-	for len(r.scratches) <= worker {
-		r.scratches = append(r.scratches, &routerScratch{})
+// newRouterScratch sizes a trial scratch for an n-vertex coupling graph.
+func newRouterScratch(n int) *routerScratch {
+	return &routerScratch{
+		d:       make([]float64, n*n),
+		stamp:   make([]uint32, n*n),
+		pairsAt: make([][]int, n),
 	}
-	sc := r.scratches[worker]
-	if n := r.g.N(); len(sc.d) != n*n {
-		sc.d = make([]float64, n*n)
-		sc.stamp = make([]uint32, n*n)
-		sc.gen = 0
-		sc.pairsAt = make([][]int, n)
-	}
-	return sc
 }
 
 // prep seeds the scratch for one trial: bump the matrix generation and run
@@ -398,11 +378,11 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 //
 // Every trial gets its own RNG seeded from the router's stream before any
 // trial runs, and the winner is the minimum-length sequence with ties
-// broken by lowest trial index. Both choices make the outcome independent
-// of execution schedule, so the serial and worker-pool paths below are
-// interchangeable bit-for-bit: the parallel path records only each trial's
-// sequence length and deterministically replays the winning trial, which
-// is byte-identical to having kept its sequence.
+// broken by lowest trial index, so the outcome depends only on the seeds.
+// A trial prepares the scratch's lazily perturbed view of the router's
+// cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered pair — hop
+// distances by default, pressure-weighted under profile-guided routing)
+// and greedily searches under it.
 func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	if r.allAdjacent(pairs) {
 		return [][2]int{}
@@ -413,79 +393,35 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	for t := range r.seeds {
 		r.seeds[t] = r.rng.Int63()
 	}
-	if r.workers <= 1 {
-		sc := r.scratch(0)
-		bestLen := -1
-		for t := 0; t < r.trials; t++ {
-			if ok := r.runTrial(pairs, t, limit, sc); ok {
-				if bestLen < 0 || len(sc.seq) < bestLen {
-					bestLen = len(sc.seq)
-					r.best = append(r.best[:0], sc.seq...)
-				}
-				if bestLen == 0 {
-					break // can't beat an already-adjacent layer
-				}
-			}
+	sc := r.sc
+	bestLen := -1
+	for _, seed := range r.seeds {
+		sc.prep(uint64(seed), n*(n-1)/2)
+		if !r.trialSearch(pairs, limit) {
+			continue
 		}
-		if bestLen < 0 {
-			return nil
+		if bestLen < 0 || len(sc.seq) < bestLen {
+			bestLen = len(sc.seq)
+			r.best = append(r.best[:0], sc.seq...)
 		}
-		return r.best
-	}
-	// Parallel path: trialSearch only reads shared router state (g, dist,
-	// layout) and mutates only its worker-slot scratch, so trials share
-	// nothing but their result slots. Scratch slots are grown up front —
-	// inside the pool, workers index r.scratches without mutating it.
-	slots := r.workers
-	if slots > r.trials {
-		slots = r.trials
-	}
-	for w := 0; w < slots; w++ {
-		r.scratch(w)
-	}
-	r.lens = grow(r.lens, r.trials)
-	par.ForEachWorker(r.trials, r.workers, func(worker, t int) error {
-		sc := r.scratches[worker]
-		if r.runTrial(pairs, t, limit, sc) {
-			r.lens[t] = len(sc.seq)
-		} else {
-			r.lens[t] = -1
-		}
-		return nil
-	})
-	winner := -1
-	for t, l := range r.lens {
-		if l >= 0 && (winner < 0 || l < r.lens[winner]) {
-			winner = t
+		if bestLen == 0 {
+			break // can't beat an already-adjacent layer
 		}
 	}
-	if winner < 0 {
+	if bestLen < 0 {
 		return nil
 	}
-	sc := r.scratch(0)
-	r.runTrial(pairs, winner, limit, sc) // deterministic replay of the winner
-	r.best = append(r.best[:0], sc.seq...)
 	return r.best
 }
 
-// runTrial prepares the scratch's lazily perturbed view of the router's
-// cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered pair — hop
-// distances by default, pressure-weighted under profile-guided routing) and
-// greedily searches under it, leaving the resulting swap sequence in
-// sc.seq. It reports whether the trial made every pair adjacent within the
-// limit.
-func (r *router) runTrial(pairs [][2]int, t, limit int, sc *routerScratch) bool {
-	n := r.g.N()
-	sc.prep(uint64(r.seeds[t]), n*(n-1)/2)
-	return r.trialSearch(pairs, sc, limit)
-}
-
 // trialSearch greedily applies the cost-minimizing swap until every pair is
-// adjacent, a local minimum is hit, or the depth limit is reached. Cost
-// deltas are evaluated incrementally: a candidate swap only affects pairs
-// with an endpoint on the swapped edge. All working state lives in sc, so
-// steady-state trials allocate nothing.
-func (r *router) trialSearch(pairs [][2]int, sc *routerScratch, limit int) bool {
+// adjacent, a local minimum is hit, or the depth limit is reached, leaving
+// the swap sequence in r.sc.seq and reporting whether every pair became
+// adjacent. Cost deltas are evaluated incrementally: a candidate swap only
+// affects pairs with an endpoint on the swapped edge. All working state
+// lives in r.sc, so steady-state trials allocate nothing.
+func (r *router) trialSearch(pairs [][2]int, limit int) bool {
+	sc := r.sc
 	n := r.g.N()
 	base := r.cost
 	sc.pos = grow(sc.pos, len(pairs))

@@ -49,7 +49,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/linalg"
 	"repro/internal/noise"
-	"repro/internal/par"
 	"repro/internal/qasm"
 	"repro/internal/sim"
 	"repro/internal/snail"
@@ -319,9 +318,9 @@ type (
 )
 
 var (
-	// StochasticRouter and SabreRouter adapt the in-tree routers to the
-	// RouterFunc slot.
-	StochasticRouter = transpile.StochasticRouter
+	// StochasticRouter and SabreRouter fill the RouterFunc slot with the
+	// in-tree routers (StochasticRouter is StochasticSwapCostCtx itself).
+	StochasticRouter = transpile.StochasticSwapCostCtx
 	SabreRouter      = transpile.SabreRouter
 )
 
@@ -547,12 +546,6 @@ var (
 )
 
 // ---- Robustness (fault isolation, deadlines, degradation, crash-resume) ----
-
-// PanicError is what a panicking parallel task is recovered into: the
-// sweep worker pool and the cache's singleflight both isolate panics so
-// one faulty cell fails as an ordinary error instead of killing the
-// process. It carries the task index, panic value, and captured stack.
-type PanicError = par.PanicError
 
 // CellError locates one failed cell of a tolerant sweep (workload,
 // machine, size, cause).

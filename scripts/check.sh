@@ -23,8 +23,7 @@
 #   * lockstep differential arm: the lockstep trajectory runner must agree
 #     with the full-run algorithm it replaced within 1e-12 on routed
 #     circuits at widths 12–16, in both regimes and with a per-edge
-#     override, and stay byte-identical at Parallelism 1, 2 and 7; plus
-#     hand-built edge cases, the live-fork cap and the zero-allocation
+#     override; plus hand-built edge cases, the live-fork cap and the zero-allocation
 #     error-free trajectory (-run TestLockstep in internal/noise), under the
 #     race detector.
 #   * layered statevector arm: the layered and fused schedules must match
@@ -41,14 +40,18 @@
 #     exactly one evaluation (cold) and zero (warm) via the /metrics dedup
 #     counters, prove a -server sweep's stdout is byte-identical to a local
 #     run, then SIGTERM it and require a clean drain (exit 0).
+#   * one-level-of-parallelism arm: the cell is the only unit that runs in
+#     parallel, so no package in ./... but internal/experiments (sweeps and
+#     the multi-cell drivers) and internal/daemon (its evaluation slots)
+#     may import internal/par. Routing, simulation and noise estimation
+#     stay serial inside a cell.
 #   * race-detector runs of the packages with real concurrency surface
-#     (the content-addressed cache, the parallel sweep engine, the
-#     transpile pass pipeline with its parallel router trials and
-#     per-worker routing scratch, the sim package, whose compiled Programs
-#     are shared read-only across concurrent runs, and the noise package
-#     whose Monte-Carlo trajectories fan out over the worker pool —
-#     TestTrajectoryDeterminism pins serial == parallel), pinned to
-#     GOMAXPROCS=4 so races reproduce even on single-core runners.
+#     (the content-addressed cache, the parallel sweep engine and the
+#     multi-cell drivers — serial == parallel is pinned per driver in
+#     internal/experiments — the transpile pass pipeline, the sim package,
+#     whose compiled Programs are shared read-only across concurrent cells,
+#     and the noise package, whose estimators run inside concurrent cells),
+#     pinned to GOMAXPROCS=4 so races reproduce even on single-core runners.
 #
 # Run directly, or via scripts/bench.sh which uses it as its preflight.
 set -euo pipefail
@@ -118,6 +121,16 @@ SLEEPS="$(grep -n 'time\.Sleep' \
 if [[ -n "$SLEEPS" ]]; then
     echo "$SLEEPS"
     echo "check: FAILED — sleep-based test synchronization is a latent flake; use channels, contexts, or atomics"
+    exit 1
+fi
+
+echo "check: only internal/experiments and internal/daemon import internal/par"
+PARUSERS="$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
+    awk '{ for (i = 2; i <= NF; i++) if ($i == "repro/internal/par") print $1 }' |
+    grep -v -x -e 'repro/internal/experiments' -e 'repro/internal/daemon' || true)"
+if [[ -n "$PARUSERS" ]]; then
+    echo "$PARUSERS"
+    echo "check: FAILED — parallelism lives at the cell level only; run these packages' work serially inside a cell"
     exit 1
 fi
 
