@@ -24,6 +24,7 @@ import (
 	"repro/internal/gates"
 	"repro/internal/optimize"
 	"repro/internal/sim"
+	"repro/internal/snail"
 	"repro/internal/topology"
 	"repro/internal/transpile"
 	"repro/internal/weyl"
@@ -55,7 +56,7 @@ func runSweep(b *testing.B, spec experiments.SweepSpec, workloadSubset []string)
 	b.Helper()
 	spec.Workloads = workloadSubset
 	for i := 0; i < b.N; i++ {
-		series, err := spec.Run()
+		series, err := spec.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func BenchmarkFig11WarmCache(b *testing.B) {
 	spec.Cache = store
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spec.Run(); err != nil {
+		if _, err := spec.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,9 +128,11 @@ func BenchmarkFig6(b *testing.B) {
 // ---- Figure 15: n√iSWAP fidelity study (reduced) ----
 
 func BenchmarkFig15(b *testing.B) {
-	cfg := decomp.Config{Restarts: 2, Adam: optimize.AdamConfig{MaxIter: 150, LearningRate: 0.08}}
+	dc := decomp.Config{Restarts: 2, Adam: optimize.AdamConfig{MaxIter: 150, LearningRate: 0.08}}
+	var cfg experiments.Config
+	cfg.Seed = 7
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig15(2, 7, cfg); err != nil {
+		if _, err := experiments.RunFig15ConfigContext(context.Background(), 2, dc, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +151,7 @@ func headlineBenchConfig(store *core.MetricsCache) experiments.Config {
 
 func BenchmarkHeadlines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h, err := experiments.Headlines(headlineBenchConfig(nil))
+		h, err := experiments.HeadlinesContext(context.Background(), headlineBenchConfig(nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +172,7 @@ func BenchmarkHeadlinesWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		h, err := experiments.Headlines(headlineBenchConfig(store))
+		h, err := experiments.HeadlinesContext(context.Background(), headlineBenchConfig(store))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +210,7 @@ func BenchmarkProfileGuided(b *testing.B) {
 				opt := core.Options{Seed: 2022, Trials: 5, ProfileGuided: mode == "profiled"}
 				var swaps int
 				for i := 0; i < b.N; i++ {
-					met, err := m.Evaluate(c, opt)
+					met, err := m.EvaluateContext(context.Background(), c, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -235,7 +238,7 @@ func BenchmarkTranspilePassShares(b *testing.B) {
 	var total time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := m.Transpile(c, opt)
+		tr, err := m.TranspileContext(context.Background(), c, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,9 +273,9 @@ func BenchmarkAblationRouters(b *testing.B) {
 				var res *transpile.RouteResult
 				var err error
 				if router == "stochastic" {
-					res, err = transpile.StochasticSwap(g, c, layout, rng, 10)
+					res, err = transpile.StochasticSwapCostCtx(context.Background(), g, c, layout, rng, 10, nil)
 				} else {
-					res, err = transpile.SabreSwap(g, c, layout, rng)
+					res, err = transpile.SabreSwapCostCtx(context.Background(), g, c, layout, rng, nil)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -288,13 +291,13 @@ func BenchmarkAblationRouters(b *testing.B) {
 // simultaneous in-neighborhood drives (paper §4.1) by scheduling the same
 // routed circuit with and without per-SNAIL serialization.
 func BenchmarkAblationSNAILParallelism(b *testing.B) {
-	hw, err := Tree84Hardware()
+	hw, err := snail.Tree84Hardware()
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := core.Tree84SqrtISwap()
 	c, _ := workloads.Generate("QuantumVolume", 32, rand.New(rand.NewSource(10)))
-	tr, err := m.Transpile(c, core.DefaultOptions())
+	tr, err := m.TranspileContext(context.Background(), c, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +372,7 @@ func BenchmarkStochasticSwapQV(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := transpile.StochasticSwap(g, c, layout, rand.New(rand.NewSource(int64(i))), 10); err != nil {
+				if _, err := transpile.StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(int64(i))), 10, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,7 +395,7 @@ func BenchmarkStatevector16(b *testing.B) {
 	c := workloads.QFT(16, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunCircuit(c); err != nil {
+		if _, err := sim.RunCircuitCtx(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,7 +429,7 @@ func BenchmarkStatevectorFusion(b *testing.B) {
 		name string
 		run  func(s *sim.State) error
 	}{
-		{"fused", func(s *sim.State) error { return s.Run(c) }},
+		{"fused", func(s *sim.State) error { return s.RunCtx(context.Background(), c) }},
 		{"unfused", func(s *sim.State) error { return s.RunUnfused(c) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -488,7 +491,7 @@ func BenchmarkStatevectorISwapKernel(b *testing.B) {
 	}{{"mix2q", fast}, {"generic", generic}} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunCircuit(tc.c); err != nil {
+				if _, err := sim.RunCircuitCtx(context.Background(), tc.c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -575,7 +578,7 @@ func BenchmarkNoisyEvaluate(b *testing.B) {
 	var met core.Metrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		met, err = m.Evaluate(c, opt)
+		met, err = m.EvaluateContext(context.Background(), c, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

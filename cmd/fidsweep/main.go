@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected arguments %q (fidsweep takes flags only)", fs.Args())
 	}
-	// Negative knob values used to be swallowed silently: RunFig15Parallel
+	// Negative knob values used to be swallowed silently: the study
 	// only rejected samples < 1 deep in the study, and a negative
 	// parallelism quietly meant "serial". Reject both up front.
 	if *samples < 1 {

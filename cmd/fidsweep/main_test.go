@@ -31,7 +31,7 @@ func wantUsageError(t *testing.T, err error, fragment string) {
 }
 
 func TestNegativeKnobsRejected(t *testing.T) {
-	// These used to be swallowed silently: RunFig15Parallel only rejected
+	// These used to be swallowed silently: the study only rejected
 	// samples < 1 deep inside the study, and a negative parallelism
 	// quietly meant "serial".
 	_, _, err := runF(t, "-samples", "0")

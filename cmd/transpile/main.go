@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -87,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	opt := repro.DefaultOptions()
 	opt.Seed = *seed
-	tr, err := m.Transpile(c, opt)
+	tr, err := m.TranspileContext(context.Background(), c, opt)
 	if err != nil {
 		return err
 	}

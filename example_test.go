@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -43,7 +44,7 @@ func ExampleSynthesizeCX() {
 
 // ExampleGHZ runs a workload through the simulator.
 func ExampleGHZ() {
-	st, _ := repro.RunCircuit(repro.GHZ(4))
+	st, _ := repro.RunCircuit(context.Background(), repro.GHZ(4))
 	fmt.Printf("P(|0000>) = %.2f\n", st.Probability(0))
 	fmt.Printf("P(|1111>) = %.2f\n", st.Probability(15))
 	// Output:

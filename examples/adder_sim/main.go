@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,6 +34,7 @@ func encode(n, cin, a, b int) int {
 }
 
 func main() {
+	ctx := context.Background()
 	adder := repro.Adder(m)
 	fmt.Printf("CDKM adder: %d qubits, %d CX after Toffoli expansion\n",
 		adder.N, adder.CountByName("cx"))
@@ -43,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	routed, err := repro.StochasticSwap(g, adder, layout, rand.New(rand.NewSource(1)), 10)
+	routed, err := repro.StochasticSwap(ctx, g, adder, layout, rand.New(rand.NewSource(1)), 10, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := st.Run(adder); err != nil {
+		if err := st.RunCtx(ctx, adder); err != nil {
 			log.Fatal(err)
 		}
 		logical, _ := st.DominantBasisState()
@@ -80,7 +82,7 @@ func main() {
 		}
 		phys.Amp[0] = 0
 		phys.Amp[pidx] = 1
-		if err := phys.Run(exact); err != nil {
+		if err := phys.RunCtx(ctx, exact); err != nil {
 			log.Fatal(err)
 		}
 		physIdx, p := phys.DominantBasisState()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	c := repro.GHZ(n)
 	machine := repro.Tree20SqrtISwap()
 
-	tr, err := machine.Transpile(c, repro.DefaultOptions())
+	tr, err := machine.TranspileContext(context.Background(), c, repro.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := repro.RunCircuit(exact)
+	st, err := repro.RunCircuit(context.Background(), exact)
 	if err != nil {
 		log.Fatal(err)
 	}

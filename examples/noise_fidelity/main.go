@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -29,7 +30,7 @@ func main() {
 	}
 	var rows []result
 	for _, m := range []repro.Machine{repro.HeavyHex20CX(), repro.Tree20SqrtISwap()} {
-		tr, err := m.Transpile(c, repro.DefaultOptions())
+		tr, err := m.TranspileContext(context.Background(), c, repro.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,7 +24,7 @@ func main() {
 		width, c.CountByName("rzz"))
 	fmt.Printf("%-24s %10s %10s %10s %12s\n", "machine", "swaps", "total2Q", "crit2Q", "pulseDur")
 	for _, m := range repro.Machines16() {
-		met, err := m.Evaluate(c, repro.DefaultOptions())
+		met, err := m.EvaluateContext(context.Background(), c, repro.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,7 +20,7 @@ func main() {
 		repro.HeavyHex20CX(),
 		repro.Tree20SqrtISwap(),
 	} {
-		met, err := machine.Evaluate(c, repro.DefaultOptions())
+		met, err := machine.EvaluateContext(context.Background(), c, repro.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,10 +1,16 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/sim"
+	"repro/internal/transpile"
+	"repro/internal/workloads"
 )
 
 // TestIntegrationFullPipelineSemantics drives the public API end to end:
@@ -12,13 +18,13 @@ import (
 // statevector simulation, and checks the physical machine computes the same
 // state as the logical circuit (up to the final layout permutation).
 func TestIntegrationFullPipelineSemantics(t *testing.T) {
-	c := QFT(6, true)
+	c := workloads.QFT(6, true)
 	g := Corral12()
 	layout, err := DenseLayout(g, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(55)), 8)
+	routed, err := transpile.StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(55)), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +32,11 @@ func TestIntegrationFullPipelineSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logical, err := RunCircuit(c)
+	logical, err := sim.RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	physical, err := RunCircuit(exact)
+	physical, err := sim.RunCircuitCtx(context.Background(), exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestIntegrationCodesignOrderingAcrossWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hh, err := HeavyHex20CX().Evaluate(c, opt)
+		hh, err := HeavyHex20CX().EvaluateContext(context.Background(), c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +86,7 @@ func TestIntegrationCodesignOrderingAcrossWorkloads(t *testing.T) {
 		for _, m := range []Machine{
 			Tree20SqrtISwap(), TreeRR20SqrtISwap(), Corral11SqrtISwap(), Corral12SqrtISwap(),
 		} {
-			met, err := m.Evaluate(c, opt)
+			met, err := m.EvaluateContext(context.Background(), c, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,16 +105,16 @@ func TestIntegrationCodesignOrderingAcrossWorkloads(t *testing.T) {
 // translation through the facade on a routed circuit.
 func TestIntegrationHeteroExtension(t *testing.T) {
 	m := Tree20SqrtISwap()
-	c := QFT(10, true)
-	tr, err := m.Transpile(c, DefaultOptions())
+	c := workloads.QFT(10, true)
+	tr, err := m.TranspileContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	het, err := TranslateHetero(tr.Routed)
+	het, err := transpile.TranslateHetero(tr.Routed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dHet := HeteroPulseDuration(het)
+	dHet := transpile.HeteroPulseDuration(het)
 	if dHet <= 0 || dHet > tr.Metrics.PulseDuration+1e-9 {
 		t.Fatalf("hetero duration %g vs homogeneous %g", dHet, tr.Metrics.PulseDuration)
 	}
@@ -117,9 +123,9 @@ func TestIntegrationHeteroExtension(t *testing.T) {
 // TestIntegrationCorralScalingFacade runs the §7 scaling study through the
 // facade.
 func TestIntegrationCorralScalingFacade(t *testing.T) {
-	cfg := QuickExperimentConfig()
+	cfg := experiments.QuickConfig()
 	cfg.Parallelism = 1
-	rows, err := CorralScaling([]int{6, 8}, cfg)
+	rows, err := experiments.CorralScalingContext(context.Background(), []int{6, 8}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

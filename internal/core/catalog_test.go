@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -138,11 +139,11 @@ func TestFromSpecTiming(t *testing.T) {
 	probe := circuit.New(3)
 	probe.CX(0, 1)
 	probe.CX(1, 2)
-	fastT, err := m.Transpile(probe, DefaultOptions())
+	fastT, err := m.TranspileContext(context.Background(), probe, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowT, err := slow.Transpile(probe, DefaultOptions())
+	slowT, err := slow.TranspileContext(context.Background(), probe, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

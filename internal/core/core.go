@@ -145,12 +145,13 @@ const (
 // Options controls an evaluation run.
 //
 // Parallelism bounds the cell pool of the multi-cell drivers (sweeps,
-// Headlines, CorralScaling, Fig. 15): 0 means auto (runtime.GOMAXPROCS), 1
-// pins the run serial, and larger values cap the pool explicitly. A single
-// Evaluate or Transpile is serial and ignores it. Results are
-// bit-identical across all settings — every cell derives its seed from
-// its coordinates and lands in an index-addressed slot, so Parallelism
-// only changes wall-clock time, never metrics.
+// HeadlinesContext, CorralScalingContext, Fig. 15): 0 means auto
+// (runtime.GOMAXPROCS), 1 pins the run serial, and larger values cap the
+// pool explicitly. A single EvaluateContext or TranspileContext is serial
+// and ignores it. Results are bit-identical across all settings — every
+// cell derives its seed from its coordinates and lands in an
+// index-addressed slot, so Parallelism only changes wall-clock time, never
+// metrics.
 type Options struct {
 	Seed        int64      // RNG seed for routing (fixed per experiment)
 	Trials      int        // StochasticSwap trials (0 → default 20)
@@ -201,7 +202,7 @@ type Options struct {
 	// beyond sim.MaxQubits, so it is an opt-in assurance knob for the
 	// small machines, not a default. Verification changes no artifact or
 	// metric, so it needs no cache-key field of its own — but a verified
-	// Evaluate never *reads* the cache either: serving a cached (possibly
+	// EvaluateContext never *reads* the cache either: serving a cached (possibly
 	// never-verified) result would skip the very check the knob asks for.
 	// Verified runs always run the full pipeline.
 	Verify bool
@@ -235,12 +236,13 @@ type Options struct {
 	// routed circuit itself, so the two routings never share entries.
 	NoiseRoute NoiseRouteMode
 
-	// Cache, when non-nil, memoizes Evaluate results content-addressed by
-	// (machine name, topology fingerprint, basis, circuit fingerprint, seed,
-	// trials, router). Because routing is a pure function of those inputs, a
-	// hit is byte-identical to recomputing; Parallelism is deliberately
-	// excluded from the key since it never changes results. Concurrent
-	// Evaluate calls on the same key compute once and share the result.
+	// Cache, when non-nil, memoizes EvaluateContext results
+	// content-addressed by (machine name, topology fingerprint, basis,
+	// circuit fingerprint, seed, trials, router). Because routing is a pure
+	// function of those inputs, a hit is byte-identical to recomputing;
+	// Parallelism is deliberately excluded from the key since it never
+	// changes results. Concurrent EvaluateContext calls on the same key
+	// compute once and share the result.
 	Cache *cache.Store[Metrics]
 }
 
@@ -314,21 +316,18 @@ type Transpiled struct {
 	Timings []transpile.PassTiming
 }
 
-// Evaluate runs the full Fig. 10 flow on a logical circuit and returns the
-// paper's metrics. With Options.Cache set, the result is served from the
-// content-addressed cache when an identical evaluation already ran (or is
-// running concurrently); cold and warm calls return identical Metrics.
-func (m Machine) Evaluate(c *circuit.Circuit, opt Options) (Metrics, error) {
-	return m.EvaluateContext(context.Background(), c, opt)
-}
-
-// EvaluateContext is Evaluate with caller-supplied cancellation plus the
-// Options.CellTimeout per-cell budget: the effective context is the
-// caller's, tightened by the timeout when one is set. A cancelled or
-// expired evaluation fails with the context's error (never cached —
-// errors are not cacheable — so a later retry under a looser budget
-// recomputes cleanly). Concurrent deduplicated callers of the same key
-// share the first caller's outcome, including its timeout error.
+// EvaluateContext runs the full Fig. 10 flow on a logical circuit and
+// returns the paper's metrics. With Options.Cache set, the result is served
+// from the content-addressed cache when an identical evaluation already ran
+// (or is running concurrently); cold and warm calls return identical
+// Metrics.
+//
+// The effective context is the caller's, tightened by Options.CellTimeout
+// when one is set. A cancelled or expired evaluation fails with the
+// context's error (never cached — errors are not cacheable — so a later
+// retry under a looser budget recomputes cleanly). Concurrent deduplicated
+// callers of the same key share the first caller's outcome, including its
+// timeout error.
 func (m Machine) EvaluateContext(ctx context.Context, c *circuit.Circuit, opt Options) (Metrics, error) {
 	if opt.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -556,7 +555,7 @@ func (m Machine) Pipeline(opt Options) (transpile.Pipeline, error) {
 	return append(pipe, transpile.TranslatePass{}), nil
 }
 
-// Transpile runs the machine's pass pipeline — placement, routing,
+// TranspileContext runs the machine's pass pipeline — placement, routing,
 // optionally profile-guided re-routing, and basis translation — returning
 // all intermediate artifacts and metrics. With Options.ProfileGuided set,
 // the first routing acts as a pilot whose measured per-edge SWAP pressure
@@ -564,14 +563,11 @@ func (m Machine) Pipeline(opt Options) (transpile.Pipeline, error) {
 // placement+routing passes; the cheapest routing wins (incumbent on ties),
 // so guided mode is never worse than the baseline on the metric it
 // optimizes.
-func (m Machine) Transpile(c *circuit.Circuit, opt Options) (*Transpiled, error) {
-	return m.TranspileContext(context.Background(), c, opt)
-}
-
-// TranspileContext is Transpile with caller-supplied cancellation threaded
-// into the pass pipeline (checked between passes and polled inside the
-// routers and verification). Note CellTimeout is EvaluateContext's concern;
-// this method honors only the context it is given.
+//
+// ctx is threaded into the pass pipeline (checked between passes and
+// polled inside the routers and verification). CellTimeout is
+// EvaluateContext's concern; this method honors only the context it is
+// given.
 func (m Machine) TranspileContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Transpiled, error) {
 	if m.Graph == nil {
 		return nil, fmt.Errorf("core: machine %q has no topology", m.Name)

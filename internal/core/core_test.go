@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func TestEvaluateGHZOnTree(t *testing.T) {
 	m := Tree20SqrtISwap()
 	c := workloads.GHZ(10)
-	met, err := m.Evaluate(c, DefaultOptions())
+	met, err := m.EvaluateContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func TestEvaluateGHZOnTree(t *testing.T) {
 func TestEvaluateDeterministic(t *testing.T) {
 	m := HeavyHex20CX()
 	c := workloads.QFT(10, true)
-	a, err := m.Evaluate(c, DefaultOptions())
+	a, err := m.EvaluateContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Evaluate(c, DefaultOptions())
+	b, err := m.EvaluateContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestCodesignAdvantageQV(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := workloads.QuantumVolume(12, rng)
 	opt := DefaultOptions()
-	hh, err := HeavyHex20CX().Evaluate(c, opt)
+	hh, err := HeavyHex20CX().EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := Hypercube16SqrtISwap().Evaluate(c, opt)
+	hc, err := Hypercube16SqrtISwap().EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSabreRouterOption(t *testing.T) {
 	c := workloads.QFT(8, true)
 	opt := DefaultOptions()
 	opt.Router = RouterSabre
-	met, err := m.Evaluate(c, opt)
+	met, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestMachineCatalogs(t *testing.T) {
 func TestTranspiledArtifacts(t *testing.T) {
 	m := Corral11SqrtISwap()
 	c := workloads.TIMHamiltonian(10, 1)
-	tr, err := m.Transpile(c, DefaultOptions())
+	tr, err := m.TranspileContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,11 @@ func TestTranspiledArtifacts(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	m := Machine{Name: "empty"}
-	if _, err := m.Evaluate(workloads.GHZ(4), DefaultOptions()); err == nil {
+	if _, err := m.EvaluateContext(context.Background(), workloads.GHZ(4), DefaultOptions()); err == nil {
 		t.Error("nil topology accepted")
 	}
 	small := NewMachine("small", topology.SquareLattice(2, 2), weyl.BasisCX)
-	if _, err := small.Evaluate(workloads.GHZ(9), DefaultOptions()); err == nil {
+	if _, err := small.EvaluateContext(context.Background(), workloads.GHZ(9), DefaultOptions()); err == nil {
 		t.Error("oversized circuit accepted")
 	}
 }

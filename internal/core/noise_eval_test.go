@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,7 +129,7 @@ func TestFidelityMetrics(t *testing.T) {
 	}
 	c := workloads.GHZ(8)
 	opt := DefaultOptions()
-	off, err := m.Evaluate(c, opt)
+	off, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestFidelityMetrics(t *testing.T) {
 		t.Fatalf("fidelity metrics nonzero with FidelityOff: %+v", off)
 	}
 	opt.Fidelity = FidelityCount
-	on, err := m.Evaluate(c, opt)
+	on, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +176,12 @@ func TestMachineProfileWinsOverOptions(t *testing.T) {
 	c := workloads.GHZ(6)
 	opt := DefaultOptions()
 	opt.Fidelity = FidelityCount
-	own, err := m.Evaluate(c, opt)
+	own, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Noise = &arch.NoiseProfile{E2Q: 0.5}
-	overlaid, err := m.Evaluate(c, opt)
+	overlaid, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestMachineProfileWinsOverOptions(t *testing.T) {
 	}
 	// A profile-less machine falls back to the Options default.
 	bare := HeavyHex20CX()
-	fallback, err := bare.Evaluate(c, opt)
+	fallback, err := bare.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,24 +208,24 @@ func TestNoiseConfigErrors(t *testing.T) {
 	c := workloads.GHZ(6)
 	opt := DefaultOptions()
 	opt.Fidelity = FidelityCount
-	if _, err := m.Evaluate(c, opt); err == nil || !strings.Contains(err.Error(), "no noise profile") {
+	if _, err := m.EvaluateContext(context.Background(), c, opt); err == nil || !strings.Contains(err.Error(), "no noise profile") {
 		t.Fatalf("profile-less fidelity estimation error = %v", err)
 	}
 	opt = DefaultOptions()
 	opt.NoiseRoute = NoiseRoutePure
-	if _, err := m.Evaluate(c, opt); err == nil || !strings.Contains(err.Error(), "no noise profile") {
+	if _, err := m.EvaluateContext(context.Background(), c, opt); err == nil || !strings.Contains(err.Error(), "no noise profile") {
 		t.Fatalf("profile-less noise routing error = %v", err)
 	}
 	opt = DefaultOptions()
 	opt.Noise = &arch.NoiseProfile{E2Q: 0.01}
 	opt.NoiseRoute = NoiseRouteMode(99)
-	if _, err := m.Evaluate(c, opt); err == nil {
+	if _, err := m.EvaluateContext(context.Background(), c, opt); err == nil {
 		t.Fatal("unknown noise-route mode accepted")
 	}
 	opt = DefaultOptions()
 	opt.Noise = &arch.NoiseProfile{E2Q: 0.01}
 	opt.Fidelity = FidelityModel(99)
-	if _, err := m.Evaluate(c, opt); err == nil {
+	if _, err := m.EvaluateContext(context.Background(), c, opt); err == nil {
 		t.Fatal("unknown fidelity model accepted")
 	}
 }
@@ -246,7 +247,7 @@ func TestErrorWeightedRoutingBeatsHops(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := Options{Seed: 2022, Trials: 5, Fidelity: FidelityCount, NoiseRoute: mode}
-		met, err := m.Evaluate(c, opt)
+		met, err := m.EvaluateContext(context.Background(), c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -25,9 +26,9 @@ func legacyTranspile(m Machine, c *circuit.Circuit, opt Options) (*Transpiled, e
 		var routed *transpile.RouteResult
 		switch opt.Router {
 		case RouterStochastic:
-			routed, err = transpile.StochasticSwapCost(m.Graph, c, layout, rng, opt.Trials, cost)
+			routed, err = transpile.StochasticSwapCostCtx(context.Background(), m.Graph, c, layout, rng, opt.Trials, cost)
 		case RouterSabre:
-			routed, err = transpile.SabreSwapCost(m.Graph, c, layout, rng, cost)
+			routed, err = transpile.SabreSwapCostCtx(context.Background(), m.Graph, c, layout, rng, cost)
 		default:
 			return nil, nil, fmt.Errorf("unknown router %d", opt.Router)
 		}
@@ -102,7 +103,7 @@ func TestPipelineMatchesLegacyTranspile(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s legacy: %v", m.Name, wl, err)
 				}
-				got, err := m.Transpile(c, opt)
+				got, err := m.TranspileContext(context.Background(), c, opt)
 				if err != nil {
 					t.Fatalf("%s/%s pipeline: %v", m.Name, wl, err)
 				}
@@ -144,7 +145,7 @@ func TestProfileIterationsMonotone(t *testing.T) {
 		}
 		prev := -1
 		for n := 1; n <= 4; n++ {
-			tr, err := m.Transpile(c, Options{Seed: 2022, Trials: 5, ProfileGuided: true, ProfileIterations: n})
+			tr, err := m.TranspileContext(context.Background(), c, Options{Seed: 2022, Trials: 5, ProfileGuided: true, ProfileIterations: n})
 			if err != nil {
 				t.Fatalf("%s iterations=%d: %v", m.Name, n, err)
 			}
@@ -166,11 +167,11 @@ func TestProfileIterationsDefaultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := m.Evaluate(c, Options{Seed: 2022, Trials: 5, ProfileGuided: true})
+	zero, err := m.EvaluateContext(context.Background(), c, Options{Seed: 2022, Trials: 5, ProfileGuided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := m.Evaluate(c, Options{Seed: 2022, Trials: 5, ProfileGuided: true, ProfileIterations: 1})
+	one, err := m.EvaluateContext(context.Background(), c, Options{Seed: 2022, Trials: 5, ProfileGuided: true, ProfileIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

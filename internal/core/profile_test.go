@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,11 +31,11 @@ func TestProfileGuidedNeverWorse(t *testing.T) {
 			base := Options{Seed: 2022, Trials: 5}
 			guided := base
 			guided.ProfileGuided = true
-			mb, err := m.Evaluate(c, base)
+			mb, err := m.EvaluateContext(context.Background(), c, base)
 			if err != nil {
 				t.Fatalf("%s/%s baseline: %v", m.Name, wl, err)
 			}
-			mg, err := m.Evaluate(c, guided)
+			mg, err := m.EvaluateContext(context.Background(), c, guided)
 			if err != nil {
 				t.Fatalf("%s/%s guided: %v", m.Name, wl, err)
 			}
@@ -52,11 +53,11 @@ func TestProfileGuidedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Seed: 7, Trials: 5, ProfileGuided: true}
-	a, err := m.Evaluate(c, opt)
+	a, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Evaluate(c, opt)
+	b, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestProfileGuidedSabre(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := m.Evaluate(c, Options{Seed: 7, Router: RouterSabre})
+	base, err := m.EvaluateContext(context.Background(), c, Options{Seed: 7, Router: RouterSabre})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := m.Evaluate(c, Options{Seed: 7, Router: RouterSabre, ProfileGuided: true})
+	guided, err := m.EvaluateContext(context.Background(), c, Options{Seed: 7, Router: RouterSabre, ProfileGuided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +91,14 @@ func TestProfileGuidedTranspileExposesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := m.Transpile(c, Options{Seed: 7, Trials: 5})
+	tr, err := m.TranspileContext(context.Background(), c, Options{Seed: 7, Trials: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Profile != nil {
 		t.Error("baseline transpile should carry no profile")
 	}
-	tg, err := m.Transpile(c, Options{Seed: 7, Trials: 5, ProfileGuided: true})
+	tg, err := m.TranspileContext(context.Background(), c, Options{Seed: 7, Trials: 5, ProfileGuided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +144,10 @@ func TestProfileGuidedCacheIsolation(t *testing.T) {
 	base := Options{Seed: 2022, Trials: 5, Cache: store}
 	guided := base
 	guided.ProfileGuided = true
-	if _, err := m.Evaluate(c, base); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Evaluate(c, guided); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, guided); err != nil {
 		t.Fatal(err)
 	}
 	st := store.Stats()
@@ -157,10 +158,10 @@ func TestProfileGuidedCacheIsolation(t *testing.T) {
 		t.Errorf("hits = %d, want 0 (cross-mode hit!)", st.Hits())
 	}
 	// Same-mode repeats hit.
-	if _, err := m.Evaluate(c, base); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Evaluate(c, guided); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, guided); err != nil {
 		t.Fatal(err)
 	}
 	st = store.Stats()

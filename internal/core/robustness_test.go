@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/workloads"
 )
 
@@ -36,37 +38,83 @@ func TestEvaluateContextCancelled(t *testing.T) {
 }
 
 // TestEvaluateKeyExcludesRuntimeKnobs pins the cache-key contract the
-// resume journal depends on: CellTimeout and Parallelism never change what
-// an evaluation computes, so they must not change its identity — while a
-// semantic input (the seed) must.
+// resume journal depends on, field by field over Options. The runtime
+// knobs (Parallelism, CellTimeout, Verify, Cache) never change what an
+// evaluation computes, so they must not change its identity; every other
+// field must move the key under a base that activates it (ProfileIterations
+// under ProfileGuided, NoiseShots under Monte-Carlo, Noise under a fidelity
+// model). The table is checked against the struct, so a new Options field
+// fails here until it is classified.
 func TestEvaluateKeyExcludesRuntimeKnobs(t *testing.T) {
 	m := HeavyHex20CX()
 	c := workloads.QFT(8, true)
+	store, err := NewMetricsCache(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type edit func(*Options)
+	guided := func(o *Options) { o.ProfileGuided = true }
+	counted := func(o *Options) { o.Fidelity = FidelityCount; o.Noise = &arch.NoiseProfile{E2Q: 0.01} }
+	sampled := func(o *Options) { o.Fidelity = FidelityMonteCarlo }
+	runtimeOnly := map[string]edit{
+		"Parallelism": func(o *Options) { o.Parallelism = 4 },
+		"CellTimeout": func(o *Options) { o.CellTimeout = time.Second },
+		"Verify":      func(o *Options) { o.Verify = true },
+		"Cache":       func(o *Options) { o.Cache = store },
+	}
+	keyed := map[string][2]edit{
+		"Seed":              {nil, func(o *Options) { o.Seed = 2023 }},
+		"Trials":            {nil, func(o *Options) { o.Trials = 7 }},
+		"Router":            {nil, func(o *Options) { o.Router = RouterSabre }},
+		"ProfileGuided":     {nil, guided},
+		"ProfileIterations": {guided, func(o *Options) { o.ProfileIterations = 3 }},
+		"Noise":             {counted, func(o *Options) { o.Noise = &arch.NoiseProfile{E2Q: 0.02} }},
+		"Fidelity":          {nil, func(o *Options) { o.Fidelity = FidelityCount }},
+		"NoiseShots":        {sampled, func(o *Options) { o.NoiseShots = 64 }},
+		"NoiseRoute":        {nil, func(o *Options) { o.NoiseRoute = NoiseRoutePure }},
+	}
 	base := Options{Seed: 2022, Trials: 5}
-	timed := base
-	timed.CellTimeout = time.Second
-	parallel := base
-	parallel.Parallelism = 4
-	if m.EvaluateKey(c, base) != m.EvaluateKey(c, timed) {
-		t.Fatal("CellTimeout changed the evaluate key")
+	for name, e := range runtimeOnly {
+		o := base
+		e(&o)
+		if m.EvaluateKey(c, base) != m.EvaluateKey(c, o) {
+			t.Errorf("%s changed the evaluate key", name)
+		}
 	}
-	if m.EvaluateKey(c, base) != m.EvaluateKey(c, parallel) {
-		t.Fatal("Parallelism changed the evaluate key")
+	for name, e := range keyed {
+		from := base
+		if e[0] != nil {
+			e[0](&from)
+		}
+		to := from
+		e[1](&to)
+		if m.EvaluateKey(c, from) == m.EvaluateKey(c, to) {
+			t.Errorf("%s did not change the evaluate key", name)
+		}
 	}
-	reseeded := base
-	reseeded.Seed = 2023
-	if m.EvaluateKey(c, base) == m.EvaluateKey(c, reseeded) {
-		t.Fatal("seed did not change the evaluate key")
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		if _, ok := runtimeOnly[name]; ok {
+			continue
+		}
+		if _, ok := keyed[name]; !ok {
+			t.Errorf("Options.%s is not classified as keyed or runtime-only", name)
+		}
+	}
+	if n := len(runtimeOnly) + len(keyed); n != rt.NumField() {
+		t.Errorf("%d classified fields, Options has %d", n, rt.NumField())
 	}
 }
 
-// TestEvaluateContextMatchesEvaluate: threading a live context (and a
-// generous timeout) through an evaluation must not change its metrics.
+// TestEvaluateContextMatchesEvaluate: an evaluation under
+// context.Background() and one under a generous CellTimeout (a live
+// deadline context) must report the same metrics.
 func TestEvaluateContextMatchesEvaluate(t *testing.T) {
 	m := Tree20SqrtISwap()
 	c := workloads.QFT(8, true)
 	opt := DefaultOptions()
-	want, err := m.Evaluate(c, opt)
+	want, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,12 +17,12 @@ func TestEvaluateVerifyNeutral(t *testing.T) {
 	c := workloads.QuantumVolume(8, rand.New(rand.NewSource(6)))
 	for _, m := range []Machine{Tree20SqrtISwap(), Corral11SqrtISwap(), HeavyHex20CX()} {
 		base := Options{Seed: 2022, Trials: 5}
-		plain, err := m.Evaluate(c, base)
+		plain, err := m.EvaluateContext(context.Background(), c, base)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
 		base.Verify = true
-		verified, err := m.Evaluate(c, base)
+		verified, err := m.EvaluateContext(context.Background(), c, base)
 		if err != nil {
 			t.Fatalf("%s verified: %v", m.Name, err)
 		}
@@ -42,13 +43,13 @@ func TestEvaluateVerifyBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Seed: 2022, Trials: 5, Cache: store}
-	warm, err := m.Evaluate(c, opt) // fills the cache
+	warm, err := m.EvaluateContext(context.Background(), c, opt) // fills the cache
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := store.Stats()
 	opt.Verify = true
-	verified, err := m.Evaluate(c, opt)
+	verified, err := m.EvaluateContext(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestEvaluateVerifyGuided(t *testing.T) {
 	c := workloads.QuantumVolume(8, rand.New(rand.NewSource(7)))
 	m := Tree20SqrtISwap()
 	opt := Options{Seed: 2022, Trials: 5, ProfileGuided: true, Verify: true}
-	if _, err := m.Evaluate(c, opt); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, opt); err != nil {
 		t.Fatalf("guided verified evaluation: %v", err)
 	}
 }
@@ -78,7 +79,7 @@ func TestEvaluateVerifyGuided(t *testing.T) {
 func TestEvaluateVerifyWidthError(t *testing.T) {
 	c := workloads.QuantumVolume(32, rand.New(rand.NewSource(8)))
 	m := Hypercube84SqrtISwap()
-	_, err := m.Evaluate(c, Options{Seed: 2022, Trials: 5, Verify: true})
+	_, err := m.EvaluateContext(context.Background(), c, Options{Seed: 2022, Trials: 5, Verify: true})
 	if err == nil {
 		t.Skip("32-qubit routing stayed simulable; width error not exercised")
 	}

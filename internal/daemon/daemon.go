@@ -70,7 +70,7 @@ const (
 	metricsPath          = "/metrics"
 	evaluatePath         = "/evaluate"
 	sweepPath            = "/sweep"
-	sweepJournalDomain   = "daemon.Sweep/v1"
+	sweepJournalDomain   = "daemon.Sweep/v2"
 	ndjsonContentType    = "application/x-ndjson"
 	jsonContentType      = "application/json"
 	maxEvaluateBodyBytes = 1 << 20

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
@@ -319,6 +321,77 @@ func testSweepRequest() SweepRequest {
 		Sizes:     []int{3, 4},
 		Seed:      experiments.DefaultSeed,
 		Trials:    1,
+	}
+}
+
+// TestSweepJournalKeyIdentity pins which SweepRequest fields address a
+// sweep's journal. Spellings the server evaluates identically must share
+// one journal, so a re-POST after a drain resumes instead of recomputing;
+// CellTimeoutMS only bounds runtime and never moves the key; every other
+// field separates keys. The field list is checked against the struct, so
+// a new SweepRequest field fails here until it is classified.
+func TestSweepJournalKeyIdentity(t *testing.T) {
+	key := func(req SweepRequest) cache.Key {
+		t.Helper()
+		spec, err := SpecFromRequest(req)
+		if err != nil {
+			t.Fatalf("SpecFromRequest(%+v): %v", req, err)
+		}
+		return sweepJournalKey(req, spec)
+	}
+	type edit func(*SweepRequest)
+	guided := func(r *SweepRequest) { r.Profile = true }
+	same := []struct {
+		name string
+		a, b edit
+	}{
+		{"router default vs stochastic", func(r *SweepRequest) { r.Router = "" }, func(r *SweepRequest) { r.Router = "stochastic" }},
+		{"trials default vs 20", func(r *SweepRequest) { r.Trials = 0 }, func(r *SweepRequest) { r.Trials = 20 }},
+		{"guided iterations 0 vs 1", guided, func(r *SweepRequest) { r.Profile, r.ProfileIterations = true, 1 }},
+		{"iterations without guidance", func(r *SweepRequest) {}, func(r *SweepRequest) { r.ProfileIterations = 3 }},
+		{"cell timeout", func(r *SweepRequest) {}, func(r *SweepRequest) { r.CellTimeoutMS = 5000 }},
+	}
+	for _, tc := range same {
+		a, b := testSweepRequest(), testSweepRequest()
+		tc.a(&a)
+		tc.b(&b)
+		if key(a) != key(b) {
+			t.Errorf("%s: keys differ for requests the server evaluates identically", tc.name)
+		}
+	}
+	runtimeOnly := map[string]bool{"CellTimeoutMS": true}
+	separates := map[string][2]edit{
+		"ID":                {nil, func(r *SweepRequest) { r.ID = "other" }},
+		"Kind":              {nil, func(r *SweepRequest) { r.Kind = "codesign" }},
+		"Machines":          {nil, func(r *SweepRequest) { r.Machines = "grid:rows=2,cols=2,name=G" }},
+		"Workloads":         {nil, func(r *SweepRequest) { r.Workloads = []string{"QFT"} }},
+		"Sizes":             {nil, func(r *SweepRequest) { r.Sizes = []int{3} }},
+		"Seed":              {nil, func(r *SweepRequest) { r.Seed++ }},
+		"Trials":            {nil, func(r *SweepRequest) { r.Trials = 2 }},
+		"Router":            {nil, func(r *SweepRequest) { r.Router = "sabre" }},
+		"Profile":           {nil, guided},
+		"ProfileIterations": {guided, func(r *SweepRequest) { r.Profile, r.ProfileIterations = true, 3 }},
+	}
+	for name, e := range separates {
+		a, b := testSweepRequest(), testSweepRequest()
+		if e[0] != nil {
+			e[0](&a)
+			e[0](&b)
+		}
+		e[1](&b)
+		if key(a) == key(b) {
+			t.Errorf("changing %s did not change the journal key", name)
+		}
+	}
+	rt := reflect.TypeOf(SweepRequest{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		if _, ok := separates[name]; !ok && !runtimeOnly[name] {
+			t.Errorf("SweepRequest.%s is not classified as key-separating or runtime-only", name)
+		}
+	}
+	if n := len(separates) + len(runtimeOnly); n != rt.NumField() {
+		t.Errorf("%d classified fields, SweepRequest has %d", n, rt.NumField())
 	}
 }
 

@@ -139,27 +139,38 @@ func SpecFromRequest(req SweepRequest) (experiments.SweepSpec, error) {
 
 // sweepJournalKey content-addresses a sweep's identity for its journal
 // file name: everything that determines the cells' values, nothing that
-// only bounds runtime (CellTimeoutMS). Two clients POSTing the same sweep
-// share one journal; a changed seed or machine list gets a fresh one.
-func sweepJournalKey(req SweepRequest) cache.Key {
+// only bounds runtime (CellTimeoutMS). It reads the validated spec, not
+// the raw request, so spellings the server evaluates identically share a
+// journal: the router by kind ("" and "stochastic" are one router), the
+// trial count as every cell runs it (0 resolves to the mode default), and
+// the profile iteration count only in guided mode and only above 1 —
+// EvaluateKey's rule that 0 and 1 are the same single reweight step. Two
+// clients POSTing the same sweep share one journal; a changed seed or
+// machine list gets a fresh one.
+func sweepJournalKey(req SweepRequest, spec experiments.SweepSpec) cache.Key {
+	// SpecFromRequest guarantees a machine and a workload, so the zero
+	// cell resolves; only its Trials is read.
+	trials := spec.CellOptions(experiments.SweepCell{}).Trials
 	h := cache.NewHasher(sweepJournalDomain)
-	h.WriteString(req.ID)
-	h.WriteString(req.Kind)
+	h.WriteString(spec.ID)
+	h.WriteInt(int64(spec.Kind))
 	h.WriteString(req.Machines)
-	h.WriteInt(int64(len(req.Workloads)))
-	for _, w := range req.Workloads {
+	h.WriteInt(int64(len(spec.Workloads)))
+	for _, w := range spec.Workloads {
 		h.WriteString(w)
 	}
-	h.WriteInt(int64(len(req.Sizes)))
-	for _, s := range req.Sizes {
+	h.WriteInt(int64(len(spec.Sizes)))
+	for _, s := range spec.Sizes {
 		h.WriteInt(int64(s))
 	}
-	h.WriteInt(req.Seed)
-	h.WriteInt(int64(req.Trials))
-	h.WriteString(req.Router)
-	if req.Profile {
+	h.WriteInt(spec.Seed)
+	h.WriteInt(int64(trials))
+	h.WriteInt(int64(spec.Router))
+	if spec.ProfileGuided {
 		h.WriteInt(1)
-		h.WriteInt(int64(req.ProfileIterations))
+		if spec.ProfileIterations > 1 {
+			h.WriteInt(int64(spec.ProfileIterations))
+		}
 	}
 	return h.Sum()
 }
@@ -196,7 +207,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var journal *experiments.Journal
 	if s.cfg.JournalDir != "" {
-		path := filepath.Join(s.cfg.JournalDir, sweepJournalKey(req).String()+".journal")
+		path := filepath.Join(s.cfg.JournalDir, sweepJournalKey(req, spec).String()+".journal")
 		journal, err = experiments.OpenJournal(path)
 		if err != nil {
 			// A broken journal degrades to recomputing, never to refusing

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestSweepWarmCacheByteIdentical(t *testing.T) {
 		t.Run(spec.ID, func(t *testing.T) {
 			uncached := spec
 			uncached.Parallelism = 1
-			want, err := uncached.Run()
+			want, err := uncached.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,7 +28,7 @@ func TestSweepWarmCacheByteIdentical(t *testing.T) {
 			cold := spec
 			cold.Parallelism = 1
 			cold.Cache = store
-			got, err := cold.Run()
+			got, err := cold.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +41,7 @@ func TestSweepWarmCacheByteIdentical(t *testing.T) {
 			}
 
 			warm := cold
-			got, err = warm.Run()
+			got, err = warm.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +69,7 @@ func TestSweepWarmCacheParallel(t *testing.T) {
 
 	serial := spec
 	serial.Parallelism = 1
-	want, err := serial.Run()
+	want, err := serial.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSweepWarmCacheParallel(t *testing.T) {
 		par := spec
 		par.Parallelism = 4
 		par.Cache = store
-		got, err := par.Run()
+		got, err := par.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestSweepWarmCacheParallel(t *testing.T) {
 // additional Evaluate routing calls and returns identical ratios.
 func TestHeadlinesSharedStoreNoExtraRouting(t *testing.T) {
 	store := cache.NewMemory[core.Metrics](0)
-	first, err := Headlines(serialQuickConfig(store))
+	first, err := HeadlinesContext(context.Background(), serialQuickConfig(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestHeadlinesSharedStoreNoExtraRouting(t *testing.T) {
 		t.Fatal("first Headlines run filled nothing — store not threaded through")
 	}
 
-	second, err := Headlines(serialQuickConfig(store))
+	second, err := HeadlinesContext(context.Background(), serialQuickConfig(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,12 @@ func TestHeadlinesSharedStoreNoExtraRouting(t *testing.T) {
 // TestCorralScalingSharedStore does the same for the §7 scaling study.
 func TestCorralScalingSharedStore(t *testing.T) {
 	store := cache.NewMemory[core.Metrics](0)
-	first, err := CorralScaling([]int{6, 8}, serialQuickConfig(store))
+	first, err := CorralScalingContext(context.Background(), []int{6, 8}, serialQuickConfig(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fills := store.Stats().Fills
-	second, err := CorralScaling([]int{6, 8}, serialQuickConfig(store))
+	second, err := CorralScalingContext(context.Background(), []int{6, 8}, serialQuickConfig(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,12 @@ func TestCorralScalingSharedStore(t *testing.T) {
 func TestEvaluateKeySeparation(t *testing.T) {
 	store := cache.NewMemory[core.Metrics](0)
 	m := core.Tree20SqrtISwap()
-	c, err := circuitFor("GHZ", 8, 2022)
+	c, err := BenchmarkCircuit("GHZ", 8, 2022)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := core.Options{Seed: 1, Trials: 5, Parallelism: 1, Cache: store}
-	if _, err := m.Evaluate(c, base); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, base); err != nil {
 		t.Fatal(err)
 	}
 	variants := []core.Options{
@@ -165,7 +166,7 @@ func TestEvaluateKeySeparation(t *testing.T) {
 		{Seed: 1, Trials: 5, Router: core.RouterSabre, Parallelism: 1, Cache: store},
 	}
 	for i, opt := range variants {
-		if _, err := m.Evaluate(c, opt); err != nil {
+		if _, err := m.EvaluateContext(context.Background(), c, opt); err != nil {
 			t.Fatal(err)
 		}
 		if got := store.Stats().Fills; got != uint64(i+2) {
@@ -176,7 +177,7 @@ func TestEvaluateKeySeparation(t *testing.T) {
 	// topology: must not alias.
 	other := core.TreeRR20SqrtISwap()
 	other.Name = m.Name
-	if _, err := other.Evaluate(c, base); err != nil {
+	if _, err := other.EvaluateContext(context.Background(), c, base); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Stats().Fills; got != uint64(len(variants)+2) {
@@ -184,7 +185,7 @@ func TestEvaluateKeySeparation(t *testing.T) {
 	}
 	// And the exact original call is a pure hit.
 	fills := store.Stats().Fills
-	if _, err := m.Evaluate(c, base); err != nil {
+	if _, err := m.EvaluateContext(context.Background(), c, base); err != nil {
 		t.Fatal(err)
 	}
 	if store.Stats().Fills != fills {

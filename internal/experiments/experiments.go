@@ -43,8 +43,8 @@ import (
 const DefaultSeed = 2022
 
 // Config is the unified experiment configuration shared by every harness in
-// this package (SweepSpec, Headlines, CorralScaling, RunFig15Config) and
-// threaded through the qcbench/fidsweep CLIs and the repro facade. It
+// this package (SweepSpec, HeadlinesContext, CorralScalingContext,
+// RunFig15ConfigContext) and threaded through the qcbench/fidsweep CLIs. It
 // embeds core.Options — seed, trials, router, parallelism, profile-guided
 // mode and iterations, result cache — and adds the experiment-level Quick
 // switch, so a new evaluation knob lands in exactly one struct instead of
@@ -235,11 +235,6 @@ func BenchmarkCircuit(name string, size int, baseSeed int64) (*circuit.Circuit, 
 	return workloads.Generate(name, size, rng)
 }
 
-// circuitFor is the historical internal name for BenchmarkCircuit.
-func circuitFor(name string, size int, baseSeed int64) (*circuit.Circuit, error) {
-	return BenchmarkCircuit(name, size, baseSeed)
-}
-
 // TaskSeed derives the routing seed of one (workload, size, machine) cell
 // from the sweep coordinates via FNV, mirroring BenchmarkCircuit: the
 // seed is a pure function of what is being evaluated, never of execution
@@ -255,11 +250,6 @@ func TaskSeed(id, workload string, size int, machine string, baseSeed int64) int
 // taskSeed applies TaskSeed to this sweep's ID and base seed.
 func (s SweepSpec) taskSeed(workload string, size int, machine string) int64 {
 	return TaskSeed(s.ID, workload, size, machine, s.Seed)
-}
-
-// Run executes the sweep, returning one Series per (machine, workload).
-func (s SweepSpec) Run() ([]Series, error) {
-	return s.RunContext(context.Background())
 }
 
 // PointFromMetrics projects one cell's metrics onto the pair of values a
@@ -339,20 +329,13 @@ func (s SweepSpec) CellOptions(c SweepCell) core.Options {
 	return opt
 }
 
-// RunContext is Run with cancellation: the sweep stops dispatching cells
-// once ctx is done and returns its error (tightened by Config.Deadline
-// when one is set). Work is spread over the SweepSpec.Parallelism worker
-// pool in two stages — circuit generation per (workload, size), then
-// evaluation per (workload, size, machine) — with results written into
-// index-addressed slots so output order and content match the serial
-// sweep exactly.
-//
-// Per cell, in order: the Journal is consulted (a recorded cell replays
-// without evaluation or CellHook), then CellHook runs, then the machine
-// evaluates under the cell's context, then the result is journaled. In
-// Tolerant mode a failing cell is recorded and skipped instead of
-// aborting the sweep; the partial Series is returned together with the
-// CellErrors aggregate.
+// RunContext executes the sweep, returning one Series per (machine,
+// workload). The sweep stops dispatching cells once ctx is done and
+// returns its error (tightened by Config.Deadline when one is set). Work
+// is spread over the SweepSpec.Parallelism worker pool in two stages —
+// circuit generation per (workload, size), then evaluation per (workload,
+// size, machine) — with results written into index-addressed slots so
+// output order and content match the serial sweep exactly.
 func (s SweepSpec) RunContext(ctx context.Context) ([]Series, error) {
 	if s.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -375,7 +358,7 @@ func (s SweepSpec) RunContext(ctx context.Context) ([]Series, error) {
 	genOut := make([]*circuit.Circuit, len(genKeys))
 	err := par.ForEachCtx(ctx, len(genKeys), s.Parallelism, func(i int) error {
 		k := genKeys[i]
-		c, err := circuitFor(s.Workloads[k.w], k.size, s.Seed)
+		c, err := BenchmarkCircuit(s.Workloads[k.w], k.size, s.Seed)
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%s(%d): %w", s.ID, s.Workloads[k.w], k.size, err)
 		}
@@ -666,23 +649,18 @@ type Headline struct {
 	DurationRatio float64
 }
 
-// Headlines computes the headline ratios on QuantumVolume circuits under
-// the unified Config: cfg.Parallelism bounds the pool that evaluates the
-// study's (size, machine) cells (0 = auto, 1 = serial; the ratios are
+// HeadlinesContext computes the headline ratios on QuantumVolume circuits
+// under the unified Config: cfg.Parallelism bounds the pool that evaluates
+// the study's (size, machine) cells (0 = auto, 1 = serial; the ratios are
 // identical at every setting), cfg.Cache, when non-nil, serves repeated
 // invocations from the content-addressed Evaluate cache — a second
-// Headlines call sharing a store performs zero additional routing — and
-// cfg.ProfileGuided routes both machines with the pressure-weighted
+// HeadlinesContext call sharing a store performs zero additional routing —
+// and cfg.ProfileGuided routes both machines with the pressure-weighted
 // pipeline (cache-keyed separately from baseline runs, iterated
-// cfg.ProfileIterations times).
-func Headlines(cfg Config) (Headline, error) {
-	return HeadlinesContext(context.Background(), cfg)
-}
-
-// HeadlinesContext is Headlines with cancellation: ctx (tightened by
-// cfg.Deadline when set) threads into every evaluation's cooperative
-// polls, and cfg.CellTimeout bounds each of the study's evaluations
-// individually. Neither changes the ratios a completed study reports.
+// cfg.ProfileIterations times). ctx (tightened by cfg.Deadline when set)
+// threads into every evaluation's cooperative polls, and cfg.CellTimeout
+// bounds each of the study's evaluations individually. Neither changes the
+// ratios a completed study reports.
 func HeadlinesContext(ctx context.Context, cfg Config) (Headline, error) {
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -695,7 +673,7 @@ func HeadlinesContext(ctx context.Context, cfg Config) (Headline, error) {
 	opt.Trials = cfg.effectiveTrials()
 	circs := make([]*circuit.Circuit, len(sizes))
 	for i, size := range sizes {
-		c, err := circuitFor("QuantumVolume", size, cfg.Seed)
+		c, err := BenchmarkCircuit("QuantumVolume", size, cfg.Seed)
 		if err != nil {
 			return Headline{}, err
 		}

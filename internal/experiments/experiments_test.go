@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -99,7 +100,7 @@ func TestTable2Properties(t *testing.T) {
 func TestFig11SweepShape(t *testing.T) {
 	spec := Fig11Spec(true)
 	spec.Workloads = []string{"GHZ", "QFT"} // keep the test fast
-	series, err := spec.Run()
+	series, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestFig13CodesignOrdering(t *testing.T) {
 	spec := Fig13Spec(true)
 	spec.Workloads = []string{"QuantumVolume"}
 	spec.Sizes = []int{12}
-	series, err := spec.Run()
+	series, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestFig13CodesignOrdering(t *testing.T) {
 }
 
 func TestHeadlinesDirection(t *testing.T) {
-	h, err := Headlines(serialQuickConfig(nil))
+	h, err := HeadlinesContext(context.Background(), serialQuickConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func fastDecompCfg() decomp.Config {
 }
 
 func TestFig15Small(t *testing.T) {
-	res, err := RunFig15(3, 99, fastDecompCfg())
+	res, err := fig15At(3, 99, fastDecompCfg(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +229,11 @@ func TestDurationAxis(t *testing.T) {
 }
 
 func TestCircuitForDeterminism(t *testing.T) {
-	a, err := circuitFor("QuantumVolume", 8, 2022)
+	a, err := BenchmarkCircuit("QuantumVolume", 8, 2022)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := circuitFor("QuantumVolume", 8, 2022)
+	b, err := BenchmarkCircuit("QuantumVolume", 8, 2022)
 	if err != nil {
 		t.Fatal(err)
 	}

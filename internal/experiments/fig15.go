@@ -62,32 +62,25 @@ func fig15MCSeed(seed int64, n, k, sample, fi int) int64 {
 	return int64(h.Sum64())
 }
 
-// RunFig15 reproduces the Fig. 15 study: decompose `samples` Haar-random 2Q
-// unitaries into every (n, k) template, then evaluate the
-// decoherence-vs-approximation trade-off across base fidelities.
-// The paper uses N=50; tests use fewer. Decompositions fan out over the
-// internal/par worker pool (all cores); RunFig15Parallel exposes the knob.
-func RunFig15(samples int, seed int64, cfg decomp.Config) (*Fig15Result, error) {
-	return RunFig15Parallel(samples, seed, cfg, 0)
-}
-
-// RunFig15Config is RunFig15 driven by the unified experiment Config: the
-// study seeds its Haar sampling from cfg.Seed and fans decomposition cells
-// over a cfg.Parallelism-bounded pool. With cfg.Fidelity set to
-// core.FidelityMonteCarlo, the bottom panel's per-gate decoherence factor
-// Fb^k is replaced by trajectory sampling through each optimized template
-// (cfg.NoiseShots trajectories; 0 = noise.DefaultShots), capturing the
-// error propagation the closed-form product ignores; any other fidelity
-// setting keeps the historical Eq. 13 arithmetic, byte-identical to
-// RunFig15Parallel(samples, cfg.Seed, dc, cfg.Parallelism).
-func RunFig15Config(samples int, dc decomp.Config, cfg Config) (*Fig15Result, error) {
-	return RunFig15ConfigContext(context.Background(), samples, dc, cfg)
-}
-
-// RunFig15ConfigContext is RunFig15Config with cancellation: the study
-// stops dispatching decomposition (and Monte-Carlo) cells once ctx is done
-// and returns its error, so Ctrl-C or a scheduler's SIGTERM interrupts a
-// long sensitivity sweep instead of riding it to completion.
+// RunFig15ConfigContext reproduces the Fig. 15 study: decompose `samples`
+// Haar-random 2Q unitaries into every (n, k) template, then evaluate the
+// decoherence-vs-approximation trade-off across base fidelities. The paper
+// uses N=50; tests use fewer. The study seeds its Haar sampling from
+// cfg.Seed and fans the (n, k, sample) decomposition cells over a
+// cfg.Parallelism-bounded pool (0 = auto/GOMAXPROCS, 1 = serial). Every
+// cell optimizes under its own FNV-derived RNG (fig15CellSeed) and writes
+// into an index-addressed slot, so the result is byte-identical at every
+// parallelism setting; the Adam objective is preallocated per-Decompose
+// call, so concurrent cells share no mutable state.
+//
+// With cfg.Fidelity set to core.FidelityMonteCarlo, the bottom panel's
+// per-gate decoherence factor Fb^k is replaced by trajectory sampling
+// through each optimized template (cfg.NoiseShots trajectories;
+// 0 = noise.DefaultShots), capturing the error propagation the closed-form
+// product ignores; any other fidelity setting keeps the Eq. 13 arithmetic.
+// The study stops dispatching decomposition (and Monte-Carlo) cells once
+// ctx is done and returns its error, so Ctrl-C or a scheduler's SIGTERM
+// interrupts a long sensitivity sweep instead of riding it to completion.
 func RunFig15ConfigContext(ctx context.Context, samples int, dc decomp.Config, cfg Config) (*Fig15Result, error) {
 	if cfg.Fidelity == core.FidelityMonteCarlo {
 		shots := cfg.NoiseShots
@@ -97,16 +90,6 @@ func RunFig15ConfigContext(ctx context.Context, samples int, dc decomp.Config, c
 		return runFig15(ctx, samples, cfg.Seed, dc, cfg.Parallelism, shots)
 	}
 	return runFig15(ctx, samples, cfg.Seed, dc, cfg.Parallelism, 0)
-}
-
-// RunFig15Parallel is RunFig15 with an explicit worker bound for the
-// (n, k, sample) decomposition cells (0 = auto/GOMAXPROCS, 1 = serial).
-// Every cell optimizes under its own FNV-derived RNG (fig15CellSeed) and
-// writes into an index-addressed slot, so the result is byte-identical at
-// every parallelism setting; the Adam objective is preallocated
-// per-Decompose call, so concurrent cells share no mutable state.
-func RunFig15Parallel(samples int, seed int64, cfg decomp.Config, parallelism int) (*Fig15Result, error) {
-	return runFig15(context.Background(), samples, seed, cfg, parallelism, 0)
 }
 
 // runFig15 is the shared study body. mcShots == 0 runs the closed-form

@@ -28,7 +28,7 @@ func noisySpec() SweepSpec {
 // Fidelity with a value in (0,1), and both renderers grow their fidelity
 // section — while the noise-off sweep's output stays free of it.
 func TestNoisySweepReportsFidelity(t *testing.T) {
-	series, err := noisySpec().Run()
+	series, err := noisySpec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestNoisySweepReportsFidelity(t *testing.T) {
 		t.Fatal("noisy SeriesCSV has no est_fidelity column")
 	}
 
-	clean, err := chaosSpec().Run()
+	clean, err := chaosSpec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestNoisyFaultTolerantSweep(t *testing.T) {
 	mc := noisySpec()
 	mc.Fidelity = core.FidelityMonteCarlo
 	mc.NoiseShots = 16
-	clean, err := mc.Run()
+	clean, err := mc.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,22 +114,22 @@ func TestNoisyFaultTolerantSweep(t *testing.T) {
 }
 
 // TestFig15ConfigCountPathUnchanged: without the Monte-Carlo model,
-// RunFig15Config is byte-identical to the historical RunFig15Parallel —
-// the noise refactor must not move the closed-form study.
+// RunFig15ConfigContext under DefaultConfig is byte-identical to the bare
+// closed-form study at the same seed — the noise refactor must not move it.
 func TestFig15ConfigCountPathUnchanged(t *testing.T) {
 	dc := fastDecompCfg()
-	want, err := RunFig15Parallel(2, 42, dc, 0)
+	want, err := fig15At(2, 42, dc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	got, err := RunFig15Config(2, dc, cfg)
+	got, err := RunFig15ConfigContext(context.Background(), 2, dc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunFig15Config (count path) diverged from RunFig15Parallel")
+		t.Fatal("RunFig15ConfigContext (count path) diverged from the bare study")
 	}
 }
 
@@ -143,14 +143,14 @@ func TestFig15MonteCarlo(t *testing.T) {
 	cfg.Seed = 42
 	cfg.Fidelity = core.FidelityMonteCarlo
 	cfg.NoiseShots = 16
-	mc, err := RunFig15Config(2, dc, cfg)
+	mc, err := RunFig15ConfigContext(context.Background(), 2, dc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mc.assertFinite(); err != nil {
 		t.Fatal(err)
 	}
-	closed, err := RunFig15Parallel(2, 42, dc, 0)
+	closed, err := fig15At(2, 42, dc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig15MonteCarlo(t *testing.T) {
 		}
 	}
 	cfg.Parallelism = 1
-	serial, err := RunFig15Config(2, dc, cfg)
+	serial, err := RunFig15ConfigContext(context.Background(), 2, dc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
 )
 
 // equivSpecs are reduced sweeps covering both sweep kinds and every
@@ -40,14 +41,14 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		t.Run(spec.ID, func(t *testing.T) {
 			serial := spec
 			serial.Parallelism = 1
-			want, err := serial.Run()
+			want, err := serial.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range []int{0, 4} {
 				par := spec
 				par.Parallelism = p
-				got, err := par.Run()
+				got, err := par.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,23 +60,32 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// fig15At runs the closed-form Fig. 15 study at an explicit seed and
+// decomposition-pool bound, every other Config field left zero.
+func fig15At(samples int, seed int64, dc decomp.Config, parallelism int) (*Fig15Result, error) {
+	var cfg Config
+	cfg.Seed = seed
+	cfg.Parallelism = parallelism
+	return RunFig15ConfigContext(context.Background(), samples, dc, cfg)
+}
+
 // TestFig15ParallelMatchesSerial asserts the decomposition fan-out's
 // determinism: every (n, k, sample) cell optimizes under its own
 // FNV-derived seed, so the serial and worker-pool schedules produce
 // byte-identical studies (exact float equality, not tolerance).
 func TestFig15ParallelMatchesSerial(t *testing.T) {
 	cfg := fastDecompCfg()
-	want, err := RunFig15Parallel(2, 42, cfg, 1)
+	want, err := fig15At(2, 42, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 4} {
-		got, err := RunFig15Parallel(2, 42, cfg, p)
+		got, err := fig15At(2, 42, cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("RunFig15Parallel(%d) diverges from serial", p)
+			t.Fatalf("Fig. 15 at Parallelism=%d diverges from serial", p)
 		}
 	}
 }
@@ -87,13 +97,13 @@ func TestFig15ParallelMatchesSerial(t *testing.T) {
 func TestHeadlinesParallelMatchesSerial(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Parallelism = 1
-	want, err := Headlines(cfg)
+	want, err := HeadlinesContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 4} {
 		cfg.Parallelism = p
-		got, err := Headlines(cfg)
+		got, err := HeadlinesContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +119,13 @@ func TestCorralScalingParallelMatchesSerial(t *testing.T) {
 	posts := []int{6, 8, 10}
 	cfg := QuickConfig()
 	cfg.Parallelism = 1
-	want, err := CorralScaling(posts, cfg)
+	want, err := CorralScalingContext(context.Background(), posts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 4} {
 		cfg.Parallelism = p
-		got, err := CorralScaling(posts, cfg)
+		got, err := CorralScalingContext(context.Background(), posts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestFig11DefaultMatchesPR2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Fig11Spec(true).Run()
+	series, err := Fig11Spec(true).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFig11ProfileGuidedMatchesGolden(t *testing.T) {
 	}
 	spec := Fig11Spec(true)
 	spec.ProfileGuided = true
-	series, err := spec.Run()
+	series, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestProfileGuidedSweepNotWorse(t *testing.T) {
 	if len(spec.Machines) != 4 {
 		t.Fatalf("expected 4 corral/tree machines, got %d", len(spec.Machines))
 	}
-	base, err := spec.Run()
+	base, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.ProfileGuided = true
-	guided, err := spec.Run()
+	guided, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestProfileGuidedSharedCachedirNoCrossModeHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Cache = storeBase
-	baseSeries, err := spec.Run()
+	baseSeries, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestProfileGuidedSharedCachedirNoCrossModeHits(t *testing.T) {
 	}
 	spec.ProfileGuided = true
 	spec.Cache = storeGuided
-	if _, err := spec.Run(); err != nil {
+	if _, err := spec.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	gst := storeGuided.Stats()
@@ -158,7 +159,7 @@ func TestProfileGuidedSharedCachedirNoCrossModeHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Cache = storeWarm
-	if _, err := spec.Run(); err != nil {
+	if _, err := spec.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wst := storeWarm.Stats()
@@ -173,7 +174,7 @@ func TestProfileGuidedSharedCachedirNoCrossModeHits(t *testing.T) {
 	}
 	spec.ProfileGuided = false
 	spec.Cache = storeWarmBase
-	warmBase, err := spec.Run()
+	warmBase, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

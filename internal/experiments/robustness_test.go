@@ -50,7 +50,7 @@ func pointIndex(series []Series) map[[2]string]map[int]Point {
 // completes, reports every casualty as a *par.PanicError inside
 // CellErrors, and the surviving cells match a clean run exactly.
 func TestFaultTolerantSweepIsolatesPanics(t *testing.T) {
-	clean, err := chaosSpec().Run()
+	clean, err := chaosSpec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFaultSweepDeadlineExpires(t *testing.T) {
 // journal replays entirely, never invoking the evaluation path (pinned by
 // a hook that would fail every cell it reaches).
 func TestSweepResumeByteIdentical(t *testing.T) {
-	clean, err := chaosSpec().Run()
+	clean, err := chaosSpec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

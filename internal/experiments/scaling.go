@@ -27,26 +27,20 @@ type CorralScalingRow struct {
 	QVDuration float64
 }
 
-// CorralScaling grows the Corral ring and measures structure + routed cost.
-// Strides follow the Corral(1,k) pattern with the long fence at roughly a
-// third of the ring (the stride-3-of-8 ratio that realizes the paper's
-// Corral 1,2), so the design keeps its low-diameter property as it scales.
-// Each ring is one cell. The unified Config supplies the evaluation knobs:
-// cfg.Parallelism bounds the pool the rings run on (0 = auto, 1 = serial)
-// and never changes the measured rows; cfg.Cache, when non-nil, memoizes
-// the routed QV evaluations so repeated studies skip identical routing;
-// cfg.ProfileGuided routes each ring with the pressure-weighted pipeline
-// (cache-keyed separately from baseline runs, iterated
-// cfg.ProfileIterations times).
-func CorralScaling(posts []int, cfg Config) ([]CorralScalingRow, error) {
-	return CorralScalingContext(context.Background(), posts, cfg)
-}
-
-// CorralScalingContext is CorralScaling with cancellation: ctx (tightened
-// by cfg.Deadline when set) threads into each ring's evaluation, and
-// cfg.CellTimeout bounds the rings individually. Neither changes the rows
-// a completed study reports. Every post count is validated before any
-// ring is built.
+// CorralScalingContext grows the Corral ring and measures structure +
+// routed cost. Strides follow the Corral(1,k) pattern with the long fence
+// at roughly a third of the ring (the stride-3-of-8 ratio that realizes the
+// paper's Corral 1,2), so the design keeps its low-diameter property as it
+// scales. Each ring is one cell. The unified Config supplies the
+// evaluation knobs: cfg.Parallelism bounds the pool the rings run on
+// (0 = auto, 1 = serial) and never changes the measured rows; cfg.Cache,
+// when non-nil, memoizes the routed QV evaluations so repeated studies
+// skip identical routing; cfg.ProfileGuided routes each ring with the
+// pressure-weighted pipeline (cache-keyed separately from baseline runs,
+// iterated cfg.ProfileIterations times). ctx (tightened by cfg.Deadline
+// when set) threads into each ring's evaluation, and cfg.CellTimeout
+// bounds the rings individually; neither changes the rows a completed
+// study reports. Every post count is validated before any ring is built.
 func CorralScalingContext(ctx context.Context, posts []int, cfg Config) ([]CorralScalingRow, error) {
 	for _, p := range posts {
 		if p < 5 {
@@ -67,7 +61,7 @@ func CorralScalingContext(ctx context.Context, posts []int, cfg Config) ([]Corra
 		strides := []int{1, long}
 		g := topology.CorralRing(p, strides)
 		g.Name = fmt.Sprintf("Corral-%dp(1,%d)", p, long)
-		c, err := circuitFor("QuantumVolume", g.N()*4/5, cfg.Seed)
+		c, err := BenchmarkCircuit("QuantumVolume", g.N()*4/5, cfg.Seed)
 		if err != nil {
 			return err
 		}

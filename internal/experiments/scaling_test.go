@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestCorralScaling(t *testing.T) {
-	rows, err := CorralScaling([]int{6, 8, 10}, serialQuickConfig(nil))
+	rows, err := CorralScalingContext(context.Background(), []int{6, 8, 10}, serialQuickConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestCorralScaling(t *testing.T) {
 	if !strings.Contains(txt, "Corral-8p") {
 		t.Error("formatting broken")
 	}
-	if _, err := CorralScaling([]int{3}, serialQuickConfig(nil)); err == nil {
+	if _, err := CorralScalingContext(context.Background(), []int{3}, serialQuickConfig(nil)); err == nil {
 		t.Error("tiny ring accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,12 +25,12 @@ func TestSweepWithVerification(t *testing.T) {
 		Sizes:     []int{4, 6},
 		Config:    QuickConfig(),
 	}
-	plain, err := spec.Run()
+	plain, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Verify = true
-	verified, err := spec.Run()
+	verified, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("verified sweep: %v", err)
 	}

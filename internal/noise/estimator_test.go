@@ -225,7 +225,7 @@ func referenceEstimate(t *testing.T, c *circuit.Circuit, m noise.Model, shots in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ideal.RunProgram(prog); err != nil {
+	if err := ideal.RunProgramCtx(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
 	durs := m.Timing
@@ -295,7 +295,7 @@ func routedFixture(t *testing.T, w int) (core.Machine, *circuit.Circuit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := m.Transpile(c, core.Options{Seed: int64(w), Trials: 1})
+	tr, err := m.TranspileContext(context.Background(), c, core.Options{Seed: int64(w), Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestLockstepEdgeCases(t *testing.T) {
 	if last < 2 {
 		t.Fatalf("edge circuit compiled to %d steps, want at least 3", last+1)
 	}
-	ideal, err := sim.RunCircuit(c)
+	ideal, err := sim.RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

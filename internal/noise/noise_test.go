@@ -1,6 +1,7 @@
 package noise_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,7 +77,7 @@ func TestCompactionAllowsWideMachines(t *testing.T) {
 	// A physical circuit on an 84-qubit machine that touches ~12 qubits
 	// must simulate fine after compaction.
 	m := core.Tree84SqrtISwap()
-	tr, err := m.Transpile(workloads.GHZ(8), core.DefaultOptions())
+	tr, err := m.TranspileContext(context.Background(), workloads.GHZ(8), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestCompactionAllowsWideMachines(t *testing.T) {
 // on Heavy-Hex, in BOTH error regimes.
 func TestCodesignFidelityAdvantage(t *testing.T) {
 	ghz := workloads.GHZ(8)
-	hh, err := core.HeavyHex20CX().Transpile(ghz, core.DefaultOptions())
+	hh, err := core.HeavyHex20CX().TranspileContext(context.Background(), ghz, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.Tree20SqrtISwap().Transpile(ghz, core.DefaultOptions())
+	tree, err := core.Tree20SqrtISwap().TranspileContext(context.Background(), ghz, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package par provides the bounded worker-pool primitive behind the
 // repository's one level of parallelism, the cell: sweep cells, the
-// multi-cell drivers (Headlines, CorralScaling, Fig. 15) and the daemon's
-// evaluation slots. Everything below a cell — routing, simulation, noise
-// estimation — runs serially. The package is deliberately tiny: a
-// deterministic parallel-for with errgroup-style first-error aggregation
-// and context cancellation, with no external dependencies.
+// multi-cell drivers (HeadlinesContext, CorralScalingContext, Fig. 15)
+// and the daemon's evaluation slots. Everything below a cell — routing,
+// simulation, noise estimation — runs serially. The package is
+// deliberately tiny: a deterministic parallel-for with errgroup-style
+// first-error aggregation and context cancellation, with no external
+// dependencies.
 //
 // Callers make results deterministic by writing into index-addressed
 // slots: ForEachCtx guarantees every index in [0, n) is visited exactly

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -27,11 +28,11 @@ func roundTrip(t *testing.T, c *circuit.Circuit, opt Options) {
 	if back.N != c.N {
 		t.Fatalf("width changed: %d vs %d", back.N, c.N)
 	}
-	want, err := sim.RunCircuit(c)
+	want, err := sim.RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.RunCircuit(back)
+	got, err := sim.RunCircuitCtx(context.Background(), back)
 	if err != nil {
 		t.Fatal(err)
 	}

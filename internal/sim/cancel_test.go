@@ -20,7 +20,7 @@ func TestRunProgramCtxCancel(t *testing.T) {
 	if _, err := RunCircuitCtx(ctx, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead ctx = %v, want context.Canceled", err)
 	}
-	want, err := RunCircuit(c)
+	want, err := RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

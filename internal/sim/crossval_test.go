@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func TestSimulatorAgreesWithExplicitMatrices(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := st.Run
+				run := func(c *circuit.Circuit) error { return st.RunCtx(context.Background(), c) }
 				if unfused {
 					run = st.RunUnfused
 				}

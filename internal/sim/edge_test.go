@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestApplyOpRepeatedQubit(t *testing.T) {
 	// fail the same validation when they run.
 	c := &circuit.Circuit{N: 2, Ops: []circuit.Op{{Name: "cx", Qubits: []int{0, 0}}}}
 	st, _ := NewState(2)
-	if err := st.Run(c); err == nil || !strings.Contains(err.Error(), "distinct") {
+	if err := st.RunCtx(context.Background(), c); err == nil || !strings.Contains(err.Error(), "distinct") {
 		t.Fatalf("fused Run over repeated-qubit cx: got %v, want repeated-qubit error", err)
 	}
 }

@@ -38,9 +38,9 @@ import (
 )
 
 // Program is a compiled, fusion-scheduled circuit, reusable across runs
-// (Schedule once, RunProgram many — the schedule is independent of state).
-// A Program is immutable after Schedule returns and safe for concurrent
-// RunProgram calls on distinct states (Monte-Carlo trajectories share one).
+// (Schedule once, RunProgramCtx many — the schedule is independent of
+// state). A Program is immutable after Schedule returns and safe for
+// concurrent RunProgramCtx calls on distinct states (Monte-Carlo trajectories share one).
 type Program struct {
 	n   int
 	ops []member
@@ -530,16 +530,15 @@ func (p *Program) mergeDiag2Q(qa, qb int, d [4]complex128) int {
 	return -1
 }
 
-// RunProgram applies a compiled schedule to the state.
-func (s *State) RunProgram(p *Program) error {
-	return s.RunProgramCtx(context.Background(), p)
-}
+// RunProgram is RunProgramCtx under context.Background(), kept as a shim
+// for callers outside this module.
+func (s *State) RunProgram(p *Program) error { return s.RunProgramCtx(context.Background(), p) }
 
-// RunProgramCtx is RunProgram with cooperative cancellation: ctx is checked
-// before every step (one pass over the state, plus one per cross-tile
-// member of a layer — the natural stopping granularity), so a
-// deadline-bound simulation stops within one step instead of running the
-// schedule to completion. The state is left
+// RunProgramCtx applies a compiled schedule to the state, with cooperative
+// cancellation: ctx is checked before every step (one pass over the state,
+// plus one per cross-tile member of a layer — the natural stopping
+// granularity), so a deadline-bound simulation stops within one step
+// instead of running the schedule to completion. The state is left
 // partially evolved on cancellation and must be discarded.
 func (s *State) RunProgramCtx(ctx context.Context, p *Program) error {
 	return s.runSteps(ctx, p, 0, len(p.ops))

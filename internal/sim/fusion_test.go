@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -65,7 +66,7 @@ func TestFusedMatchesUnfusedRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fused.Run(c); err != nil {
+		if err := fused.RunCtx(context.Background(), c); err != nil {
 			t.Fatalf("seed %d: fused run: %v", seed, err)
 		}
 		ref, err := NewState(n)
@@ -124,7 +125,7 @@ func TestFusedDiagonalHeavyCircuit(t *testing.T) {
 		t.Fatal("diagonal-heavy circuit compiled with zero fused ops")
 	}
 	fused, _ := NewState(n)
-	if err := fused.RunProgram(prog); err != nil {
+	if err := fused.RunProgramCtx(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
 	ref, _ := NewState(n)
@@ -199,7 +200,7 @@ func TestProgramReuse(t *testing.T) {
 	prog := Schedule(c)
 	for trial := 0; trial < 3; trial++ {
 		s, _ := NewState(5)
-		if err := s.RunProgram(prog); err != nil {
+		if err := s.RunProgramCtx(context.Background(), prog); err != nil {
 			t.Fatal(err)
 		}
 		ref, _ := NewState(5)
@@ -218,7 +219,7 @@ func TestRunEmptyCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(circuit.New(3)); err != nil {
+	if err := s.RunCtx(context.Background(), circuit.New(3)); err != nil {
 		t.Fatalf("empty circuit: %v", err)
 	}
 	if s.Amp[0] != 1 {

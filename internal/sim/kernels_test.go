@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -154,7 +155,7 @@ func TestISwapFamilyCircuitCrossval(t *testing.T) {
 	}
 	fast := randomState(t, n, rng)
 	slow := fast.Copy()
-	if err := fast.Run(c); err != nil {
+	if err := fast.RunCtx(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range c.Ops {

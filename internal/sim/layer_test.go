@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func checkLayeredMatchesUnfused(t *testing.T, c *circuit.Circuit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fused.RunProgram(prog); err != nil {
+	if err := fused.RunProgramCtx(context.Background(), prog); err != nil {
 		t.Fatalf("n=%d: layered run: %v", n, err)
 	}
 	ref, err := NewState(n)
@@ -189,7 +190,7 @@ func TestScheduleBackwardAbsorption(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(6, 120, rng)
 		fused, _ := NewState(6)
-		if err := fused.Run(c); err != nil {
+		if err := fused.RunCtx(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		ref, _ := NewState(6)

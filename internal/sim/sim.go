@@ -103,19 +103,14 @@ func (s *State) Apply2Q(qa, qb int, u *linalg.Matrix) error {
 	return nil
 }
 
-// Run applies the circuit through the gate-fusion scheduler (Schedule):
+// RunCtx applies the circuit through the gate-fusion scheduler (Schedule):
 // runs of 1Q gates, merged diagonals, and absorbed 4×4s execute as single
 // sweeps, and layers of independent gates as one cache-blocked pass. All
 // of it runs serially on the same kernels ApplyOp uses. Amplitudes agree
 // with the unfused path to rounding (crossvalidated in fusion_test.go and
 // layer_test.go); RunUnfused is the op-by-op reference. An empty circuit
-// is a no-op.
-func (s *State) Run(c *circuit.Circuit) error {
-	return s.RunCtx(context.Background(), c)
-}
-
-// RunCtx is Run with cooperative cancellation (see RunProgramCtx). The
-// state is left partially evolved on cancellation and must be discarded.
+// is a no-op. ctx is checked as in RunProgramCtx; the state is left
+// partially evolved on cancellation and must be discarded.
 func (s *State) RunCtx(ctx context.Context, c *circuit.Circuit) error {
 	if c.N > s.N {
 		return fmt.Errorf("sim: circuit has %d qubits, state has %d", c.N, s.N)
@@ -127,7 +122,7 @@ func (s *State) RunCtx(ctx context.Context, c *circuit.Circuit) error {
 }
 
 // RunUnfused applies every op of the circuit in order through ApplyOp, with
-// no fusion or layering. It is the reference semantics Run's schedule is
+// no fusion or layering. It is the reference semantics RunCtx's schedule is
 // validated against.
 func (s *State) RunUnfused(c *circuit.Circuit) error {
 	if c.N > s.N {
@@ -141,12 +136,8 @@ func (s *State) RunUnfused(c *circuit.Circuit) error {
 	return nil
 }
 
-// RunCircuit is a convenience wrapper: simulate c from |0...0⟩.
-func RunCircuit(c *circuit.Circuit) (*State, error) {
-	return RunCircuitCtx(context.Background(), c)
-}
-
-// RunCircuitCtx is RunCircuit with cooperative cancellation.
+// RunCircuitCtx simulates c from |0...0⟩, with cooperative cancellation
+// as in RunCtx.
 func RunCircuitCtx(ctx context.Context, c *circuit.Circuit) (*State, error) {
 	s, err := NewState(c.N)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -14,7 +15,7 @@ func TestBellState(t *testing.T) {
 	c := circuit.New(2)
 	c.H(0)
 	c.CX(0, 1)
-	s, err := RunCircuit(c)
+	s, err := RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestBitConvention(t *testing.T) {
 	// X on qubit 0 of 3 maps |000⟩ → |100⟩ = index 4.
 	c := circuit.New(3)
 	c.X(0)
-	s, err := RunCircuit(c)
+	s, err := RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestBitConvention(t *testing.T) {
 	// X on qubit 2 maps to index 1.
 	c2 := circuit.New(3)
 	c2.X(2)
-	s2, _ := RunCircuit(c2)
+	s2, _ := RunCircuitCtx(context.Background(), c2)
 	if p := s2.Probability(1); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("X q2: P(|001⟩) = %g", p)
 	}
@@ -89,7 +90,7 @@ func TestNormPreservation(t *testing.T) {
 			c.CX(a, b)
 		}
 	}
-	s, err := RunCircuit(c)
+	s, err := RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestGHZProbabilities(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		c.CX(i, i+1)
 	}
-	s, err := RunCircuit(c)
+	s, err := RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

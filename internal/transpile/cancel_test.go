@@ -66,7 +66,7 @@ func TestCtxNeverChangesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(9)), 5, nil)
+	plain, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(9)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestDenseLayoutDisconnectedFitsComponent(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
-	res, err := StochasticSwap(g, c, layout, rng, 5)
+	res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rng, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDenseLayoutDisconnectedFitsComponent(t *testing.T) {
 	}
 	// SABRE must route the confined layout too (its step budget previously
 	// zeroed out on any disconnected graph via Diameter() == -1).
-	sres, err := SabreSwap(g, c, layout, rand.New(rand.NewSource(7)))
+	sres, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +87,15 @@ func TestRoutersRejectCrossComponentLayout(t *testing.T) {
 	c.CX(0, 1)
 	bad := Layout{0, 3} // one qubit per component
 	rng := rand.New(rand.NewSource(1))
-	if _, err := StochasticSwap(g, c, bad, rng, 5); err == nil {
+	if _, err := StochasticSwapCostCtx(context.Background(), g, c, bad, rng, 5, nil); err == nil {
 		t.Fatal("StochasticSwap accepted a cross-component layout")
 	} else if !strings.Contains(err.Error(), "disconnected components") {
 		t.Fatalf("StochasticSwap error does not name the cause: %v", err)
 	}
-	if _, err := SabreSwap(g, c, bad, rng); err == nil {
-		t.Fatal("SabreSwap accepted a cross-component layout")
+	if _, err := SabreSwapCostCtx(context.Background(), g, c, bad, rng, nil); err == nil {
+		t.Fatal("SabreSwapCostCtx accepted a cross-component layout")
 	} else if !strings.Contains(err.Error(), "disconnected components") {
-		t.Fatalf("SabreSwap error does not name the cause: %v", err)
+		t.Fatalf("SabreSwapCostCtx error does not name the cause: %v", err)
 	}
 }
 
@@ -107,26 +108,26 @@ func TestFullWidthDisconnectedIntraComponentGates(t *testing.T) {
 	c := circuit.New(6)
 	c.CX(0, 1) // both endpoints land somewhere; gates stay intra-component
 	layout := TrivialLayout(6)
-	res, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(3)), 5)
+	res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(3)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Circuit.CountTwoQubit() != 1 {
 		t.Fatalf("routed circuit has %d 2Q gates, want 1", res.Circuit.CountTwoQubit())
 	}
-	if _, err := SabreSwap(g, c, layout, rand.New(rand.NewSource(3))); err != nil {
+	if _, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(3)), nil); err != nil {
 		t.Fatal(err)
 	}
 	// The same width with a cross-component gate must fail descriptively.
 	bad := circuit.New(6)
 	bad.CX(0, 3)
-	if _, err := StochasticSwap(g, bad, layout, rand.New(rand.NewSource(3)), 5); err == nil {
+	if _, err := StochasticSwapCostCtx(context.Background(), g, bad, layout, rand.New(rand.NewSource(3)), 5, nil); err == nil {
 		t.Fatal("StochasticSwap routed a cross-component gate")
 	} else if !strings.Contains(err.Error(), "disconnected components") {
 		t.Fatalf("error does not name the cause: %v", err)
 	}
-	if _, err := SabreSwap(g, bad, layout, rand.New(rand.NewSource(3))); err == nil {
-		t.Fatal("SabreSwap routed a cross-component gate")
+	if _, err := SabreSwapCostCtx(context.Background(), g, bad, layout, rand.New(rand.NewSource(3)), nil); err == nil {
+		t.Fatal("SabreSwapCostCtx routed a cross-component gate")
 	}
 }
 

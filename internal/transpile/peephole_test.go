@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -155,11 +156,11 @@ func TestPeepholeSemanticsRandom(t *testing.T) {
 		if len(opt.Ops) > len(c.Ops) {
 			return false
 		}
-		want, err := sim.RunCircuit(c)
+		want, err := sim.RunCircuitCtx(context.Background(), c)
 		if err != nil {
 			return false
 		}
-		got, err := sim.RunCircuit(opt)
+		got, err := sim.RunCircuitCtx(context.Background(), opt)
 		if err != nil {
 			return false
 		}

@@ -23,7 +23,7 @@ type PassContext struct {
 	// the deterministic base every routing pass derives its RNG from (a
 	// fresh rand.New(rand.NewSource(Seed)) per pass, so each pass is
 	// independently reproducible); Trials parameterizes the stochastic
-	// router exactly as in StochasticSwapCost.
+	// router exactly as in StochasticSwapCostCtx.
 	Graph   *topology.Graph
 	Basis   weyl.Basis
 	Circuit *circuit.Circuit

@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestProfileRoutedCircuitCountsSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(3)), 5)
+	res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(3)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +129,27 @@ func TestNilCostReproducesBaselineRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(7)), 5)
+	base, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCost, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(7)), 5, nil)
+	viaCost, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !routedEqual(base.Circuit, viaCost.Circuit) || base.SwapCount != viaCost.SwapCount {
-		t.Error("StochasticSwapCost(nil) diverged from StochasticSwap")
+		t.Error("StochasticSwapCostCtx with a nil cost is not reproducible")
 	}
-	sb, err := SabreSwap(g, c, layout, rand.New(rand.NewSource(7)))
+	sb, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := SabreSwapCost(g, c, layout, rand.New(rand.NewSource(7)), nil)
+	sc, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !routedEqual(sb.Circuit, sc.Circuit) || sb.SwapCount != sc.SwapCount {
-		t.Error("SabreSwapCost(nil) diverged from SabreSwap")
+		t.Error("SabreSwapCostCtx with a nil cost is not reproducible")
 	}
 	lc, err := DenseLayoutCost(g, c, nil)
 	if err != nil {
@@ -177,11 +178,11 @@ func TestWeightedCostSteersRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, nil)
+	base, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(11)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaUniform, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, uni)
+	viaUniform, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(11)), 5, uni)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestWeightedCostSteersRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(11)), 5, wd)
+	guided, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(11)), 5, wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +222,18 @@ func TestCostMatrixValidation(t *testing.T) {
 	for i := range bad {
 		bad[i] = make([]float64, 3)
 	}
-	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, bad); err == nil {
-		t.Error("undersized cost matrix accepted by StochasticSwapCost")
+	if _, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(1)), 5, bad); err == nil {
+		t.Error("undersized cost matrix accepted by StochasticSwapCostCtx")
 	}
-	if _, err := SabreSwapCost(g, c, layout, rand.New(rand.NewSource(1)), bad); err == nil {
-		t.Error("undersized cost matrix accepted by SabreSwapCost")
+	if _, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(1)), bad); err == nil {
+		t.Error("undersized cost matrix accepted by SabreSwapCostCtx")
 	}
 	ragged := make([][]float64, g.N())
 	for i := range ragged {
 		ragged[i] = make([]float64, g.N())
 	}
 	ragged[4] = ragged[4][:2]
-	if _, err := StochasticSwapCost(g, c, layout, rand.New(rand.NewSource(1)), 5, ragged); err == nil {
+	if _, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(1)), 5, ragged); err == nil {
 		t.Error("ragged cost matrix accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,7 +49,7 @@ func TestPropertyRoutingPreservesGateMultiset(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := StochasticSwap(g, c, layout, rng, 4)
+		res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rng, 4, nil)
 		if err != nil {
 			return false
 		}
@@ -95,7 +96,7 @@ func TestPropertyFinalLayoutIsPermutation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := StochasticSwap(g, c, layout, rng, 4)
+		res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rng, 4, nil)
 		if err != nil {
 			return false
 		}
@@ -112,7 +113,7 @@ func TestSinglePairShortestPath(t *testing.T) {
 	g := topology.SquareLattice(1, 8) // a path
 	c := circuit.New(8)
 	c.CX(0, 7)
-	res, err := StochasticSwap(g, c, TrivialLayout(8), rand.New(rand.NewSource(3)), 10)
+	res, err := StochasticSwapCostCtx(context.Background(), g, c, TrivialLayout(8), rand.New(rand.NewSource(3)), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSabreSingleGate(t *testing.T) {
 	g := topology.SquareLattice(1, 6)
 	c := circuit.New(6)
 	c.CX(0, 5)
-	res, err := SabreSwap(g, c, TrivialLayout(6), rand.New(rand.NewSource(4)))
+	res, err := SabreSwapCostCtx(context.Background(), g, c, TrivialLayout(6), rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,40 +21,33 @@ type RouteResult struct {
 // DefaultTrials matches Qiskit StochasticSwap's default trial count.
 const DefaultTrials = 20
 
-// StochasticSwap routes a virtual circuit onto the coupling graph using the
-// randomized layer-permutation search of Qiskit's StochasticSwap pass, which
-// the paper uses for routing (§5): the circuit is processed layer by layer;
-// when a layer contains non-adjacent 2Q gates, several randomized trials
-// greedily pick cost-reducing SWAPs under perturbed distance matrices, and
-// the shortest successful SWAP sequence is applied. Layers no trial can
-// solve whole are routed gate-by-gate (Qiskit's serial-layer fallback).
+// StochasticSwapCostCtx routes a virtual circuit onto the coupling graph
+// using the randomized layer-permutation search of Qiskit's StochasticSwap
+// pass, which the paper uses for routing (§5): the circuit is processed
+// layer by layer; when a layer contains non-adjacent 2Q gates, several
+// randomized trials greedily pick cost-reducing SWAPs under perturbed
+// distance matrices, and the shortest successful SWAP sequence is applied.
+// Layers no trial can solve whole are routed gate-by-gate (Qiskit's
+// serial-layer fallback).
 //
 // Each trial runs on its own RNG seeded from the caller's stream up front,
 // so the routed circuit is a pure function of (graph, circuit, layout, rng
-// seed, trials). The trials of a layer run serially; parallelism lives one
-// level up, across independent evaluation cells.
-func StochasticSwap(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int) (*RouteResult, error) {
-	return StochasticSwapCost(g, c, initial, rng, trials, nil)
-}
-
-// StochasticSwapCost is StochasticSwap with an explicit routing cost
-// matrix: cost[i][j] replaces the hop distance between physical vertices i
-// and j in the randomized trials' objective, so a profile-guided caller can
+// seed, trials, cost). The trials of a layer run serially; parallelism
+// lives one level up, across independent evaluation cells.
+//
+// cost[i][j] replaces the hop distance between physical vertices i and j
+// in the randomized trials' objective, so a profile-guided caller can
 // price congested edges above idle ones (see EdgeProfile). A nil cost means
-// uniform hop distances, which reproduces StochasticSwap exactly —
-// the default pipeline routes through this same code path byte-for-byte.
-// The cost matrix only shapes the search; adjacency (when a gate can
-// execute) and the greedy fallback still come from the coupling graph.
-func StochasticSwapCost(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error) {
-	return StochasticSwapCostCtx(context.Background(), g, c, initial, rng, trials, cost)
-}
-
-// StochasticSwapCostCtx is StochasticSwapCost with cooperative cancellation:
-// ctx is polled once per circuit layer and once per serial-fallback routing
-// step — the units of randomized search, where a cell's wall-clock
-// actually accumulates — so a deadline-bound evaluation stops within one layer's
-// worth of trials instead of routing the whole circuit. Cancellation never
-// alters output: a run that completes is byte-identical with any ctx.
+// uniform hop distances — the default pipeline's baseline. The cost matrix
+// only shapes the search; adjacency (when a gate can execute) and the
+// greedy fallback still come from the coupling graph.
+//
+// ctx is polled once per circuit layer and once per serial-fallback
+// routing step — the units of randomized search, where a cell's
+// wall-clock actually accumulates — so a deadline-bound evaluation stops
+// within one layer's worth of trials instead of routing the whole circuit.
+// Cancellation never alters output: a run that completes is byte-identical
+// with any ctx.
 func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int, cost [][]float64) (*RouteResult, error) {
 	if len(initial) != c.N {
 		return nil, fmt.Errorf("transpile: layout covers %d qubits, circuit has %d", len(initial), c.N)

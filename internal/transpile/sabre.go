@@ -9,29 +9,20 @@ import (
 	"repro/internal/topology"
 )
 
-// SabreSwap routes with the SABRE lookahead heuristic (Li, Ding, Xie,
-// ASPLOS'19): maintain the front layer of unsatisfied 2Q gates; when no gate
-// is executable, apply the swap minimizing the summed front-layer distance
-// plus a discounted extended-set (lookahead) term. Provided as the ablation
-// comparison router for the StochasticSwap results (see bench_test.go).
-func SabreSwap(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand) (*RouteResult, error) {
-	return SabreSwapCost(g, c, initial, rng, nil)
-}
-
-// SabreSwapCost is SabreSwap with an explicit routing cost matrix replacing
-// the hop distances in the front-layer and lookahead scores, so a
-// profile-guided caller can price congested edges above idle ones (see
-// EdgeProfile). A nil cost means uniform hop distances and reproduces
-// SabreSwap exactly. The step budget and executability checks still come
-// from the coupling graph itself.
-func SabreSwapCost(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, cost [][]float64) (*RouteResult, error) {
-	return SabreSwapCostCtx(context.Background(), g, c, initial, rng, cost)
-}
-
-// SabreSwapCostCtx is SabreSwapCost with cooperative cancellation: ctx is
-// polled once per execute-or-swap iteration of the main loop, so a
-// deadline-bound cell stops within one stall's worth of scoring rather
-// than routing the whole circuit. Cancellation never alters output.
+// SabreSwapCostCtx routes with the SABRE lookahead heuristic (Li, Ding,
+// Xie, ASPLOS'19): maintain the front layer of unsatisfied 2Q gates; when
+// no gate is executable, apply the swap minimizing the summed front-layer
+// distance plus a discounted extended-set (lookahead) term. Provided as the
+// ablation comparison router for the StochasticSwap results (see
+// bench_test.go).
+//
+// cost replaces the hop distances in the front-layer and lookahead scores,
+// so a profile-guided caller can price congested edges above idle ones
+// (see EdgeProfile); a nil cost means uniform hop distances. The step
+// budget and executability checks still come from the coupling graph
+// itself. ctx is polled once per execute-or-swap iteration of the main
+// loop, so a deadline-bound cell stops within one stall's worth of scoring
+// rather than routing the whole circuit. Cancellation never alters output.
 func SabreSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, cost [][]float64) (*RouteResult, error) {
 	if len(initial) != c.N {
 		return nil, fmt.Errorf("transpile: layout covers %d qubits, circuit has %d", len(initial), c.N)

@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -50,7 +51,7 @@ func checkSemantic(t *testing.T, g *topology.Graph, c *circuit.Circuit, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(seed)), 8)
+	routed, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(seed)), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func checkSemantic(t *testing.T, g *topology.Graph, c *circuit.Circuit, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunCircuit(c)
+	want, err := sim.RunCircuitCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.RunCircuit(exact)
+	got, err := sim.RunCircuitCtx(context.Background(), exact)
 	if err != nil {
 		t.Fatal(err)
 	}

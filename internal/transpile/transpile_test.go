@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,7 +133,7 @@ func TestStochasticSwapOnTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		res, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(7)), 10)
+		res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(7)), 10, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -147,11 +148,11 @@ func TestStochasticSwapDeterministicWithSeed(t *testing.T) {
 	g := topology.HeavyHex20()
 	c := routeTestCircuit(12, rand.New(rand.NewSource(3)))
 	layout, _ := DenseLayout(g, c)
-	a, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(9)), 10)
+	a, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(9)), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(9)), 10)
+	b, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(9)), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestStochasticSwapNoSwapsWhenAdjacent(t *testing.T) {
 	c.CX(0, 1)
 	c.CX(1, 2)
 	c.CX(2, 3)
-	res, err := StochasticSwap(g, c, TrivialLayout(4), rand.New(rand.NewSource(1)), 5)
+	res, err := StochasticSwapCostCtx(context.Background(), g, c, TrivialLayout(4), rand.New(rand.NewSource(1)), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRicherTopologyNeedsFewerSwaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(11)), 10)
+		res, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(11)), 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestSabreSwapRoutes(t *testing.T) {
 	g := topology.HeavyHex20()
 	c := routeTestCircuit(12, rng)
 	layout, _ := DenseLayout(g, c)
-	res, err := SabreSwap(g, c, layout, rand.New(rand.NewSource(13)))
+	res, err := SabreSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(13)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestEndToEndPipelineSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := StochasticSwap(g, c, layout, rand.New(rand.NewSource(17)), 10)
+	routed, err := StochasticSwapCostCtx(context.Background(), g, c, layout, rand.New(rand.NewSource(17)), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

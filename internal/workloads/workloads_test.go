@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -50,7 +51,7 @@ func TestQFTMatchesDFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(c); err != nil {
+		if err := s.RunCtx(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		for y := 0; y < N; y++ {
@@ -111,7 +112,7 @@ func TestTIMShape(t *testing.T) {
 
 func TestGHZState(t *testing.T) {
 	n := 7
-	s, err := sim.RunCircuit(GHZ(n))
+	s, err := sim.RunCircuitCtx(context.Background(), GHZ(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestCCXTruthTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(c); err != nil {
+		if err := s.RunCtx(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		want := in
@@ -187,7 +188,7 @@ func TestAdderExhaustiveSmall(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Run(c); err != nil {
+				if err := s.RunCtx(context.Background(), c); err != nil {
 					t.Fatal(err)
 				}
 				idx, p := s.DominantBasisState()
@@ -217,7 +218,7 @@ func TestAdderWiderSpotChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(c); err != nil {
+		if err := s.RunCtx(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		idx, _ := s.DominantBasisState()

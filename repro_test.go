@@ -1,15 +1,27 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/dynamics"
+	"repro/internal/experiments"
+	"repro/internal/noise"
+	"repro/internal/qasm"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/transpile"
+	"repro/internal/workloads"
 )
 
 // TestFacadeQuickstart exercises the documented public-API flow end to end.
 func TestFacadeQuickstart(t *testing.T) {
 	c := GHZ(12)
 	machine := Tree20SqrtISwap()
-	met, err := machine.Evaluate(c, DefaultOptions())
+	met, err := machine.EvaluateContext(context.Background(), c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,13 +32,13 @@ func TestFacadeQuickstart(t *testing.T) {
 
 func TestFacadeTopologyCatalog(t *testing.T) {
 	for _, g := range []*Graph{
-		SquareLattice16(), HeavyHex20(), Hypercube84(), Tree84(), Corral12(),
+		topology.SquareLattice16(), topology.HeavyHex20(), topology.Hypercube84(), topology.Tree84(), Corral12(),
 	} {
 		if !g.IsConnected() {
 			t.Errorf("%s disconnected", g.Name)
 		}
 	}
-	if len(Table1()) != 8 || len(Table2()) != 7 {
+	if len(experiments.Table1()) != 8 || len(experiments.Table2()) != 7 {
 		t.Error("table row counts wrong")
 	}
 }
@@ -56,7 +68,7 @@ func TestFacadeWeylAndSynthesis(t *testing.T) {
 }
 
 func TestFacadeSimulation(t *testing.T) {
-	st, err := RunCircuit(GHZ(5))
+	st, err := sim.RunCircuitCtx(context.Background(), GHZ(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +92,12 @@ func TestFacadeSNAILHardware(t *testing.T) {
 }
 
 func TestFacadeQASMRoundTrip(t *testing.T) {
-	c := QFT(5, true)
-	src, err := ExportQASM(c, QASMOptions{})
+	c := workloads.QFT(5, true)
+	src, err := qasm.Export(c, qasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ImportQASM(src)
+	back, err := qasm.Import(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +109,14 @@ func TestFacadeQASMRoundTrip(t *testing.T) {
 func TestFacadeNoiseAndPeephole(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := GHZ(6)
-	f, err := MonteCarloFidelity(c, NoiseModel{GateError: 0.01}, 50, rng)
+	f, err := noise.MonteCarloFidelity(c, noise.Model{GateError: 0.01}, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f <= 0.5 || f > 1 {
 		t.Fatalf("implausible fidelity %g", f)
 	}
-	opt, err := Peephole(c)
+	opt, err := transpile.Peephole(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +126,7 @@ func TestFacadeNoiseAndPeephole(t *testing.T) {
 }
 
 func TestFacadeChevron(t *testing.T) {
-	ch, err := ChevronMap(ExchangeModel{G: 1.5, T1: 100}, 3, 11, 2, 7)
+	ch, err := dynamics.ChevronMap(dynamics.ExchangeModel{G: 1.5, T1: 100}, 3, 11, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +136,14 @@ func TestFacadeChevron(t *testing.T) {
 }
 
 func TestFacadeArchRegistry(t *testing.T) {
-	a, err := ParseArch("corral:posts=8,strides=1+1,basis=sqrtiswap,name=Corral11-sqrtISWAP")
+	a, err := arch.Parse("corral:posts=8,strides=1+1,basis=sqrtiswap,name=Corral11-sqrtISWAP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := ParseArch(a.String()); err != nil || !a.Equal(b) {
+	if b, err := arch.Parse(a.String()); err != nil || !a.Equal(b) {
 		t.Fatalf("spec round trip failed: %v %+v", err, b)
 	}
-	m, err := MachineFromArch(a)
+	m, err := core.FromArch(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +151,20 @@ func TestFacadeArchRegistry(t *testing.T) {
 	if m.Name != catalog.Name || m.Graph.Fingerprint() != catalog.Graph.Fingerprint() || m.Basis != catalog.Basis {
 		t.Fatalf("spec-built machine %q diverges from catalog %q", m.Name, catalog.Name)
 	}
-	if len(ArchFamilies()) < 8 {
-		t.Fatalf("expected the 8 built-in families, got %d", len(ArchFamilies()))
+	if len(arch.Families()) < 8 {
+		t.Fatalf("expected the 8 built-in families, got %d", len(arch.Families()))
 	}
-	ms, err := MachinesFromSpecs("hypercube:dim=4,basis=sqrtiswap;tree:levels=2,basis=sqrtiswap")
+	ms, err := experiments.MachinesFromSpecs("hypercube:dim=4,basis=sqrtiswap;tree:levels=2,basis=sqrtiswap")
 	if err != nil || len(ms) != 2 {
 		t.Fatalf("MachinesFromSpecs: %v (%d machines)", err, len(ms))
 	}
-	if DefaultGateTiming().Duration("siswap") != 0.5 {
+	if arch.DefaultTiming().Duration("siswap") != 0.5 {
 		t.Fatal("default timing table lost the paper normalization")
 	}
-	if g := Tree(3, 2); g.N() != 12 {
-		t.Fatalf("generic Tree(3,2) has %d qubits, want 12", g.N())
+	if g := topology.Tree(3, 2); g.N() != 12 {
+		t.Fatalf("generic topology.Tree(3,2) has %d qubits, want 12", g.N())
 	}
-	if g := TreeRR(3, 2); g.N() != 12 {
-		t.Fatalf("generic TreeRR(3,2) has %d qubits, want 12", g.N())
+	if g := topology.TreeRR(3, 2); g.N() != 12 {
+		t.Fatalf("generic topology.TreeRR(3,2) has %d qubits, want 12", g.N())
 	}
 }

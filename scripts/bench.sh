@@ -14,36 +14,13 @@
 #     "registry_families": N,
 #     "benchmarks": [ { "name": ..., "iterations": N, "ns_per_op": ...,
 #                       "b_per_op": ..., "allocs_per_op": ...,
-#                       "cache_hits_per_op": ..., "cache_misses_per_op": ...,
-#                       "swaps_per_op": ...,
-#                       "layout_share": ..., "route_share": ...,
-#                       "translate_share": ...,
-#                       "disk_retries_per_op": ..., "degraded": ... }, ... ],
+#                       "metrics": { unit: value, ... } }, ... ],
 #     "scaling": [ { "gomaxprocs": N, "wall_ns": ... }, ... ] }
 #
-# cache_hits_per_op / cache_misses_per_op / swaps_per_op are emitted by the
-# warm-cache and profile-guided benchmarks (b.ReportMetric) and stay null
-# elsewhere. layout_share / route_share / translate_share are each pass's
-# fraction of transpile-pipeline wall-clock (BenchmarkTranspilePassShares,
-# fed by Transpiled.Timings), also null elsewhere.
-# disk_retries_per_op / degraded come from the fault-injected disk-tier
-# benchmark (BenchmarkCacheDiskFaultRetry): retries absorbed per op, and
-# whether the error budget ever quarantined the disk tier (0/1).
-# est_fidelity / noisy_eval_ns_per_op come from the noise-aware evaluation
-# benchmark (BenchmarkNoisyEvaluate): the deterministic Monte-Carlo fidelity
-# estimate (so snapshots catch silent model drift) and the per-evaluation
-# wall-clock under a schema-stable name; null elsewhere.
-# daemon_warm_eval_us / daemon_dedup_per_op come from the evaluation-service
-# benchmark (BenchmarkDaemonWarmEvaluate): end-to-end warm /evaluate latency
-# in microseconds (HTTP round trip + memory-tier hit, no routing) and the
-# fraction of a 32-way cold batch served by dedup-or-hit joins (~0.97 means
-# the batch cost one evaluation); null elsewhere.
-# layers_per_circuit / batch_width_avg / fused_layer_share come from the
-# fused arm of BenchmarkStatevectorFusion (sim.Program.Stats): fkLayer
-# steps per compiled bench circuit, mean members per layer, and the
-# fraction of kernel applications executed inside layers — the shape of
-# the layer-batching scheduler, recorded so snapshots catch drift; null
-# elsewhere.
+# "metrics" holds every other `value unit` pair the benchmark line prints —
+# the b.ReportMetric outputs (cache hits, swaps, pass shares, fidelity,
+# daemon latency, layer shape, ...) keyed by their unit exactly as
+# `go test -bench` prints it; it is {} for benchmarks that report none.
 #
 # The scaling section records wall-clock of one quick `qcbench -fig 12`
 # sweep at GOMAXPROCS 1/2/4 (the ROADMAP multi-core scaling demo); on a
@@ -113,37 +90,19 @@ function jsonnum(line, key,   s) {
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-    # Benchmark lines: Name[-P] iters ns/op [B/op] [allocs/op] [custom metrics]
-    name = $1; iters = $2; ns = $3
-    b = "null"; allocs = "null"; chits = "null"; cmisses = "null"; swaps = "null"
-    lshare = "null"; rshare = "null"; tshare = "null"
-    dretries = "null"; degraded = "null"
-    estfid = "null"; noisyns = "null"
-    layers = "null"; bwidth = "null"; lshareop = "null"
-    dwarm = "null"; ddedup = "null"
-    for (i = 3; i <= NF; i++) {
-        if ($(i) == "ns/op")           ns = $(i - 1)
-        if ($(i) == "B/op")            b = $(i - 1)
-        if ($(i) == "allocs/op")       allocs = $(i - 1)
-        if ($(i) == "cache_hits/op")   chits = $(i - 1)
-        if ($(i) == "cache_misses/op") cmisses = $(i - 1)
-        if ($(i) == "swaps")           swaps = $(i - 1)
-        if ($(i) == "layout_share")    lshare = $(i - 1)
-        if ($(i) == "route_share")     rshare = $(i - 1)
-        if ($(i) == "translate_share") tshare = $(i - 1)
-        if ($(i) == "disk_retries/op") dretries = $(i - 1)
-        if ($(i) == "degraded")        degraded = $(i - 1)
-        if ($(i) == "est_fidelity")    estfid = $(i - 1)
-        if ($(i) == "noisy_eval_ns/op") noisyns = $(i - 1)
-        if ($(i) == "layers_per_circuit") layers = $(i - 1)
-        if ($(i) == "batch_width_avg")    bwidth = $(i - 1)
-        if ($(i) == "fused_layer_share")  lshareop = $(i - 1)
-        if ($(i) == "daemon_warm_eval_us") dwarm = $(i - 1)
-        if ($(i) == "daemon_dedup_per_op") ddedup = $(i - 1)
+    # Benchmark lines: Name[-P] iters, then `value unit` pairs.
+    name = $1; iters = $2
+    ns = "null"; b = "null"; allocs = "null"; metrics = ""
+    for (i = 3; i < NF; i += 2) {
+        v = $(i); u = $(i + 1)
+        if (u == "ns/op")          ns = v
+        else if (u == "B/op")      b = v
+        else if (u == "allocs/op") allocs = v
+        else metrics = metrics (metrics == "" ? "" : ", ") sprintf("\"%s\": %s", u, v)
     }
     n++
-    lines[n] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"cache_hits_per_op\": %s, \"cache_misses_per_op\": %s, \"swaps_per_op\": %s, \"layout_share\": %s, \"route_share\": %s, \"translate_share\": %s, \"disk_retries_per_op\": %s, \"degraded\": %s, \"est_fidelity\": %s, \"noisy_eval_ns_per_op\": %s, \"layers_per_circuit\": %s, \"batch_width_avg\": %s, \"fused_layer_share\": %s, \"daemon_warm_eval_us\": %s, \"daemon_dedup_per_op\": %s}",
-                       name, iters, ns, b, allocs, chits, cmisses, swaps, lshare, rshare, tshare, dretries, degraded, estfid, noisyns, layers, bwidth, lshareop, dwarm, ddedup)
+    lines[n] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"metrics\": {%s}}",
+                       name, iters, ns, b, allocs, metrics)
     names[n] = name; nsval[n] = ns; allocval[n] = allocs
 }
 END {

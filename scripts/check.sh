@@ -45,6 +45,14 @@
 #     the multi-cell drivers) and internal/daemon (its evaluation slots)
 #     may import internal/par. Routing, simulation and noise estimation
 #     stay serial inside a cell.
+#   * one-entry-point arm: no package exports both X and XContext (or XCtx)
+#     as functions, or as methods on the same receiver — each operation
+#     has one spelling, the ctx-taking one. The only allowed pair is
+#     sim.State.RunProgram, a shim for callers outside this module.
+#   * qcperf arm: the benchmark driver under qcperf/ is its own module
+#     that imports the internal packages directly; go vet and go test run
+#     inside it with run.sh's offline environment, so deleting or renaming
+#     an API it uses fails here rather than at benchmark time.
 #   * race-detector runs of the packages with real concurrency surface
 #     (the content-addressed cache, the parallel sweep engine and the
 #     multi-cell drivers — serial == parallel is pinned per driver in
@@ -133,6 +141,44 @@ if [[ -n "$PARUSERS" ]]; then
     echo "check: FAILED — parallelism lives at the cell level only; run these packages' work serially inside a cell"
     exit 1
 fi
+
+echo "check: one exported entry point per operation (no X / XContext / XCtx twins)"
+TWINS="$(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' -not -path './qcperf/*' |
+    sort | xargs awk '
+/^func / {
+    rest = substr($0, 6); recv = ""
+    if (rest ~ /^\(/) {
+        # Method: key by receiver type ("(s *Store[V])" -> Store).
+        close_at = index(rest, ")")
+        n = split(substr(rest, 2, close_at - 2), parts, " ")
+        recv = parts[n]; gsub(/\*/, "", recv); sub(/\[.*/, "", recv)
+        rest = substr(rest, close_at + 2)
+    }
+    name = rest; sub(/[\[\(].*/, "", name)
+    if (name !~ /^[A-Z]/) next
+    dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+    owner[dir "|" recv "|" name] = (recv == "" ? dir : dir " " recv)
+}
+END {
+    for (k in owner) {
+        split(k, f, "|")
+        base = f[3]
+        if (!sub(/(Context|Ctx)$/, "", base)) continue
+        if (!((f[1] "|" f[2] "|" base) in owner)) continue
+        if (f[1] == "./internal/sim" && f[2] == "State" && base == "RunProgram") continue
+        printf "%s: %s and %s\n", owner[k], base, f[3]
+    }
+}' | sort)"
+if [[ -n "$TWINS" ]]; then
+    echo "$TWINS"
+    echo "check: FAILED — keep only the ctx-taking entry point; callers pass context.Background()"
+    exit 1
+fi
+
+echo "check: qcperf builds and passes its tests against this tree"
+(cd qcperf &&
+    export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTELEMETRY=off &&
+    go vet ./... && go test -count=1 ./...)
 
 echo "check: architecture registry integrity (smoke builds, unique names + fingerprints)"
 go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
