@@ -350,6 +350,7 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 		{"guided iterations 0 vs 1", guided, func(r *SweepRequest) { r.Profile, r.ProfileIterations = true, 1 }},
 		{"iterations without guidance", func(r *SweepRequest) {}, func(r *SweepRequest) { r.ProfileIterations = 3 }},
 		{"cell timeout", func(r *SweepRequest) {}, func(r *SweepRequest) { r.CellTimeoutMS = 5000 }},
+		{"machine key order", func(r *SweepRequest) { r.Machines = "grid:rows=2,cols=3,name=G" }, func(r *SweepRequest) { r.Machines = "grid:cols=3,rows=2,name=G" }},
 	}
 	for _, tc := range same {
 		a, b := testSweepRequest(), testSweepRequest()
@@ -357,6 +358,13 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 		tc.b(&b)
 		if key(a) != key(b) {
 			t.Errorf("%s: keys differ for requests the server evaluates identically", tc.name)
+		}
+	}
+	for _, other := range []string{"grid:rows=3,cols=3,name=G", "grid:rows=2,cols=3,name=H"} {
+		a, b := testSweepRequest(), testSweepRequest()
+		a.Machines, b.Machines = "grid:rows=2,cols=3,name=G", other
+		if key(a) == key(b) {
+			t.Errorf("machines %q and %q share a journal key", a.Machines, b.Machines)
 		}
 	}
 	runtimeOnly := map[string]bool{"CellTimeoutMS": true}

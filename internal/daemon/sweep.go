@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -144,17 +145,23 @@ func SpecFromRequest(req SweepRequest) (experiments.SweepSpec, error) {
 // journal: the router by kind ("" and "stochastic" are one router), the
 // trial count as every cell runs it (0 resolves to the mode default), and
 // the profile iteration count only in guided mode and only above 1 —
-// EvaluateKey's rule that 0 and 1 are the same single reweight step. Two
-// clients POSTing the same sweep share one journal; a changed seed or
-// machine list gets a fresh one.
+// EvaluateKey's rule that 0 and 1 are the same single reweight step —
+// and each machine by its canonical arch spec, so key order and spacing
+// inside a spec do not matter. Two clients POSTing the same sweep share
+// one journal; a changed seed or machine list gets a fresh one.
 func sweepJournalKey(req SweepRequest, spec experiments.SweepSpec) cache.Key {
 	// SpecFromRequest guarantees a machine and a workload, so the zero
-	// cell resolves; only its Trials is read.
+	// cell resolves; only its Trials is read. It parsed the machine list
+	// too, so parsing it again cannot fail.
 	trials := spec.CellOptions(experiments.SweepCell{}).Trials
+	machines, _ := arch.ParseList(req.Machines)
 	h := cache.NewHasher(sweepJournalDomain)
 	h.WriteString(spec.ID)
 	h.WriteInt(int64(spec.Kind))
-	h.WriteString(req.Machines)
+	h.WriteInt(int64(len(machines)))
+	for _, a := range machines {
+		h.WriteString(a.String())
+	}
 	h.WriteInt(int64(len(spec.Workloads)))
 	for _, w := range spec.Workloads {
 		h.WriteString(w)

@@ -150,30 +150,24 @@ type router struct {
 }
 
 // routerScratch is the reusable working state of one routing trial
-// (trialSearch): the lazily materialized perturbed cost matrix, the
-// per-pair endpoint and per-vertex incidence tables, the epoch-stamped
-// visited marks, and the swap sequence under construction. The router's
-// trials run one after another on its single scratch, so the trial loop
-// runs allocation-free after warm-up.
+// (trialSearch): the trial's gaussian draws, the current perturbed cost
+// of each pair, the per-pair endpoint and per-vertex incidence tables, the
+// epoch-stamped visited marks, and the swap sequence under construction.
+// The router's trials run one after another on its single scratch, so the
+// trial loop runs allocation-free after warm-up.
 //
-// The perturbed matrix is not computed up front. A trial draws one gaussian
-// per unordered vertex pair — the stream order is fixed, so prep walks the
-// whole stream once — but the greedy search typically reads only the
-// entries around the current pairs' positions, a tiny fraction of the n²
-// matrix on the 84-vertex machines (the single-gate fallback path reads a
-// handful). prep therefore performs an integer-only "consumption pass"
-// (fast ziggurat acceptance test, no float math, no stores) and records
-// just the rare slow-path draws; at() reconstructs any entry on demand from
-// the splitmix64 counter property state_k = state_0 + k·γ, bit-identical to
-// the eager computation (pinned by TestLazyPerturbMatchesEager).
+// The perturbed matrix is never built. A trial draws one gaussian per
+// unordered vertex pair in row-major i<j order, but the greedy search
+// reads only the entries around the current pairs' positions — on the
+// 84-vertex machines a trial reads up to ordinal ~1,950 of 3,486. So the
+// draws are made on demand: g holds |gauss| for ordinals 0..len(g)-1, and
+// at() extends it along the trial's stream to the ordinal it reads. The
+// stream order is unchanged, so every entry is bit-identical to the eager
+// loop's (pinned by TestLazyPerturbMatchesEager and its fuzz target).
 type routerScratch struct {
-	d       []float64 // perturbed n×n cost entries, valid where stamped
-	stamp   []uint32  // generation marks for d (gen bumps per trial)
-	gen     uint32
-	state0  uint64    // trial seed (splitmix64 state before the first draw)
-	slowOrd []int32   // ordinals whose draw took the ziggurat slow path, ascending
-	slowCum []int32   // cumulative extra Uint64s consumed through slowOrd[i]
-	slowVal []float64 // |gaussian| drawn at slowOrd[i]
+	sm  splitmix64 // trial stream, positioned after the draw of g[len(g)-1]
+	g   []float64  // |gaussian| per pair ordinal, in draw order
+	cur []float64  // current perturbed cost per pair
 
 	pos     [][2]int // current physical endpoints per pair
 	pairsAt [][]int  // pair indices touching each vertex
@@ -183,98 +177,56 @@ type routerScratch struct {
 	seq     [][2]int // swap sequence under construction
 }
 
-// newRouterScratch sizes a trial scratch for an n-vertex coupling graph.
+// newRouterScratch sizes a trial scratch for an n-vertex coupling graph;
+// g gets room for every pair's draw, so extending it never reallocates.
 func newRouterScratch(n int) *routerScratch {
 	return &routerScratch{
-		d:       make([]float64, n*n),
-		stamp:   make([]uint32, n*n),
+		g:       make([]float64, 0, n*(n-1)/2),
 		pairsAt: make([][]int, n),
 	}
 }
 
-// prep seeds the scratch for one trial: bump the matrix generation and run
-// the consumption pass over all nPairs gaussian draws, recording ordinal,
-// cumulative extra stream consumption, and value for the slow-path draws
-// only (~1% of draws). Fast-path draws are a pure function of their stream
-// offset and are reconstructed by fill when (if ever) read.
-func (sc *routerScratch) prep(seed uint64, nPairs int) {
-	sc.state0 = seed
-	sc.gen++
-	if sc.gen == 0 { // generation wrap: stale stamps could collide
-		clear(sc.stamp)
-		sc.gen = 1
-	}
-	sc.slowOrd = sc.slowOrd[:0]
-	sc.slowCum = sc.slowCum[:0]
-	sc.slowVal = sc.slowVal[:0]
-	sm := splitmix64{state: seed}
-	extra := int32(0)
-	for k := 0; k < nPairs; k++ {
-		sm.state += smGamma
-		j := int32(uint32(smScramble(sm.state) >> 32))
-		i := j & 0x7F
-		if zigAbsInt32(j) < zigKn[i] {
-			continue // fast path: value reconstructible from the offset alone
-		}
-		g, consumed := sm.slowNormFloat64(j)
-		extra += consumed
-		sc.slowOrd = append(sc.slowOrd, int32(k))
-		sc.slowCum = append(sc.slowCum, extra)
-		sc.slowVal = append(sc.slowVal, absf(g))
-	}
+// prep starts a trial: reset the stream to the trial's seed and drop the
+// previous trial's draws.
+func (sc *routerScratch) prep(seed uint64) {
+	sc.sm = splitmix64{state: seed}
+	sc.g = sc.g[:0]
 }
 
-// at returns the perturbed cost entry for the (distinct) vertices x, y,
-// materializing it on first read in this trial.
+// at returns the perturbed cost base·(1 + 0.1|gauss|) of the distinct
+// vertices x, y — symmetric, read from the upper triangle of base — drawing
+// the stream up to the pair's ordinal on first reach.
 func (sc *routerScratch) at(base []float64, n, x, y int) float64 {
-	idx := x*n + y
-	if sc.stamp[idx] != sc.gen {
-		sc.fill(base, n, x, y, idx)
-	}
-	return sc.d[idx]
-}
-
-// fill materializes one symmetric pair of perturbed entries: look up the
-// unordered pair's draw ordinal, recover the gaussian — directly from the
-// counter offset for fast-path draws, from the slow-path records otherwise
-// — and store base·(1 + 0.1|gauss|) under both orientations, exactly the
-// values the historical eager loop produced.
-func (sc *routerScratch) fill(base []float64, n, x, y, idx int) {
 	lo, hi := x, y
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	// Ordinal of (lo, hi) in the row-major i<j draw order.
-	k := int32(lo*n - lo*(lo+1)/2 + (hi - lo - 1))
-	var g float64
-	// Binary search the slow-draw records for k (they are few and sorted).
-	a, b := 0, len(sc.slowOrd)
-	for a < b {
-		m := (a + b) / 2
-		if sc.slowOrd[m] < k {
-			a = m + 1
-		} else {
-			b = m
-		}
+	k := lo*n - lo*(lo+1)/2 + (hi - lo - 1)
+	if k >= len(sc.g) {
+		sc.drawTo(k)
 	}
-	if a < len(sc.slowOrd) && sc.slowOrd[a] == k {
-		g = sc.slowVal[a]
-	} else {
-		var extra int32
-		if a > 0 {
-			extra = sc.slowCum[a-1]
-		}
-		state := sc.state0 + uint64(uint64(k)+uint64(extra)+1)*smGamma
-		j := int32(uint32(smScramble(state) >> 32))
+	return base[lo*n+hi] * (1 + 0.1*sc.g[k])
+}
+
+// drawTo extends g through ordinal k in stream order. The ziggurat's fast
+// acceptance test is inlined on a local copy of the stream; the ~1% of
+// draws that fail it finish in slowNormFloat64.
+func (sc *routerScratch) drawTo(k int) {
+	sm, g := sc.sm, sc.g
+	for len(g) <= k {
+		sm.state += smGamma
+		j := int32(uint32(smScramble(sm.state) >> 32))
 		i := j & 0x7F
-		// |float64(j)·w| == float64(|j|)·w bit-for-bit: IEEE negation is
-		// exact and rounding is sign-symmetric.
-		g = float64(zigAbsInt32(j)) * zigWn64[i]
+		if zigAbsInt32(j) < zigKn[i] {
+			// |float64(j)·w| == float64(|j|)·w bit-for-bit: IEEE negation
+			// is exact and rounding is sign-symmetric.
+			g = append(g, float64(zigAbsInt32(j))*zigWn64[i])
+		} else {
+			g = append(g, absf(sm.slowNormFloat64(j)))
+		}
 	}
-	v := base[lo*n+hi] * (1 + 0.1*g)
-	sym := y*n + x
-	sc.d[idx], sc.d[sym] = v, v
-	sc.stamp[idx], sc.stamp[sym] = sc.gen, sc.gen
+	sc.sm, sc.g = sm, g
 }
 
 // grow resizes a scratch slice to n, preserving capacity across calls.
@@ -372,10 +324,10 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 // Every trial gets its own RNG seeded from the router's stream before any
 // trial runs, and the winner is the minimum-length sequence with ties
 // broken by lowest trial index, so the outcome depends only on the seeds.
-// A trial prepares the scratch's lazily perturbed view of the router's
-// cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered pair — hop
-// distances by default, pressure-weighted under profile-guided routing)
-// and greedily searches under it.
+// A trial greedily searches under a randomly perturbed view of the
+// router's cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered
+// pair — hop distances by default, pressure-weighted under profile-guided
+// routing), whose draws the scratch makes as the search reads them.
 func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	if r.allAdjacent(pairs) {
 		return [][2]int{}
@@ -389,7 +341,7 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	sc := r.sc
 	bestLen := -1
 	for _, seed := range r.seeds {
-		sc.prep(uint64(seed), n*(n-1)/2)
+		sc.prep(uint64(seed))
 		if !r.trialSearch(pairs, limit) {
 			continue
 		}
@@ -411,14 +363,16 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 // adjacent, a local minimum is hit, or the depth limit is reached, leaving
 // the swap sequence in r.sc.seq and reporting whether every pair became
 // adjacent. Cost deltas are evaluated incrementally: a candidate swap only
-// affects pairs with an endpoint on the swapped edge. All working state
-// lives in r.sc, so steady-state trials allocate nothing.
+// affects pairs with an endpoint on the swapped edge, and each pair's
+// current cost is cached in r.sc.cur (refreshed when a swap moves it). All
+// working state lives in r.sc, so steady-state trials allocate nothing.
 func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 	sc := r.sc
 	n := r.g.N()
 	base := r.cost
 	sc.pos = grow(sc.pos, len(pairs))
-	pos := sc.pos
+	sc.cur = grow(sc.cur, len(pairs))
+	pos, cur := sc.pos, sc.cur
 	pairsAt := sc.pairsAt
 	for v := range pairsAt {
 		pairsAt[v] = pairsAt[v][:0]
@@ -427,15 +381,16 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 	for i, p := range pairs {
 		pa, pb := r.layout[p[0]], r.layout[p[1]]
 		pos[i] = [2]int{pa, pb}
+		cur[i] = sc.at(base, n, pa, pb)
 		pairsAt[pa] = append(pairsAt[pa], i)
 		pairsAt[pb] = append(pairsAt[pb], i)
 		if !r.g.HasEdge(pa, pb) {
 			notAdj++
 		}
 	}
-	// pairDelta maps each endpoint to its post-swap replacement during
-	// delta evaluation of a candidate edge. Cost entries come from the
-	// scratch's lazily materialized perturbed matrix.
+	// pairDelta is pair i's cost change if edge (a, b) is swapped: its
+	// endpoints mapped through the swap, priced by the scratch's perturbed
+	// cost, minus the cached current cost.
 	pairDelta := func(i, a, b int) float64 {
 		remap := func(v int) int {
 			switch v {
@@ -446,8 +401,7 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 			}
 			return v
 		}
-		oa, ob := pos[i][0], pos[i][1]
-		return sc.at(base, n, remap(oa), remap(ob)) - sc.at(base, n, oa, ob)
+		return sc.at(base, n, remap(pos[i][0]), remap(pos[i][1])) - cur[i]
 	}
 	// seen marks are epoch-stamped and the epoch is monotone per scratch,
 	// so stale marks from earlier trials can never collide and the buffer
@@ -515,6 +469,7 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 			if r.g.HasEdge(pos[i][0], pos[i][1]) {
 				notAdj--
 			}
+			cur[i] = sc.at(base, n, pos[i][0], pos[i][1])
 		}
 		pairsAt[a], pairsAt[b] = pairsAt[a][:0], pairsAt[b][:0]
 		for _, i := range sc.touched {
@@ -540,10 +495,9 @@ func absf(x float64) float64 {
 // splitmix64 is a tiny rand.Source64 with O(1) construction, used for the
 // per-trial RNGs: the default math/rand source runs a 607-step seeding
 // procedure, which dominated findSwaps on small topologies where one
-// trial's whole perturbation pass is only a few hundred draws. The state
-// advances by a fixed increment per draw, so the k-th output is the O(1)
-// function smScramble(state + k·smGamma) — the property routerScratch's
-// lazy perturbation relies on.
+// trial's perturbation is only a few hundred draws. The state advances by
+// a fixed increment per draw, and a copy is the stream's exact position,
+// so routerScratch resumes a trial's draws wherever it stopped.
 type splitmix64 struct{ state uint64 }
 
 // smGamma is the splitmix64 state increment (Weyl sequence constant).

@@ -4,15 +4,15 @@ import "math"
 
 // This file gives the per-trial splitmix64 RNG a direct standard-normal
 // sampler. The router's randomized trials draw one gaussian per unordered
-// vertex pair per trial — an O(n²·trials) inner loop per routed layer that
-// profiling shows dominated sweep wall-clock, mostly in the interface-call
-// indirection of rand.(*Rand).NormFloat64 over a Source64. normFloat64
-// reimplements the stdlib's ziggurat sampler (Marsaglia & Tsang 2000, as
-// shipped in math/rand/normal.go) directly over splitmix64, reproducing the
-// exact draw sequence of rand.New(&splitmix64{state: seed}).NormFloat64():
-// uint32/float64 derivation included, so routed circuits are bit-identical
-// to the rand.Rand path (TestZigguratMatchesMathRand pins this). The kn/wn/
-// fn tables are copied verbatim from the Go standard library (BSD license).
+// vertex pair they read, per trial — an inner loop that profiling showed
+// dominated by the interface-call indirection of rand.(*Rand).NormFloat64
+// over a Source64. slowNormFloat64 reimplements the stdlib's ziggurat
+// loop (Marsaglia & Tsang 2000, as shipped in math/rand/normal.go)
+// directly over splitmix64, reproducing the exact draw sequence of
+// rand.New(&splitmix64{state: seed}).NormFloat64(): uint32/float64
+// derivation included, so routed circuits are bit-identical to the
+// rand.Rand path (TestZigguratMatchesMathRand pins this). The kn/wn/fn
+// tables are copied verbatim from the Go standard library (BSD license).
 const zigRn = 3.442619855899
 
 // uint32n mirrors rand.(*Rand).Uint32 over a Source64: uint32(Int63() >> 31)
@@ -30,36 +30,9 @@ func (s *splitmix64) float64n() float64 {
 	}
 }
 
-// normFloat64 is rand.(*Rand).NormFloat64 specialized to splitmix64.
-func (s *splitmix64) normFloat64() float64 {
-	for {
-		j := int32(s.uint32n()) // Possibly negative
-		i := j & 0x7F
-		x := float64(j) * float64(zigWn[i])
-		if zigAbsInt32(j) < zigKn[i] {
-			// This case should be hit better than 99% of the time.
-			return x
-		}
-
-		if i == 0 {
-			// This extra work is only required for the base strip.
-			for {
-				x = -math.Log(s.float64n()) * (1.0 / zigRn)
-				y := -math.Log(s.float64n())
-				if y+y >= x*x {
-					break
-				}
-			}
-			if j > 0 {
-				return zigRn + x
-			}
-			return -zigRn - x
-		}
-		if zigFn[i]+float32(s.float64n())*(zigFn[i-1]-zigFn[i]) < float32(math.Exp(-.5*x*x)) {
-			return x
-		}
-	}
-}
+// normFloat64 is rand.(*Rand).NormFloat64 specialized to splitmix64: draw
+// j and run the ziggurat loop from it.
+func (s *splitmix64) normFloat64() float64 { return s.slowNormFloat64(int32(s.uint32n())) }
 
 func zigAbsInt32(i int32) uint32 {
 	if i < 0 {
@@ -78,49 +51,37 @@ var zigWn64 = func() (t [128]float64) {
 	return
 }()
 
-// slowNormFloat64 finishes a NormFloat64 draw whose first ziggurat
-// acceptance test failed on j, returning the drawn value and how many
-// additional Uint64s were consumed beyond the initial one. It continues
-// the exact stdlib loop — base strip, wedge rejection, redraw — so the
-// stream position afterwards matches rand.(*Rand).NormFloat64 exactly.
-// Only ~1% of draws land here, so the counting closure's cost is noise.
-func (s *splitmix64) slowNormFloat64(j int32) (float64, int32) {
-	consumed := int32(0)
-	u64 := func() uint64 {
-		consumed++
-		return s.Uint64()
-	}
-	f64 := func() float64 {
-		for {
-			f := float64(int64(u64()>>1)) / (1 << 63)
-			if f != 1 {
-				return f
-			}
-		}
-	}
+// slowNormFloat64 finishes a NormFloat64 draw whose first Uint64 gave j.
+// It runs the exact stdlib loop — fast acceptance test, base strip, wedge
+// rejection, redraw — so the value and the stream position afterwards
+// match rand.(*Rand).NormFloat64 exactly. The router calls it only for the
+// ~1% of draws that fail its inlined fast test.
+func (s *splitmix64) slowNormFloat64(j int32) float64 {
 	for {
 		i := j & 0x7F
 		x := float64(j) * zigWn64[i]
 		if zigAbsInt32(j) < zigKn[i] {
-			return x, consumed
+			// This case should be hit better than 99% of the time.
+			return x
 		}
 		if i == 0 {
+			// This extra work is only required for the base strip.
 			for {
-				x = -math.Log(f64()) * (1.0 / zigRn)
-				y := -math.Log(f64())
+				x = -math.Log(s.float64n()) * (1.0 / zigRn)
+				y := -math.Log(s.float64n())
 				if y+y >= x*x {
 					break
 				}
 			}
 			if j > 0 {
-				return zigRn + x, consumed
+				return zigRn + x
 			}
-			return -zigRn - x, consumed
+			return -zigRn - x
 		}
-		if zigFn[i]+float32(f64())*(zigFn[i-1]-zigFn[i]) < float32(math.Exp(-.5*x*x)) {
-			return x, consumed
+		if zigFn[i]+float32(s.float64n())*(zigFn[i-1]-zigFn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
 		}
-		j = int32(uint32(u64() >> 32))
+		j = int32(s.uint32n())
 	}
 }
 

@@ -32,11 +32,14 @@
 # when the declarative design space grows.
 #
 # The deltas section makes the perf trajectory machine-readable per PR: for
-# every benchmark also present in the newest prior BENCH_*.json (by mtime,
-# excluding the file being written), it records
+# every benchmark also present in the prior snapshot — the BENCH_PR<N>.json
+# with the highest N (version sort, not mtime, which a fresh checkout
+# makes equal), excluding the file being written — it records
 #   { "name", "ns_ratio": prior_ns/new_ns, "allocs_ratio": prior/new }
-# so ratios > 1 are improvements. "deltas_vs" names the baseline file
-# (null, with an empty list, when this is the first snapshot).
+# so ratios > 1 are improvements. Rows match by name with go test's
+# -<GOMAXPROCS> suffix stripped, so snapshots from hosts with different
+# core counts compare. "deltas_vs" names the baseline file (null, with an
+# empty list, when this is the first snapshot).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,10 +77,16 @@ fi
 
 go test -bench="$FILTER" -benchmem -benchtime="$TIME" -count=1 -run='^$' . | tee "$RAW"
 
-# Newest prior snapshot (for the deltas section); empty when none exists.
-PRIOR="$(ls -t BENCH_*.json 2>/dev/null | grep -Fxv "$OUT" | head -1 || true)"
+# Prior snapshot with the highest PR number (for the deltas section);
+# empty when none exists.
+PRIOR="$(ls BENCH_PR*.json 2>/dev/null | grep -Fxv "$OUT" | sort -V | tail -1 || true)"
 
 awk -v out="$OUT" -v scalingfile="$SCALING" -v prior="$PRIOR" '
+function basename(name) {
+    # Drop the -GOMAXPROCS suffix go test appends: BenchmarkFig12-2 -> BenchmarkFig12.
+    sub(/-[0-9]+$/, "", name)
+    return name
+}
 function jsonnum(line, key,   s) {
     # Extract a numeric field from a machine-written benchmark line;
     # returns "" when absent or null.
@@ -103,7 +112,7 @@ function jsonnum(line, key,   s) {
     n++
     lines[n] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"metrics\": {%s}}",
                        name, iters, ns, b, allocs, metrics)
-    names[n] = name; nsval[n] = ns; allocval[n] = allocs
+    names[n] = basename(name); nsval[n] = ns; allocval[n] = allocs
 }
 END {
     printf "{\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"cpu\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"cpus\": %s,\n  \"registry_families\": %s,\n  \"benchmarks\": [\n", \
@@ -124,7 +133,7 @@ END {
     if (prior != "") {
         while ((getline line < prior) > 0) {
             if (match(line, /"name": "[^"]+"/) == 0) continue
-            pname = substr(line, RSTART + 9, RLENGTH - 10)
+            pname = basename(substr(line, RSTART + 9, RLENGTH - 10))
             # Only benchmark rows carry ns_per_op; the prior file own
             # deltas rows must not clobber them.
             pv = jsonnum(line, "ns_per_op")

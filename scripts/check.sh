@@ -26,6 +26,11 @@
 #     override; plus hand-built edge cases, the live-fork cap and the zero-allocation
 #     error-free trajectory (-run TestLockstep in internal/noise), under the
 #     race detector.
+#   * lazy-perturbation fuzz arm: the router's on-demand gaussian draws
+#     must bit-equal the eager perturbation loop for any seed, size and
+#     read order (FuzzLazyPerturbMatchesEager in internal/transpile, run
+#     for -fuzztime=10s on top of its committed seed corpus; a crasher
+#     lands in internal/transpile/testdata/fuzz/ as a permanent seed).
 #   * layered statevector arm: the layered and fused schedules must match
 #     the op-by-op reference within 1e-12, the layer grouping and backward
 #     absorption keep their pinned shapes, and the kernels and layer steps
@@ -191,6 +196,9 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestLockstep' ./internal/noise
 
 echo "check: chaos suite under the race detector (-run 'Fault|Chaos|Resume')"
 GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
+
+echo "check: fuzzing the router's on-demand draws against the eager perturbation (10s)"
+go test -run '^$' -fuzz '^FuzzLazyPerturbMatchesEager$' -fuzztime=10s ./internal/transpile
 
 echo "check: layered statevector kernels vs the op-by-op reference, and the allocation guard"
 go test -count=1 \
