@@ -28,8 +28,9 @@ type Graph struct {
 	adj   [][]int
 	edges [][2]int
 
-	dist   atomic.Pointer[[][]int] // all-pairs BFS distances, computed lazily
-	distMu sync.Mutex              // serializes the one-time computation
+	dist   atomic.Pointer[[][]int]   // all-pairs BFS distances, computed lazily
+	fdist  atomic.Pointer[[]float64] // dist as a flat float64 matrix, computed lazily
+	distMu sync.Mutex                // serializes the one-time computations
 
 	wdistMu sync.Mutex             // guards wdist
 	wdist   map[uint64][][]float64 // weighted all-pairs distances per weight fingerprint
@@ -66,6 +67,7 @@ func (g *Graph) AddEdge(a, b int) {
 	}
 	g.edges = append(g.edges, [2]int{a, b})
 	g.dist.Store(nil)
+	g.fdist.Store(nil)
 	g.fp.Store(nil)
 	g.wdistMu.Lock()
 	g.wdist = nil
@@ -160,6 +162,31 @@ func (g *Graph) Distances() [][]int {
 	}
 	g.dist.Store(&d)
 	return d
+}
+
+// FlatDistances returns Distances as one row-major n·n float64 slice
+// (entry a·n+b is the hop distance from a to b, -1 if unreachable), computed
+// once and cached like the hop matrix. It is the uniform cost matrix the
+// routers and the layout read when the caller gives none, so every cell on
+// one machine shares one copy. The slice is shared; do not modify it.
+func (g *Graph) FlatDistances() []float64 {
+	if p := g.fdist.Load(); p != nil {
+		return *p
+	}
+	d := g.Distances()
+	g.distMu.Lock()
+	defer g.distMu.Unlock()
+	if p := g.fdist.Load(); p != nil {
+		return *p
+	}
+	flat := make([]float64, g.n*g.n)
+	for i, row := range d {
+		for j, v := range row {
+			flat[i*g.n+j] = float64(v)
+		}
+	}
+	g.fdist.Store(&flat)
+	return flat
 }
 
 // Dist returns the hop distance between a and b (-1 if disconnected).

@@ -87,6 +87,35 @@ func TestHypercubeDistancesAreHamming(t *testing.T) {
 	}
 }
 
+// TestFlatDistancesMatchDistances checks the cached float matrix entry by
+// entry against the hop matrix (unreachable pairs included), that repeat
+// calls share one copy, and that AddEdge drops it with the hop matrix.
+func TestFlatDistancesMatchDistances(t *testing.T) {
+	g := NewGraph("path+isolated", 5)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	check := func() {
+		t.Helper()
+		flat, d := g.FlatDistances(), g.Distances()
+		for a := 0; a < g.N(); a++ {
+			for b := 0; b < g.N(); b++ {
+				if flat[a*g.N()+b] != float64(d[a][b]) {
+					t.Fatalf("flat[%d,%d] = %v, hops %d", a, b, flat[a*g.N()+b], d[a][b])
+				}
+			}
+		}
+		if &g.FlatDistances()[0] != &flat[0] {
+			t.Fatal("FlatDistances recomputed on a repeat call")
+		}
+	}
+	check()
+	g.AddEdge(2, 3)
+	check()
+	if got := g.FlatDistances()[0*5+3]; got != 3 {
+		t.Fatalf("after AddEdge(2,3): flat[0,3] = %v, want 3", got)
+	}
+}
+
 func TestTree20Table1(t *testing.T) {
 	s := Tree20().Stats()
 	if s.Qubits != 20 || s.Diameter != 3 {

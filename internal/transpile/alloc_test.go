@@ -23,19 +23,7 @@ func TestRouterTrialAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := flattenCost(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &router{
-		g:      g,
-		dist:   g.Distances(),
-		cost:   flat,
-		layout: layout.Copy(),
-		rng:    rand.New(rand.NewSource(4)),
-		trials: 5,
-		sc:     newRouterScratch(g.N()),
-	}
+	r := newRouter(g, layout.Copy(), rand.New(rand.NewSource(4)), 5, g.FlatDistances())
 	// One non-adjacent pair under the dense layout (virtual endpoints far
 	// apart keep findSwaps from returning the trivial empty sequence).
 	pairs := [][2]int{{0, 15}}

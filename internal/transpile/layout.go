@@ -189,13 +189,9 @@ func densestSubset(g *topology.Graph, k int, cost [][]float64) []int {
 		return all
 	}
 	n := g.N()
-	rowCost := func(u int) []float64 {
-		if cost != nil {
-			return cost[u]
-		}
-		return nil
-	}
-	dist := g.Distances()
+	// The hop matrix is symmetric, so the nil path can sum row v, which is
+	// contiguous, in place of column v.
+	hops := g.FlatDistances()
 	var best []int
 	bestEdges := -1
 	// Per-seed growth state, reset (not reallocated) for each of the n
@@ -213,11 +209,13 @@ func densestSubset(g *topology.Graph, k int, cost [][]float64) []int {
 			for _, w := range g.Neighbors(v) {
 				degIn[w]++
 			}
-			for u := 0; u < n; u++ {
-				if row := rowCost(u); row != nil {
-					distSum[u] += row[v]
-				} else {
-					distSum[u] += float64(dist[u][v])
+			if cost != nil {
+				for u := 0; u < n; u++ {
+					distSum[u] += cost[u][v]
+				}
+			} else {
+				for u, d := range hops[v*n : (v+1)*n] {
+					distSum[u] += d
 				}
 			}
 		}

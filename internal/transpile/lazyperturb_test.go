@@ -50,7 +50,7 @@ func TestLazyPerturbMatchesEager(t *testing.T) {
 					if x == y {
 						continue
 					}
-					if got := sc.at(base, n, x, y); got != want[x*n+y] {
+					if got := sc.drawAt(base, x, y); got != want[x*n+y] {
 						t.Fatalf("n=%d seed=%d entry (%d,%d): lazy %v != eager %v",
 							n, seed, x, y, got, want[x*n+y])
 					}
@@ -70,10 +70,10 @@ func TestLazyPerturbGenerationIsolation(t *testing.T) {
 	}
 	sc := newRouterScratch(n)
 	sc.prep(11)
-	first := sc.at(base, n, 3, 7)
+	first := sc.drawAt(base, 3, 7)
 	sc.prep(12)
 	want := eagerPerturb(base, n, 12)
-	got := sc.at(base, n, 3, 7)
+	got := sc.drawAt(base, 3, 7)
 	if got != want[3*n+7] {
 		t.Fatalf("after re-prep: lazy %v != eager %v (stale? first trial had %v)", got, want[3*n+7], first)
 	}
@@ -105,7 +105,7 @@ func FuzzLazyPerturbMatchesEager(f *testing.F) {
 				continue
 			}
 			for _, e := range [2][2]int{{x, y}, {y, x}} {
-				if got := sc.at(base, n, e[0], e[1]); got != want[e[0]*n+e[1]] {
+				if got := sc.drawAt(base, e[0], e[1]); got != want[e[0]*n+e[1]] {
 					t.Fatalf("n=%d seed=%d entry (%d,%d): lazy %v != eager %v",
 						n, seed, e[0], e[1], got, want[e[0]*n+e[1]])
 				}
@@ -122,10 +122,6 @@ func FuzzLazyPerturbMatchesEager(f *testing.F) {
 func TestRouterDrawsOnlyWhatItReads(t *testing.T) {
 	g := topology.Hypercube84()
 	n := g.N()
-	flat, err := flattenCost(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dist := g.Distances()
 	w := -1
 	for v := 1; v < n && w < 0; v++ {
@@ -136,15 +132,7 @@ func TestRouterDrawsOnlyWhatItReads(t *testing.T) {
 	if w < 0 {
 		t.Fatal("no vertex two hops from vertex 0")
 	}
-	r := &router{
-		g:      g,
-		dist:   dist,
-		cost:   flat,
-		layout: TrivialLayout(n),
-		rng:    rand.New(rand.NewSource(4)),
-		trials: 5,
-		sc:     newRouterScratch(n),
-	}
+	r := newRouter(g, TrivialLayout(n), rand.New(rand.NewSource(4)), 5, g.FlatDistances())
 	pairs := [][2]int{{0, w}}
 	for round := 0; round < 2; round++ { // warm-up, then the measured round
 		if seq := r.findSwaps(pairs); seq == nil {

@@ -61,20 +61,18 @@ func StochasticSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Ci
 	if trials <= 0 {
 		trials = DefaultTrials
 	}
-	flat, err := flattenCost(g, cost)
-	if err != nil {
-		return nil, err
+	flat := g.FlatDistances()
+	if cost != nil {
+		var err error
+		if flat, err = flattenCost(g, cost); err != nil {
+			return nil, err
+		}
 	}
-	r := &router{
-		g:      g,
-		dist:   g.Distances(),
-		cost:   flat,
-		out:    circuit.New(g.N()),
-		layout: initial.Copy(),
-		rng:    rng,
-		trials: trials,
-		sc:     newRouterScratch(g.N()),
-	}
+	r := newRouter(g, initial.Copy(), rng, trials, flat)
+	// The output holds every input op plus the inserted swaps. Their number
+	// is unknown up front; two per two-qubit gate covers most sweep cells
+	// on the 84-qubit machines, so the output rarely regrows.
+	r.out.Ops = make([]circuit.Op, 0, len(c.Ops)+2*c.CountTwoQubit())
 	for _, layer := range c.Layers() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -142,6 +140,8 @@ type router struct {
 	rng    *rand.Rand
 	trials int
 
+	incident [][]int // indices into g.Edges() of each vertex's edges
+
 	sc    *routerScratch // trial working state, reused by every trial
 	seeds []int64        // per-trial RNG seeds, drawn up front
 	best  [][2]int       // winning swap sequence, reused across layers
@@ -149,11 +149,37 @@ type router struct {
 	arena intArena       // backing storage for emitted ops' qubit slices
 }
 
+// newRouter builds the routing state for g starting from layout (owned by
+// the router from here on), with the flattened n×n cost the trials perturb.
+func newRouter(g *topology.Graph, layout Layout, rng *rand.Rand, trials int, cost []float64) *router {
+	n := g.N()
+	incident := make([][]int, n)
+	backing := make([]int, 2*g.NumEdges())
+	for v := range incident {
+		incident[v], backing = backing[:0:g.Degree(v)], backing[g.Degree(v):]
+	}
+	for i, e := range g.Edges() {
+		incident[e[0]] = append(incident[e[0]], i)
+		incident[e[1]] = append(incident[e[1]], i)
+	}
+	return &router{
+		g:        g,
+		dist:     g.Distances(),
+		cost:     cost,
+		out:      circuit.New(n),
+		layout:   layout,
+		rng:      rng,
+		trials:   trials,
+		incident: incident,
+		sc:       newRouterScratch(n),
+	}
+}
+
 // routerScratch is the reusable working state of one routing trial
 // (trialSearch): the trial's gaussian draws, the current perturbed cost
-// of each pair, the per-pair endpoint and per-vertex incidence tables, the
-// epoch-stamped visited marks, and the swap sequence under construction.
-// The router's trials run one after another on its single scratch, so the
+// of each pair, the per-pair endpoints and per-vertex pair table, the
+// per-edge swap deltas, and the swap sequence under construction. The
+// router's trials run one after another on its single scratch, so the
 // trial loop runs allocation-free after warm-up.
 //
 // The perturbed matrix is never built. A trial draws one gaussian per
@@ -161,28 +187,36 @@ type router struct {
 // reads only the entries around the current pairs' positions — on the
 // 84-vertex machines a trial reads up to ordinal ~1,950 of 3,486. So the
 // draws are made on demand: g holds |gauss| for ordinals 0..len(g)-1, and
-// at() extends it along the trial's stream to the ordinal it reads. The
+// drawAt extends it along the trial's stream to the ordinal it reads. The
 // stream order is unchanged, so every entry is bit-identical to the eager
 // loop's (pinned by TestLazyPerturbMatchesEager and its fuzz target).
 type routerScratch struct {
 	sm  splitmix64 // trial stream, positioned after the draw of g[len(g)-1]
 	g   []float64  // |gaussian| per pair ordinal, in draw order
-	cur []float64  // current perturbed cost per pair
+	n   int        // vertex count
+	off []int      // off[lo] + hi is the draw ordinal of vertex pair lo < hi
 
-	pos     [][2]int // current physical endpoints per pair
-	pairsAt [][]int  // pair indices touching each vertex
-	seen    []int    // epoch marks per pair (monotone epoch ⇒ no clearing)
-	epoch   int
-	touched []int    // pairs adjacent to the edge being applied
-	seq     [][2]int // swap sequence under construction
+	pos    [][2]int  // current physical endpoints per pair
+	cur    []float64 // current perturbed cost per pair
+	pairAt []int     // pair with an endpoint on each vertex, -1 for none
+	delta  []float64 // cost change of swapping each edge, 0 if it moves no pair
+	mark   []int     // epoch stamps per edge (monotone epoch ⇒ no clearing)
+	epoch  int
+	seq    [][2]int // swap sequence under construction
 }
 
 // newRouterScratch sizes a trial scratch for an n-vertex coupling graph;
 // g gets room for every pair's draw, so extending it never reallocates.
 func newRouterScratch(n int) *routerScratch {
+	off := make([]int, n)
+	for lo := range off {
+		off[lo] = lo*n - lo*(lo+1)/2 - lo - 1
+	}
 	return &routerScratch{
-		g:       make([]float64, 0, n*(n-1)/2),
-		pairsAt: make([][]int, n),
+		g:      make([]float64, 0, n*(n-1)/2),
+		n:      n,
+		off:    off,
+		pairAt: make([]int, n),
 	}
 }
 
@@ -194,36 +228,44 @@ func (sc *routerScratch) prep(seed uint64) {
 }
 
 // at returns the perturbed cost base·(1 + 0.1|gauss|) of the distinct
-// vertices x, y — symmetric, read from the upper triangle of base — drawing
-// the stream up to the pair's ordinal on first reach.
-func (sc *routerScratch) at(base []float64, n, x, y int) float64 {
-	lo, hi := x, y
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	// Ordinal of (lo, hi) in the row-major i<j draw order.
-	k := lo*n - lo*(lo+1)/2 + (hi - lo - 1)
+// vertices x, y — symmetric, read from the upper triangle of base — and
+// whether the pair's draw is made yet: it is the inlined read, and a
+// caller that gets ok = false takes drawAt, which draws first.
+func (sc *routerScratch) at(base []float64, x, y int) (float64, bool) {
+	lo, hi := min(x, y), max(x, y)
+	k := sc.off[lo] + hi
 	if k >= len(sc.g) {
-		sc.drawTo(k)
+		return 0, false
 	}
-	return base[lo*n+hi] * (1 + 0.1*sc.g[k])
+	return base[lo*sc.n+hi] * (1 + 0.1*sc.g[k]), true
 }
 
-// drawTo extends g through ordinal k in stream order. The ziggurat's fast
-// acceptance test is inlined on a local copy of the stream; the ~1% of
-// draws that fail it finish in slowNormFloat64.
+// drawAt is at for a pair whose draw may not be made yet: it extends the
+// stream to the pair's ordinal first.
+func (sc *routerScratch) drawAt(base []float64, x, y int) float64 {
+	if k := sc.off[min(x, y)] + max(x, y); k >= len(sc.g) {
+		sc.drawTo(k)
+	}
+	v, _ := sc.at(base, x, y)
+	return v
+}
+
+// drawTo extends g through ordinal k in stream order, storing into g's
+// preallocated capacity. The ziggurat's fast acceptance test is inlined on
+// a local copy of the stream; the ~1% of draws that fail it finish in
+// slowNormFloat64.
 func (sc *routerScratch) drawTo(k int) {
-	sm, g := sc.sm, sc.g
-	for len(g) <= k {
+	sm, g := sc.sm, sc.g[:k+1]
+	for m := len(sc.g); m <= k; m++ {
 		sm.state += smGamma
 		j := int32(uint32(smScramble(sm.state) >> 32))
 		i := j & 0x7F
 		if zigAbsInt32(j) < zigKn[i] {
 			// |float64(j)·w| == float64(|j|)·w bit-for-bit: IEEE negation
 			// is exact and rounding is sign-symmetric.
-			g = append(g, float64(zigAbsInt32(j))*zigWn64[i])
+			g[m] = float64(zigAbsInt32(j)) * zigWn64[i]
 		} else {
-			g = append(g, absf(sm.slowNormFloat64(j)))
+			g[m] = absf(sm.slowNormFloat64(j))
 		}
 	}
 	sc.sm, sc.g = sm, g
@@ -231,7 +273,7 @@ func (sc *routerScratch) drawTo(k int) {
 
 // grow resizes a scratch slice to n, preserving capacity across calls.
 // Stale contents are the caller's concern (the epoch scheme makes stale
-// seen marks harmless; other users overwrite before reading).
+// edge marks harmless; other users overwrite before reading).
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -239,21 +281,11 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// flattenCost validates a routing cost matrix and flattens it row-major; a
-// nil matrix falls back to the hop-distance matrix as floats (the uniform
-// baseline the pipeline has always used).
+// flattenCost validates a caller's routing cost matrix and flattens it
+// row-major. The uniform baseline (a nil cost) needs no copy: callers read
+// the graph's cached g.FlatDistances() instead.
 func flattenCost(g *topology.Graph, cost [][]float64) ([]float64, error) {
 	n := g.N()
-	flat := make([]float64, n*n)
-	if cost == nil {
-		dist := g.Distances()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				flat[i*n+j] = float64(dist[i][j])
-			}
-		}
-		return flat, nil
-	}
 	if len(cost) != n {
 		return nil, fmt.Errorf("transpile: cost matrix is %dx?, graph has %d vertices", len(cost), n)
 	}
@@ -261,6 +293,9 @@ func flattenCost(g *topology.Graph, cost [][]float64) ([]float64, error) {
 		if len(row) != n {
 			return nil, fmt.Errorf("transpile: cost row %d has %d entries, want %d", i, len(row), n)
 		}
+	}
+	flat := make([]float64, n*n)
+	for i, row := range cost {
 		copy(flat[i*n:(i+1)*n], row)
 	}
 	return flat, nil
@@ -319,7 +354,8 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 // (list of physical edges, applied in order) that makes every pair adjacent,
 // or nil if no trial succeeds within the depth limit. The returned slice
 // aliases a router-owned buffer that stays valid until the next findSwaps
-// call (callers apply it immediately).
+// call (callers apply it immediately). The pairs must be disjoint, as the
+// gates of one circuit layer are.
 //
 // Every trial gets its own RNG seeded from the router's stream before any
 // trial runs, and the winner is the minimum-length sequence with ties
@@ -328,6 +364,13 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 // router's cost matrix (d' = d·(1 + 0.1|gauss|), symmetric per unordered
 // pair — hop distances by default, pressure-weighted under profile-guided
 // routing), whose draws the scratch makes as the search reads them.
+//
+// Trials that cannot win are cut short without changing the winner. Once
+// a trial has succeeded, only a strictly shorter sequence can replace it,
+// so later trials stop after bestLen−1 swaps. And no sequence is shorter
+// than ⌈Σ(hops−1)/2⌉: a swap moves two qubits one hop each, and since the
+// pairs are disjoint it shortens at most two pairs by one hop. A winner of
+// that length ends the search.
 func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	if r.allAdjacent(pairs) {
 		return [][2]int{}
@@ -338,6 +381,11 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 	for t := range r.seeds {
 		r.seeds[t] = r.rng.Int63()
 	}
+	floor := 0
+	for _, p := range pairs {
+		floor += r.dist[r.layout[p[0]]][r.layout[p[1]]] - 1
+	}
+	floor = (floor + 1) / 2
 	sc := r.sc
 	bestLen := -1
 	for _, seed := range r.seeds {
@@ -345,13 +393,12 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 		if !r.trialSearch(pairs, limit) {
 			continue
 		}
-		if bestLen < 0 || len(sc.seq) < bestLen {
-			bestLen = len(sc.seq)
-			r.best = append(r.best[:0], sc.seq...)
+		bestLen = len(sc.seq)
+		r.best = append(r.best[:0], sc.seq...)
+		if bestLen <= floor {
+			break
 		}
-		if bestLen == 0 {
-			break // can't beat an already-adjacent layer
-		}
+		limit = bestLen - 1
 	}
 	if bestLen < 0 {
 		return nil
@@ -362,127 +409,136 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 // trialSearch greedily applies the cost-minimizing swap until every pair is
 // adjacent, a local minimum is hit, or the depth limit is reached, leaving
 // the swap sequence in r.sc.seq and reporting whether every pair became
-// adjacent. Cost deltas are evaluated incrementally: a candidate swap only
-// affects pairs with an endpoint on the swapped edge, and each pair's
-// current cost is cached in r.sc.cur (refreshed when a swap moves it). All
-// working state lives in r.sc, so steady-state trials allocate nothing.
+// adjacent. All working state lives in r.sc, so steady-state trials
+// allocate nothing.
+//
+// Each edge's delta — the summed cost change of the pairs it would move —
+// is kept in r.sc.delta across steps. A swap on (a, b) moves only the pairs
+// on a and b, so only the edges incident to a, b and those pairs' other
+// endpoints can change delta; the rest keep their values, which equal what
+// a full rescan would compute. The winner is the first edge in Edges()
+// order whose delta beats the running best by the same strict test as a
+// rescan, so ties resolve to the same edge.
 func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 	sc := r.sc
-	n := r.g.N()
-	base := r.cost
 	sc.pos = grow(sc.pos, len(pairs))
 	sc.cur = grow(sc.cur, len(pairs))
-	pos, cur := sc.pos, sc.cur
-	pairsAt := sc.pairsAt
-	for v := range pairsAt {
-		pairsAt[v] = pairsAt[v][:0]
+	pos, cur, pairAt := sc.pos, sc.cur, sc.pairAt
+	for v := range pairAt {
+		pairAt[v] = -1
 	}
 	notAdj := 0
 	for i, p := range pairs {
 		pa, pb := r.layout[p[0]], r.layout[p[1]]
 		pos[i] = [2]int{pa, pb}
-		cur[i] = sc.at(base, n, pa, pb)
-		pairsAt[pa] = append(pairsAt[pa], i)
-		pairsAt[pb] = append(pairsAt[pb], i)
+		cur[i] = sc.drawAt(r.cost, pa, pb)
+		pairAt[pa], pairAt[pb] = i, i
 		if !r.g.HasEdge(pa, pb) {
 			notAdj++
 		}
 	}
-	// pairDelta is pair i's cost change if edge (a, b) is swapped: its
-	// endpoints mapped through the swap, priced by the scratch's perturbed
-	// cost, minus the cached current cost.
-	pairDelta := func(i, a, b int) float64 {
-		remap := func(v int) int {
-			switch v {
-			case a:
-				return b
-			case b:
-				return a
-			}
-			return v
-		}
-		return sc.at(base, n, remap(pos[i][0]), remap(pos[i][1])) - cur[i]
-	}
-	// seen marks are epoch-stamped and the epoch is monotone per scratch,
-	// so stale marks from earlier trials can never collide and the buffer
-	// is reused without clearing.
-	sc.seen = grow(sc.seen, len(pairs))
-	seen := sc.seen
 	sc.seq = sc.seq[:0]
-	for step := 0; step < limit && notAdj > 0; step++ {
+	if notAdj == 0 || limit <= 0 {
+		return notAdj == 0
+	}
+	edges := r.g.Edges()
+	sc.delta = grow(sc.delta, len(edges))
+	sc.mark = grow(sc.mark, len(edges))
+	delta := sc.delta
+	for e := range edges {
+		delta[e] = r.edgeDelta(e)
+	}
+	for step := 0; ; step++ {
 		bestDelta := -1e-12
-		bestEdge := [2]int{-1, -1}
-		for _, e := range r.g.Edges() {
-			a, b := e[0], e[1]
-			if len(pairsAt[a]) == 0 && len(pairsAt[b]) == 0 {
+		best := -1
+		for e, d := range delta {
+			if d < bestDelta {
+				bestDelta, best = d, e
+			}
+		}
+		if best < 0 {
+			return false // local minimum under this perturbation
+		}
+		a, b := edges[best][0], edges[best][1]
+		sc.seq = append(sc.seq, edges[best])
+		// Apply the swap to the trial state: move the endpoints of the pairs
+		// on a and b (one pair each at most, since pairs are disjoint).
+		ia, ib := pairAt[a], pairAt[b]
+		for k, i := range [2]int{ia, ib} {
+			if i < 0 || (k == 1 && i == ia) {
 				continue
 			}
-			sc.epoch++
-			delta := 0.0
-			for _, i := range pairsAt[a] {
-				seen[i] = sc.epoch
-				delta += pairDelta(i, a, b)
-			}
-			for _, i := range pairsAt[b] {
-				if seen[i] == sc.epoch {
-					continue
-				}
-				delta += pairDelta(i, a, b)
-			}
-			if delta < bestDelta {
-				bestDelta = delta
-				bestEdge = e
-			}
-		}
-		if bestEdge[0] < 0 {
-			break // local minimum under this perturbation
-		}
-		a, b := bestEdge[0], bestEdge[1]
-		// Apply the swap to the trial state: collect the pairs touching the
-		// edge, move their endpoints, and rebuild the two incidence lists
-		// in place (touched is captured first, so truncating is safe).
-		sc.epoch++
-		sc.touched = sc.touched[:0]
-		for _, i := range pairsAt[a] {
-			seen[i] = sc.epoch
-			sc.touched = append(sc.touched, i)
-		}
-		for _, i := range pairsAt[b] {
-			if seen[i] != sc.epoch {
-				sc.touched = append(sc.touched, i)
-			}
-		}
-		for _, i := range sc.touched {
 			if r.g.HasEdge(pos[i][0], pos[i][1]) {
 				notAdj++
 			}
-			if pos[i][0] == a {
-				pos[i][0] = b
-			} else if pos[i][0] == b {
-				pos[i][0] = a
-			}
-			if pos[i][1] == a {
-				pos[i][1] = b
-			} else if pos[i][1] == b {
-				pos[i][1] = a
-			}
+			pos[i] = [2]int{swapped(pos[i][0], a, b), swapped(pos[i][1], a, b)}
 			if r.g.HasEdge(pos[i][0], pos[i][1]) {
 				notAdj--
 			}
-			cur[i] = sc.at(base, n, pos[i][0], pos[i][1])
+			cur[i] = sc.drawAt(r.cost, pos[i][0], pos[i][1])
 		}
-		pairsAt[a], pairsAt[b] = pairsAt[a][:0], pairsAt[b][:0]
-		for _, i := range sc.touched {
-			if pos[i][0] == a || pos[i][1] == a {
-				pairsAt[a] = append(pairsAt[a], i)
-			}
-			if pos[i][0] == b || pos[i][1] == b {
-				pairsAt[b] = append(pairsAt[b], i)
+		pairAt[a], pairAt[b] = ib, ia
+		if notAdj == 0 {
+			return true
+		}
+		if step+1 == limit {
+			return false
+		}
+		sc.epoch++
+		r.refreshEdges(a)
+		r.refreshEdges(b)
+		for _, i := range [2]int{ia, ib} {
+			if i >= 0 {
+				r.refreshEdges(pos[i][0])
+				r.refreshEdges(pos[i][1])
 			}
 		}
-		sc.seq = append(sc.seq, bestEdge)
 	}
-	return notAdj == 0
+}
+
+// refreshEdges recomputes the delta of every edge incident to v that this
+// step has not refreshed yet.
+func (r *router) refreshEdges(v int) {
+	sc := r.sc
+	for _, e := range r.incident[v] {
+		if sc.mark[e] != sc.epoch {
+			sc.mark[e] = sc.epoch
+			sc.delta[e] = r.edgeDelta(e)
+		}
+	}
+}
+
+// edgeDelta is the summed cost change of the pairs on edge e's endpoints if
+// e is swapped: each pair's endpoints mapped through the swap, priced by the
+// trial's perturbed cost, minus its cached current cost. An edge that moves
+// no pair has delta 0, which never beats the search's strict threshold.
+func (r *router) edgeDelta(e int) float64 {
+	sc := r.sc
+	a, b := r.g.Edges()[e][0], r.g.Edges()[e][1]
+	delta := 0.0
+	for k, i := range [2]int{sc.pairAt[a], sc.pairAt[b]} {
+		if i < 0 || (k == 1 && i == sc.pairAt[a]) {
+			continue
+		}
+		x, y := swapped(sc.pos[i][0], a, b), swapped(sc.pos[i][1], a, b)
+		v, ok := sc.at(r.cost, x, y)
+		if !ok {
+			v = sc.drawAt(r.cost, x, y)
+		}
+		delta += v - sc.cur[i]
+	}
+	return delta
+}
+
+// swapped maps vertex v through the swap of a and b.
+func swapped(v, a, b int) int {
+	switch v {
+	case a:
+		return b
+	case b:
+		return a
+	}
+	return v
 }
 
 func absf(x float64) float64 {

@@ -38,9 +38,12 @@ func SabreSwapCostCtx(ctx context.Context, g *topology.Graph, c *circuit.Circuit
 		extendedWeight = 0.5 // discount on the lookahead term
 	)
 	dist := g.Distances()
-	fcost, err := flattenCost(g, cost)
-	if err != nil {
-		return nil, err
+	fcost := g.FlatDistances()
+	if cost != nil {
+		var err error
+		if fcost, err = flattenCost(g, cost); err != nil {
+			return nil, err
+		}
 	}
 	nv := g.N()
 	costAt := func(a, b int) float64 { return fcost[a*nv+b] }

@@ -140,18 +140,35 @@ var zeroU3Params = make([]float64, 3)
 // only their positions matter for scheduling.
 //
 // Weyl coordinates are memoized process-wide per gate identity (classify),
-// and emitted qubit lists come from a chunked arena, so translating a
-// routed sweep cell allocates O(chunks), not O(gates).
+// and a counting pass sizes the output ops and one block for their qubit
+// lists, so translating a routed sweep cell makes a few allocations, not
+// one per gate.
 func TranslateToBasis(c *circuit.Circuit, b weyl.Basis) (*circuit.Circuit, error) {
 	name, err := basisGateName(b)
 	if err != nil {
 		return nil, err
 	}
+	// Counting pass: each 2Q gate's basis count (k applications between
+	// k+1 pairs of u3s, or just one pair when k = 0), so the output and its
+	// qubit lists are sized exactly and never regrow.
+	ks := make([]uint8, 0, c.CountTwoQubit())
+	size, ints := 0, 0
+	for _, op := range c.Ops {
+		if !op.Is2Q() {
+			size++
+			continue
+		}
+		k, err := basisCount(op, b)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, uint8(k))
+		size += 3*k + 2
+		ints += 4*k + 2
+	}
 	out := circuit.New(c.N)
-	// A 2Q gate expands to at most 4 basis gates + 10 placeholder u3s;
-	// reserve for the common k=2..3 shape to keep append growth rare.
-	out.Ops = make([]circuit.Op, 0, len(c.Ops)*8)
-	var qubits intArena
+	out.Ops = make([]circuit.Op, 0, size)
+	qubits := intArena{buf: make([]int, ints)}
 	u3 := func(q int) {
 		qs := qubits.take(1)
 		qs[0] = q
@@ -162,10 +179,8 @@ func TranslateToBasis(c *circuit.Circuit, b weyl.Basis) (*circuit.Circuit, error
 			out.Append(op)
 			continue
 		}
-		k, err := basisCount(op, b)
-		if err != nil {
-			return nil, err
-		}
+		k := int(ks[0])
+		ks = ks[1:]
 		q0, q1 := op.Qubits[0], op.Qubits[1]
 		if k == 0 {
 			// Locally equivalent to identity: absorb into 1Q frames.

@@ -54,8 +54,9 @@ var zigWn64 = func() (t [128]float64) {
 // slowNormFloat64 finishes a NormFloat64 draw whose first Uint64 gave j.
 // It runs the exact stdlib loop — fast acceptance test, base strip, wedge
 // rejection, redraw — so the value and the stream position afterwards
-// match rand.(*Rand).NormFloat64 exactly. The router calls it only for the
-// ~1% of draws that fail its inlined fast test.
+// match rand.(*Rand).NormFloat64 exactly; the wedge test decides as the
+// stdlib's does, mostly without its exp (zigWedgeAccept). The router calls
+// it only for the ~1% of draws that fail its inlined fast test.
 func (s *splitmix64) slowNormFloat64(j int32) float64 {
 	for {
 		i := j & 0x7F
@@ -78,12 +79,71 @@ func (s *splitmix64) slowNormFloat64(j int32) float64 {
 			}
 			return -zigRn - x
 		}
-		if zigFn[i]+float32(s.float64n())*(zigFn[i-1]-zigFn[i]) < float32(math.Exp(-.5*x*x)) {
+		if zigWedgeAccept(i, x, zigFn[i]+float32(s.float64n())*(zigFn[i-1]-zigFn[i])) {
 			return x
 		}
 		j = int32(s.uint32n())
 	}
 }
+
+// zigWedgeAccept is the wedge test of strip i (1..127): it reports whether
+// the uniform level l lies under the density at x, the stdlib's
+// l < float32(math.Exp(-.5*x*x)). The strip's squeeze bounds decide most
+// draws without the exp; only a level between them calls it.
+func zigWedgeAccept(i int32, x float64, l float32) bool {
+	b := &zigSqueeze[i]
+	ax := absf(x)
+	if float64(l) < b.loA+b.loB*ax {
+		return true
+	}
+	if float64(l) > b.hiA+b.hiB*ax {
+		return false
+	}
+	return l < float32(math.Exp(-.5*x*x))
+}
+
+// zigLine is one strip's squeeze: lines lo(|x|) = loA + loB·|x| and
+// hi(|x|) = hiA + hiB·|x| that bound exp(−x²/2) from below and above over
+// the strip's wedge, each pushed out by zigSqueezeMargin.
+type zigLine struct{ loA, loB, hiA, hiB float64 }
+
+// zigSqueezeMargin widens every squeeze bound. The exact test compares l
+// with exp rounded to float32, which can move the value by half a float32
+// ulp (at most 2⁻²⁵ below 1); a level more than 2⁻²² below the lower
+// bound is therefore below the rounded exp too, and one more than 2⁻²²
+// above the upper bound is above it. The float64 errors of the bounds
+// themselves (~1e-16) are far inside the margin.
+const zigSqueezeMargin = 1.0 / (1 << 22)
+
+// zigSqueeze holds the squeeze lines of strips 1..127. Strip i's wedge is
+// |x| = |j|·wn[i] with kn[i] ≤ |j| ≤ 2³¹, an interval [xa, xb] on which
+// exp(−x²/2) is convex (xa ≥ 1) or concave (xb ≤ 1): the chord through the
+// endpoints bounds it from above where it is convex and from below where
+// it is concave, and the tangent at the midpoint the other way round. The
+// one strip that straddles the inflection at 1 gets bounds that decide
+// nothing, so all its draws take the exp.
+var zigSqueeze = func() (t [128]zigLine) {
+	f := func(x float64) float64 { return math.Exp(-.5 * x * x) }
+	for i := 1; i < 128; i++ {
+		xa := float64(zigKn[i]) * zigWn64[i]
+		xb := (1 << 31) * zigWn64[i]
+		slope := (f(xb) - f(xa)) / (xb - xa)
+		chord := [2]float64{f(xa) - slope*xa, slope}
+		m := (xa + xb) / 2
+		tangent := [2]float64{f(m) * (1 + m*m), -m * f(m)}
+		var lo, hi [2]float64
+		switch {
+		case xa >= 1:
+			lo, hi = tangent, chord
+		case xb <= 1:
+			lo, hi = chord, tangent
+		default:
+			lo, hi = [2]float64{-1, 0}, [2]float64{2, 0}
+		}
+		t[i] = zigLine{lo[0] - zigSqueezeMargin, lo[1], hi[0] + zigSqueezeMargin, hi[1]}
+	}
+	return
+}()
 
 var zigKn = [128]uint32{
 	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,

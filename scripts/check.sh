@@ -31,6 +31,13 @@
 #     read order (FuzzLazyPerturbMatchesEager in internal/transpile, run
 #     for -fuzztime=10s on top of its committed seed corpus; a crasher
 #     lands in internal/transpile/testdata/fuzz/ as a permanent seed).
+#   * router differential fuzz arm: on small registry machines, any
+#     workload, width, seed, trial count and cost (uniform or a pressure
+#     profile), StochasticSwap must return the same ops, swap count and
+#     final layout as a reference search that perturbs eagerly, rescans
+#     every edge each step and runs every trial to its full limit
+#     (FuzzStochasticSwapMatchesReference in internal/transpile, run for
+#     -fuzztime=10s on top of its committed seed corpus).
 #   * layered statevector arm: the layered and fused schedules must match
 #     the op-by-op reference within 1e-12, the layer grouping and backward
 #     absorption keep their pinned shapes, and the kernels and layer steps
@@ -199,6 +206,9 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
 
 echo "check: fuzzing the router's on-demand draws against the eager perturbation (10s)"
 go test -run '^$' -fuzz '^FuzzLazyPerturbMatchesEager$' -fuzztime=10s ./internal/transpile
+
+echo "check: fuzzing the router's search against the full-rescan reference (10s)"
+go test -run '^$' -fuzz '^FuzzStochasticSwapMatchesReference$' -fuzztime=10s ./internal/transpile
 
 echo "check: layered statevector kernels vs the op-by-op reference, and the allocation guard"
 go test -count=1 \
