@@ -6,6 +6,8 @@
 //	qcbench -fig 13   co-designed total 2Q + pulse duration, 16q (Fig. 13)
 //	qcbench -fig 14   co-designed total 2Q + pulse duration, 84q (Fig. 14)
 //	qcbench -headline the §1/§6 Heavy-Hex-vs-Hypercube summary ratios
+//	qcbench -headline -seeds 8
+//	                  the same ratios' mean and [min, max] over base seeds 1..8
 //
 // By default a reduced ("quick") configuration runs in seconds; -full uses
 // the paper's sizes (16..80 qubits, 20 routing trials), which takes tens of
@@ -85,6 +87,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -107,6 +110,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("qcbench", stderr)
 	fig := fs.Int("fig", 0, "figure to regenerate: 4, 11, 12, 13, or 14")
 	headline := fs.Bool("headline", false, "compute the Heavy-Hex vs Hypercube headline ratios")
+	seeds := fs.Int("seeds", 0,
+		"with -headline: run base seeds 1..N and print each ratio's mean and [min, max] (0 = the paper seed only)")
 	corral := fs.Bool("corralscaling", false, "run the §7 Corral scaling study")
 	csv := fs.Bool("csv", false, "emit sweep results as CSV (-fig only)")
 	full := fs.Bool("full", false, "use the paper's full sizes (slow)")
@@ -168,6 +173,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if len(modes) > 1 {
 		return cli.Usagef("%v are mutually exclusive; choose one", modes)
+	}
+	if *seeds < 0 {
+		return cli.Usagef("-seeds must be ≥ 0 (0 = the paper seed only), got %d", *seeds)
+	}
+	if *seeds > 0 && !*headline {
+		return cli.Usagef("-seeds only applies to -headline; it would be ignored under %s", modes[0])
 	}
 	if *csv && *fig == 0 {
 		return cli.Usagef("-csv only applies to -fig sweeps; it would be ignored under %s", modes[0])
@@ -353,16 +364,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "Corral scaling study (paper §7 future work): ring growth with")
 		fmt.Fprintln(stdout, "the long fence at ~1/3 of the ring; QV at 80% machine fill.")
 		fmt.Fprint(stdout, experiments.FormatCorralScaling(rows))
+	case *headline && *seeds > 0:
+		return printHeadlineEnsemble(ctx, stdout, cfg, *seeds)
 	case *headline:
 		h, err := experiments.HeadlinesContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "QuantumVolume average ratios, Heavy-Hex+CNOT / Hypercube+sqrtISWAP (sizes %v):\n", h.Sizes)
-		fmt.Fprintf(stdout, "  total SWAPs        %.2fx   (paper: 2.57x)\n", h.SwapRatio)
-		fmt.Fprintf(stdout, "  critical SWAPs     %.2fx   (paper: 5.63x)\n", h.CriticalSwapRatio)
-		fmt.Fprintf(stdout, "  total 2Q gates     %.2fx   (paper: 3.16x)\n", h.Total2QRatio)
-		fmt.Fprintf(stdout, "  pulse duration     %.2fx   (paper: 6.11x)\n", h.DurationRatio)
+		for _, r := range headlineRows {
+			fmt.Fprintf(stdout, "  %-18s %.2fx   (paper: %.2fx)\n", r.label, r.get(h), r.paper)
+		}
 	default:
 		// Figure specs pin their historical seed and explicit trial counts
 		// (and with them their cache keys), so graft only the flag-driven
@@ -541,4 +553,48 @@ func parsePosts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// headlineRows are the §1/§6 ratios -headline prints, with the paper's
+// values.
+var headlineRows = []struct {
+	label string
+	paper float64
+	get   func(experiments.Headline) float64
+}{
+	{"total SWAPs", 2.57, func(h experiments.Headline) float64 { return h.SwapRatio }},
+	{"critical SWAPs", 5.63, func(h experiments.Headline) float64 { return h.CriticalSwapRatio }},
+	{"total 2Q gates", 3.16, func(h experiments.Headline) float64 { return h.Total2QRatio }},
+	{"pulse duration", 6.11, func(h experiments.Headline) float64 { return h.DurationRatio }},
+}
+
+// printHeadlineEnsemble runs the headline study at base seeds 1..n and
+// prints each ratio's mean and range next to the paper's value: one seed
+// cannot show how far the ratios move with the router's random stream.
+// cfg.Deadline bounds the whole ensemble, not each seed.
+func printHeadlineEnsemble(ctx context.Context, stdout io.Writer, cfg experiments.Config, n int) error {
+	if cfg.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
+		defer cancel()
+		cfg.Deadline = 0
+	}
+	hs := make([]experiments.Headline, n)
+	for i := range hs {
+		cfg.Seed = int64(i + 1)
+		var err error
+		if hs[i], err = experiments.HeadlinesContext(ctx, cfg); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stdout, "QuantumVolume average ratios over base seeds 1..%d, Heavy-Hex+CNOT / Hypercube+sqrtISWAP (sizes %v):\n", n, hs[0].Sizes)
+	for _, r := range headlineRows {
+		sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+		for _, h := range hs {
+			v := r.get(h)
+			sum, lo, hi = sum+v, math.Min(lo, v), math.Max(hi, v)
+		}
+		fmt.Fprintf(stdout, "  %-18s mean %.2fx  [%.2fx, %.2fx]   (paper: %.2fx)\n", r.label, sum/float64(n), lo, hi, r.paper)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -343,4 +344,33 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
+}
+
+// TestHeadlineSeedsEnsemble: -headline -seeds N prints each ratio's mean
+// and range over base seeds 1..N next to the paper's value, the mean lies
+// inside the range, and -seeds is rejected outside -headline or below 0.
+func TestHeadlineSeedsEnsemble(t *testing.T) {
+	out, _, err := runQ(t, "-headline", "-seeds", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 5 || !strings.Contains(lines[0], "base seeds 1..2") {
+		t.Fatalf("want a header and four ratio rows, got:\n%s", out)
+	}
+	for i, paper := range []string{"2.57x", "5.63x", "3.16x", "6.11x"} {
+		var mean, lo, hi float64
+		_, stats, _ := strings.Cut(lines[i+1], " mean ")
+		stats = strings.NewReplacer("x", "", "[", "", "]", "", ",", "").Replace(stats)
+		if _, err := fmt.Sscanf(stats, "%f %f %f", &mean, &lo, &hi); err != nil {
+			t.Fatalf("row %q: %v", lines[i+1], err)
+		}
+		if !(lo <= mean && mean <= hi) || !strings.HasSuffix(lines[i+1], "(paper: "+paper+")") {
+			t.Errorf("row %q: want lo ≤ mean ≤ hi and paper value %s", lines[i+1], paper)
+		}
+	}
+	_, _, err = runQ(t, "-fig", "11", "-seeds", "2")
+	wantUsageError(t, err, "-seeds")
+	_, _, err = runQ(t, "-headline", "-seeds", "-1")
+	wantUsageError(t, err, "-seeds")
 }

@@ -39,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Key is a content hash identifying one cached computation. Equal keys mean
@@ -597,13 +599,7 @@ func (s *Store[V]) diskOK() { s.consec.Store(0) }
 // splitmix64 over a seeded counter, so backoff timing replays exactly for
 // a fixed seed and op order.
 func (s *Store[V]) jitterFrac() float64 {
-	x := s.jitterSeed + s.jitterN.Add(1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
+	return rng.Frac(rng.Scramble(s.jitterSeed + s.jitterN.Add(1)*rng.Gamma))
 }
 
 // backoffSleep waits before retry attempt+1: exponential base with half

@@ -357,7 +357,7 @@ func (m Machine) EvaluateContext(ctx context.Context, c *circuit.Circuit, opt Op
 // same inputs (router cost functions, translation counting rules, metric
 // definitions, seed derivation) — otherwise a persistent -cachedir from an
 // older build serves the old algorithm's numbers as if freshly computed.
-const evaluateKeyDomain = "core.Evaluate/v1"
+const evaluateKeyDomain = "core.Evaluate/v2"
 
 // EvaluateKey derives the content hash of one Evaluate call: everything the
 // metrics depend on and nothing else (CellTimeout and Parallelism change

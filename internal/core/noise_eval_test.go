@@ -91,9 +91,10 @@ func TestEvaluateKeyNoiseStability(t *testing.T) {
 // keys computed by earlier builds: Monte-Carlo keys moved, both from the
 // untagged build (the lockstep trajectory runner changes fidelities in the
 // last bits) and from lockstep/v1 (the simulator's layer pass changed its
-// rounding order), so warm disk tiers must recompute them, while
-// count-model and noise-free keys are bit-identical to the earlier
-// builds'.
+// rounding order), so warm disk tiers must recompute them. Every key moved
+// again with core.Evaluate/v2 (counter-based router draws move every
+// routed circuit); the v2 count-model and noise-free keys are pinned so
+// the next unintended key change fails here.
 func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 	noisy := HeavyHex20CX()
 	noisy.Noise = &arch.NoiseProfile{E2Q: 0.002, TDec: 0.001}
@@ -108,8 +109,10 @@ func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 		before string
 		same   bool
 	}{
-		{"noise-free", base, "5f239e7cdf436a57f0ee283f159b184fc1ddfd03cd3c20591755100d7db2f1ed", true},
-		{"count", count, "e867ac6b38e93661e245cd3e1f5985e94d53736d232439073e3fe7a7ca1fc791", true},
+		{"noise-free core.Evaluate/v1", base, "5f239e7cdf436a57f0ee283f159b184fc1ddfd03cd3c20591755100d7db2f1ed", false},
+		{"count core.Evaluate/v1", count, "e867ac6b38e93661e245cd3e1f5985e94d53736d232439073e3fe7a7ca1fc791", false},
+		{"noise-free", base, "e9cb228bf4c51f3494a88a66bcdaa1196140f68dbb779d8b971f42b26e2e366c", true},
+		{"count", count, "00a77f82f7d34bddb460d168c786af747fe50d8db4bdb6e03ae64dfbad610e6f", true},
 		{"montecarlo", mc, "81a764cfc7cc82d2b50df32a0ca0a632bb8698f9e0a3c5d5e64ff7ca56353da0", false},
 		{"montecarlo lockstep/v1", mc, "ff60fb029a6ae2e158c72ba4df223eccc4a889f470f66c1b5bdcaa2aac9e4450", false},
 	} {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/rng"
 )
 
 // Client default retry policy: the same shape as the cache disk tier's
@@ -53,18 +54,6 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, Retries: DefaultClientRetries, Backoff: DefaultClientBackoff}
 }
 
-// splitmix64 is the jitter scrambler, the same finalizer the cache's
-// backoff uses, so client and server shed correlated retries the same way.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // backoffWait sleeps the attempt's jittered backoff (cancellable): for
 // base delay d = Backoff << attempt, the wait is uniform in [d/2, d) —
 // cache.Store's retry shape. A server-provided Retry-After floor (seconds)
@@ -76,7 +65,9 @@ func (c *Client) backoffWait(ctx context.Context, attempt int, retryAfter time.D
 	}
 	d := base << attempt
 	c.jitterN++
-	frac := float64(splitmix64(c.JitterSeed+c.jitterN)>>11) / float64(uint64(1)<<53)
+	// The cache's backoff jitter, so client and server shed correlated
+	// retries the same way.
+	frac := rng.Frac(rng.Scramble(c.JitterSeed + c.jitterN + rng.Gamma))
 	wait := d/2 + time.Duration(frac*float64(d/2))
 	if retryAfter > wait {
 		wait = retryAfter

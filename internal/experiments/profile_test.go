@@ -10,9 +10,11 @@ import (
 )
 
 // TestFig11DefaultMatchesPR2 pins the default (ProfileGuided=false)
-// pipeline to the exact Fig. 11 quick-mode series the PR 2 build produced:
-// the profile-guided subsystem must be invisible until switched on. The
-// golden file is the FormatSeries output `qcbench -fig 11` printed at PR 2.
+// pipeline to an exact Fig. 11 quick-mode series: the profile-guided
+// subsystem must be invisible until switched on. The golden file is the
+// FormatSeries output `qcbench -fig 11` prints. A change that moves the
+// router's random stream regenerates it, bumps core.evaluateKeyDomain and
+// must pass TestClaimsEnsemble; the counter-based draws did.
 func TestFig11DefaultMatchesPR2(t *testing.T) {
 	want, err := os.ReadFile("testdata/fig11_quick_pr2.golden")
 	if err != nil {
@@ -36,8 +38,9 @@ func TestFig11DefaultMatchesPR2(t *testing.T) {
 
 // TestFig11ProfileGuidedMatchesGolden pins the profile-guided pipeline the
 // same way the default one is pinned: the guided Fig. 11 quick-mode series
-// must reproduce the output recorded when the pass pipeline landed (PR 4).
-// A diff here means the guided pass sequence changed behavior — bump
+// must reproduce the recorded output, regenerated with the default golden
+// whenever the router's random stream moves. Any other diff means the
+// guided pass sequence changed behavior — bump
 // core.evaluateKeyDomain (or the guided key tag) and regenerate with
 // `qcbench -fig 11 -profile`.
 func TestFig11ProfileGuidedMatchesGolden(t *testing.T) {

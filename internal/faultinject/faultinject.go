@@ -26,25 +26,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
-
-// smGamma is the splitmix64 increment (golden-ratio conjugate), the same
-// constant the sim and transpile RNGs use.
-const smGamma = 0x9E3779B97F4A7C15
-
-// mix64 is the splitmix64 finalizer: a bijective scramble whose output on
-// sequential inputs is statistically indistinguishable from random.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// frac maps a scrambled word to a fraction in [0, 1).
-func frac(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
 // Schedule is a seeded, counter-based decision stream: the n-th call to
 // Hit/Frac is a pure function of (seed, n), so a fixed seed and call order
@@ -60,7 +44,7 @@ func NewSchedule(seed uint64) *Schedule { return &Schedule{seed: seed} }
 
 // Frac consumes the next stream position and returns its fraction in [0, 1).
 func (s *Schedule) Frac() float64 {
-	return frac(mix64(s.seed + s.n.Add(1)*smGamma))
+	return rng.Frac(rng.Scramble(s.seed + s.n.Add(1)*rng.Gamma))
 }
 
 // Hit consumes the next stream position and reports true with probability p.
@@ -83,7 +67,7 @@ func cellFrac(seed uint64, workload string, size int, machine string) float64 {
 	}
 	h.Write(buf[:])
 	h.Write([]byte(machine))
-	return frac(mix64(h.Sum64()))
+	return rng.Frac(rng.Scramble(h.Sum64()))
 }
 
 // CellHook mirrors experiments.CellHook structurally (this package must not

@@ -1,18 +1,17 @@
-package transpile
+package rng
 
 import "math"
 
-// This file gives the per-trial splitmix64 RNG a direct standard-normal
-// sampler. The router's randomized trials draw one gaussian per unordered
-// vertex pair they read, per trial — an inner loop that profiling showed
-// dominated by the interface-call indirection of rand.(*Rand).NormFloat64
-// over a Source64. slowNormFloat64 reimplements the stdlib's ziggurat
-// loop (Marsaglia & Tsang 2000, as shipped in math/rand/normal.go)
-// directly over splitmix64, reproducing the exact draw sequence of
+// This file gives splitmix64 a direct standard-normal sampler.
+// slowNormFloat64 reimplements the stdlib's ziggurat loop (Marsaglia &
+// Tsang 2000, as shipped in math/rand/normal.go) directly over
+// splitmix64, reproducing the exact draw sequence of
 // rand.New(&splitmix64{state: seed}).NormFloat64(): uint32/float64
-// derivation included, so routed circuits are bit-identical to the
-// rand.Rand path (TestZigguratMatchesMathRand pins this). The kn/wn/fn
-// tables are copied verbatim from the Go standard library (BSD license).
+// derivation included (TestZigguratMatchesMathRand pins this), without the
+// interface-call indirection of rand.(*Rand).NormFloat64 over a Source64.
+// AbsNormAt inlines the fast acceptance test and calls slowNormFloat64
+// for the rest. The kn/wn/fn tables are copied verbatim from the Go
+// standard library (BSD license).
 const zigRn = 3.442619855899
 
 // uint32n mirrors rand.(*Rand).Uint32 over a Source64: uint32(Int63() >> 31)
@@ -55,7 +54,7 @@ var zigWn64 = func() (t [128]float64) {
 // It runs the exact stdlib loop — fast acceptance test, base strip, wedge
 // rejection, redraw — so the value and the stream position afterwards
 // match rand.(*Rand).NormFloat64 exactly; the wedge test decides as the
-// stdlib's does, mostly without its exp (zigWedgeAccept). The router calls
+// stdlib's does, mostly without its exp (zigWedgeAccept). AbsNormAt calls
 // it only for the ~1% of draws that fail its inlined fast test.
 func (s *splitmix64) slowNormFloat64(j int32) float64 {
 	for {
@@ -92,7 +91,7 @@ func (s *splitmix64) slowNormFloat64(j int32) float64 {
 // draws without the exp; only a level between them calls it.
 func zigWedgeAccept(i int32, x float64, l float32) bool {
 	b := &zigSqueeze[i]
-	ax := absf(x)
+	ax := math.Abs(x)
 	if float64(l) < b.loA+b.loB*ax {
 		return true
 	}

@@ -1,4 +1,4 @@
-package transpile
+package rng
 
 import (
 	"math"

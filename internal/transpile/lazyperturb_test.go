@@ -1,25 +1,28 @@
 package transpile
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
-// eagerPerturb is the historical perturbation loop: copy the base matrix
-// and scale every unordered pair by 1 + 0.1|gauss| drawn in row-major i<j
-// order from rand.New(&splitmix64{state: seed}). It is the reference the
+// eagerPerturb is the eager perturbation loop: copy the base matrix and
+// scale every unordered pair by 1 + 0.1|gauss|, drawing each ordinal k
+// (row-major i<j order) as rng.AbsNormAt(seed, k). It is the reference the
 // router's on-demand draws must reproduce bit for bit.
 func eagerPerturb(base []float64, n int, seed uint64) []float64 {
 	d := make([]float64, n*n)
 	copy(d, base)
-	trng := rand.New(&splitmix64{state: seed})
+	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			s := 1 + 0.1*absf(trng.NormFloat64())
-			d[i*n+j] *= s
+			d[i*n+j] *= 1 + 0.1*rng.AbsNormAt(seed, k)
 			d[j*n+i] = d[i*n+j]
+			k++
 		}
 	}
 	return d
@@ -114,32 +117,112 @@ func FuzzLazyPerturbMatchesEager(f *testing.F) {
 	})
 }
 
-// TestRouterDrawsOnlyWhatItReads pins the point of the on-demand draws: a
-// trial routing a short-range pair between low-numbered vertices of
-// Hypercube84 reads only perturbed entries near those vertices, so it must
-// leave most of its n(n−1)/2 draws unmade. A pass that draws a trial's
-// whole stream up front fails here.
+// TestLazyPerturbStampWrap runs trials across the wrap of the scratch's
+// uint32 generation: every read of every trial must match the eager
+// reference, so no draw stamped before the wrap survives it.
+func TestLazyPerturbStampWrap(t *testing.T) {
+	const n = 12
+	base := make([]float64, n*n)
+	for i := range base {
+		base[i] = float64(1 + i%3)
+	}
+	sc := newRouterScratch(n)
+	sc.gen = math.MaxUint32 - 3
+	for trial := uint64(0); trial < 8; trial++ {
+		sc.prep(trial)
+		want := eagerPerturb(base, n, trial)
+		// Each trial reads a different subset, so a stale stamp from an
+		// earlier generation would be read where the new trial has not
+		// drawn yet.
+		for x := int(trial % 3); x < n; x += 2 {
+			for y := 0; y < n; y++ {
+				if x == y {
+					continue
+				}
+				if got := sc.drawAt(base, x, y); got != want[x*n+y] {
+					t.Fatalf("trial %d (gen %d) entry (%d,%d): lazy %v != eager %v", trial, sc.gen, x, y, got, want[x*n+y])
+				}
+			}
+		}
+	}
+	if sc.gen != 5 {
+		t.Fatalf("generation after the wrap is %d, want 5", sc.gen)
+	}
+}
+
+// readRecorder wraps the eager matrix d of one trial as refTrial's
+// accessor and records the draw ordinal of every entry read.
+func readRecorder(d []float64, n int, read map[int]bool) func(x, y int) float64 {
+	return func(x, y int) float64 {
+		lo, hi := min(x, y), max(x, y)
+		read[lo*n-lo*(lo+1)/2+hi-lo-1] = true
+		return d[x*n+y]
+	}
+}
+
+// TestRouterDrawsOnlyWhatItReads pins the point of the counter draws: a
+// trial draws exactly the pairs its search reads. For short- and
+// long-range pair sets on Hypercube84, across seeds and depth limits, the
+// ordinals one trialSearch stamps must equal the distinct ordinals the
+// full-rescan reference trial (refTrial) reads under the same seed and
+// limit, and the trial must agree with the reference on the outcome.
 func TestRouterDrawsOnlyWhatItReads(t *testing.T) {
 	g := topology.Hypercube84()
 	n := g.N()
 	dist := g.Distances()
-	w := -1
-	for v := 1; v < n && w < 0; v++ {
-		if dist[0][v] == 2 {
-			w = v
+	// One pair two hops apart, and three disjoint pairs at least three
+	// hops apart.
+	var near, far [][2]int
+	used := make([]bool, n)
+	for v := 0; v < n; v++ {
+		for w := v + 1; w < n && !used[v]; w++ {
+			switch {
+			case near == nil && dist[v][w] == 2:
+				near = [][2]int{{v, w}}
+			case len(far) < 3 && !used[w] && dist[v][w] >= 3:
+				far = append(far, [2]int{v, w})
+				used[v], used[w] = true, true
+			}
 		}
 	}
-	if w < 0 {
-		t.Fatal("no vertex two hops from vertex 0")
+	if near == nil || len(far) < 3 {
+		t.Fatalf("Hypercube84 lacks the test pairs: near %v, far %v", near, far)
 	}
 	r := newRouter(g, TrivialLayout(n), rand.New(rand.NewSource(4)), 5, g.FlatDistances())
-	pairs := [][2]int{{0, w}}
-	for round := 0; round < 2; round++ { // warm-up, then the measured round
-		if seq := r.findSwaps(pairs); seq == nil {
-			t.Fatalf("round %d: findSwaps failed to route pair (0, %d)", round, w)
+	for _, pairs := range [][][2]int{near, far} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, limit := range []int{1, 3, 2*n + 4*len(pairs)} {
+				r.sc.prep(seed)
+				ok := r.trialSearch(pairs, limit)
+				var stamped []int
+				for k, s := range r.sc.stamp {
+					if s == r.sc.gen {
+						stamped = append(stamped, k)
+					}
+				}
+				read := map[int]bool{}
+				seq, refOK := refTrial(r, readRecorder(eagerPerturb(r.cost, n, seed), n, read), pairs, limit)
+				var reads []int
+				for k := range read {
+					reads = append(reads, k)
+				}
+				sort.Ints(reads)
+				if ok != refOK || len(seq) != len(r.sc.seq) {
+					t.Fatalf("pairs %v seed %d limit %d: trial (%v, %d swaps) != reference (%v, %d swaps)",
+						pairs, seed, limit, ok, len(r.sc.seq), refOK, len(seq))
+				}
+				if len(stamped) != len(reads) {
+					t.Fatalf("pairs %v seed %d limit %d: drew %d ordinals, the search reads %d", pairs, seed, limit, len(stamped), len(reads))
+				}
+				for i := range reads {
+					if stamped[i] != reads[i] {
+						t.Fatalf("pairs %v seed %d limit %d: drew ordinal %d, the search reads %d", pairs, seed, limit, stamped[i], reads[i])
+					}
+				}
+				if all := n * (n - 1) / 2; len(stamped) >= all/4 {
+					t.Errorf("pairs %v seed %d limit %d: drew %d of %d ordinals", pairs, seed, limit, len(stamped), all)
+				}
+			}
 		}
-	}
-	if drawn, all := len(r.sc.g), n*(n-1)/2; drawn >= all {
-		t.Errorf("last trial drew %d of %d gaussians routing pair (0, %d); want fewer (draws must follow reads)", drawn, all, w)
 	}
 }

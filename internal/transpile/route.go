@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/circuit"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -30,10 +31,11 @@ const DefaultTrials = 20
 // Layers no trial can solve whole are routed gate-by-gate (Qiskit's
 // serial-layer fallback).
 //
-// Each trial runs on its own RNG seeded from the caller's stream up front,
-// so the routed circuit is a pure function of (graph, circuit, layout, rng
-// seed, trials, cost). The trials of a layer run serially; parallelism
-// lives one level up, across independent evaluation cells.
+// Each trial's gaussians are counter-based draws keyed by its own seed,
+// drawn from the caller's stream up front, so the routed circuit is a pure
+// function of (graph, circuit, layout, rng seed, trials, cost). The trials
+// of a layer run serially; parallelism lives one level up, across
+// independent evaluation cells.
 //
 // cost[i][j] replaces the hop distance between physical vertices i and j
 // in the randomized trials' objective, so a profile-guided caller can
@@ -182,19 +184,21 @@ func newRouter(g *topology.Graph, layout Layout, rng *rand.Rand, trials int, cos
 // router's trials run one after another on its single scratch, so the
 // trial loop runs allocation-free after warm-up.
 //
-// The perturbed matrix is never built. A trial draws one gaussian per
-// unordered vertex pair in row-major i<j order, but the greedy search
-// reads only the entries around the current pairs' positions — on the
-// 84-vertex machines a trial reads up to ordinal ~1,950 of 3,486. So the
-// draws are made on demand: g holds |gauss| for ordinals 0..len(g)-1, and
-// drawAt extends it along the trial's stream to the ordinal it reads. The
-// stream order is unchanged, so every entry is bit-identical to the eager
-// loop's (pinned by TestLazyPerturbMatchesEager and its fuzz target).
+// The perturbed matrix is never built. A trial perturbs each unordered
+// vertex pair by one |gaussian|, but the greedy search reads only the
+// entries around the current pairs' positions — on the 84-vertex machines
+// a few hundred of 3,486. So the draws are counter-based: pair ordinal k's
+// |gaussian| is rng.AbsNormAt(seed, k), a pure function of the trial seed
+// and k, drawn the first time the trial reads the pair. g[k] holds it
+// while stamp[k] equals the trial's generation gen; prep starts a trial by
+// bumping gen, which invalidates every stamp at once.
 type routerScratch struct {
-	sm  splitmix64 // trial stream, positioned after the draw of g[len(g)-1]
-	g   []float64  // |gaussian| per pair ordinal, in draw order
-	n   int        // vertex count
-	off []int      // off[lo] + hi is the draw ordinal of vertex pair lo < hi
+	seed  uint64    // trial seed the draws are keyed by
+	g     []float64 // |gaussian| per pair ordinal, valid where stamp == gen
+	stamp []uint32  // generation that drew each ordinal
+	gen   uint32    // current trial's generation; prep runs before any read
+	n     int       // vertex count
+	off   []int     // off[lo] + hi is the draw ordinal of vertex pair lo < hi
 
 	pos    [][2]int  // current physical endpoints per pair
 	cur    []float64 // current perturbed cost per pair
@@ -205,26 +209,32 @@ type routerScratch struct {
 	seq    [][2]int // swap sequence under construction
 }
 
-// newRouterScratch sizes a trial scratch for an n-vertex coupling graph;
-// g gets room for every pair's draw, so extending it never reallocates.
+// newRouterScratch sizes a trial scratch for an n-vertex coupling graph:
+// one draw slot and one stamp per vertex pair.
 func newRouterScratch(n int) *routerScratch {
 	off := make([]int, n)
 	for lo := range off {
 		off[lo] = lo*n - lo*(lo+1)/2 - lo - 1
 	}
 	return &routerScratch{
-		g:      make([]float64, 0, n*(n-1)/2),
+		g:      make([]float64, n*(n-1)/2),
+		stamp:  make([]uint32, n*(n-1)/2),
 		n:      n,
 		off:    off,
 		pairAt: make([]int, n),
 	}
 }
 
-// prep starts a trial: reset the stream to the trial's seed and drop the
-// previous trial's draws.
+// prep starts a trial keyed by seed: a new generation, so no draw of an
+// earlier trial is read. When gen wraps, the stamps are cleared, so a
+// stamp left from 2³² trials ago cannot match.
 func (sc *routerScratch) prep(seed uint64) {
-	sc.sm = splitmix64{state: seed}
-	sc.g = sc.g[:0]
+	sc.seed = seed
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
 }
 
 // at returns the perturbed cost base·(1 + 0.1|gauss|) of the distinct
@@ -234,41 +244,20 @@ func (sc *routerScratch) prep(seed uint64) {
 func (sc *routerScratch) at(base []float64, x, y int) (float64, bool) {
 	lo, hi := min(x, y), max(x, y)
 	k := sc.off[lo] + hi
-	if k >= len(sc.g) {
+	if sc.stamp[k] != sc.gen {
 		return 0, false
 	}
 	return base[lo*sc.n+hi] * (1 + 0.1*sc.g[k]), true
 }
 
-// drawAt is at for a pair whose draw may not be made yet: it extends the
-// stream to the pair's ordinal first.
+// drawAt is at for a pair whose draw may not be made yet: it draws the
+// pair's ordinal first.
 func (sc *routerScratch) drawAt(base []float64, x, y int) float64 {
-	if k := sc.off[min(x, y)] + max(x, y); k >= len(sc.g) {
-		sc.drawTo(k)
+	if k := sc.off[min(x, y)] + max(x, y); sc.stamp[k] != sc.gen {
+		sc.g[k], sc.stamp[k] = rng.AbsNormAt(sc.seed, k), sc.gen
 	}
 	v, _ := sc.at(base, x, y)
 	return v
-}
-
-// drawTo extends g through ordinal k in stream order, storing into g's
-// preallocated capacity. The ziggurat's fast acceptance test is inlined on
-// a local copy of the stream; the ~1% of draws that fail it finish in
-// slowNormFloat64.
-func (sc *routerScratch) drawTo(k int) {
-	sm, g := sc.sm, sc.g[:k+1]
-	for m := len(sc.g); m <= k; m++ {
-		sm.state += smGamma
-		j := int32(uint32(smScramble(sm.state) >> 32))
-		i := j & 0x7F
-		if zigAbsInt32(j) < zigKn[i] {
-			// |float64(j)·w| == float64(|j|)·w bit-for-bit: IEEE negation
-			// is exact and rounding is sign-symmetric.
-			g[m] = float64(zigAbsInt32(j)) * zigWn64[i]
-		} else {
-			g[m] = absf(sm.slowNormFloat64(j))
-		}
-	}
-	sc.sm, sc.g = sm, g
 }
 
 // grow resizes a scratch slice to n, preserving capacity across calls.
@@ -357,7 +346,7 @@ func (r *router) greedyStep(p [2]int) [][2]int {
 // call (callers apply it immediately). The pairs must be disjoint, as the
 // gates of one circuit layer are.
 //
-// Every trial gets its own RNG seeded from the router's stream before any
+// Every trial gets its own draw seed from the router's stream before any
 // trial runs, and the winner is the minimum-length sequence with ties
 // broken by lowest trial index, so the outcome depends only on the seeds.
 // A trial greedily searches under a randomly perturbed view of the
@@ -475,7 +464,6 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 			if r.g.HasEdge(pos[i][0], pos[i][1]) {
 				notAdj--
 			}
-			cur[i] = sc.drawAt(r.cost, pos[i][0], pos[i][1])
 		}
 		pairAt[a], pairAt[b] = ib, ia
 		if notAdj == 0 {
@@ -483,6 +471,13 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 		}
 		if step+1 == limit {
 			return false
+		}
+		// Price the moved pairs only now that the search goes on: a trial
+		// that ends here never reads their new positions.
+		for _, i := range [2]int{ia, ib} {
+			if i >= 0 {
+				cur[i] = sc.drawAt(r.cost, pos[i][0], pos[i][1])
+			}
 		}
 		sc.epoch++
 		r.refreshEdges(a)
@@ -540,40 +535,3 @@ func swapped(v, a, b int) int {
 	}
 	return v
 }
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// splitmix64 is a tiny rand.Source64 with O(1) construction, used for the
-// per-trial RNGs: the default math/rand source runs a 607-step seeding
-// procedure, which dominated findSwaps on small topologies where one
-// trial's perturbation is only a few hundred draws. The state advances by
-// a fixed increment per draw, and a copy is the stream's exact position,
-// so routerScratch resumes a trial's draws wherever it stopped.
-type splitmix64 struct{ state uint64 }
-
-// smGamma is the splitmix64 state increment (Weyl sequence constant).
-const smGamma = 0x9E3779B97F4A7C15
-
-// smScramble is the splitmix64 output function over a raw state value.
-func smScramble(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-func (s *splitmix64) Uint64() uint64 {
-	s.state += smGamma
-	return smScramble(s.state)
-}
-
-func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }

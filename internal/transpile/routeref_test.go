@@ -14,9 +14,10 @@ import (
 )
 
 // refStochasticSwap is the reference StochasticSwap search the router must
-// reproduce: every trial perturbs the whole cost matrix eagerly, rescans
-// every edge at every step, and runs to the full depth limit, with no
-// bound from earlier trials. It shares the router's emission and layout
+// reproduce: every trial perturbs the whole cost matrix eagerly, drawing
+// every pair's counter-based gaussian (eagerPerturb), rescans every edge
+// at every step, and runs to the full depth limit, with no bound from
+// earlier trials. It shares the router's emission and layout
 // bookkeeping, which the search does not touch.
 func refStochasticSwap(g *topology.Graph, c *circuit.Circuit, initial Layout, rng *rand.Rand, trials int, flat []float64) (*RouteResult, error) {
 	r := newRouter(g, initial.Copy(), rng, trials, flat)
@@ -75,17 +76,17 @@ func refFindSwaps(r *router, pairs [][2]int) [][2]int {
 	var best [][2]int
 	for _, seed := range seeds {
 		d := eagerPerturb(r.cost, n, uint64(seed))
-		if seq, ok := refTrial(r, d, pairs, limit); ok && (best == nil || len(seq) < len(best)) {
+		if seq, ok := refTrial(r, func(x, y int) float64 { return d[x*n+y] }, pairs, limit); ok && (best == nil || len(seq) < len(best)) {
 			best = seq
 		}
 	}
 	return best
 }
 
-// refTrial is one greedy trial under the perturbed matrix d: at each step
-// it prices every edge that moves a pair and applies the first edge with
-// the lowest delta below −1e-12.
-func refTrial(r *router, d []float64, pairs [][2]int, limit int) ([][2]int, bool) {
+// refTrial is one greedy trial under the perturbed cost d(x, y): at each
+// step it prices every edge that moves a pair and applies the first edge
+// with the lowest delta below −1e-12.
+func refTrial(r *router, d func(x, y int) float64, pairs [][2]int, limit int) ([][2]int, bool) {
 	n := r.g.N()
 	pos := make([][2]int, len(pairs))
 	pairsAt := make([][]int, n)
@@ -111,7 +112,7 @@ func refTrial(r *router, d []float64, pairs [][2]int, limit int) ([][2]int, bool
 				}
 				moved[i] = true
 				p := pos[i]
-				delta += d[swapped(p[0], a, b)*n+swapped(p[1], a, b)] - d[p[0]*n+p[1]]
+				delta += d(swapped(p[0], a, b), swapped(p[1], a, b)) - d(p[0], p[1])
 			}
 			if len(moved) > 0 && delta < bestDelta {
 				bestDelta, bestEdge = delta, e
@@ -161,9 +162,8 @@ func smallMachines(t testing.TB) []*topology.Graph {
 // trial count and cost (the uniform hop matrix, or a pressure profile
 // from a pilot routing), StochasticSwapCostCtx must return exactly the
 // reference search's RouteResult — the same ops, swap count and final
-// layout. The reference perturbs eagerly through math/rand's own
-// NormFloat64, so the on-demand draws and the squeezed ziggurat are
-// checked here too.
+// layout. The reference draws every pair's gaussian up front, so the
+// on-demand draws and their generation stamps are checked here too.
 func FuzzStochasticSwapMatchesReference(f *testing.F) {
 	machines := smallMachines(f)
 	names := workloads.Names()

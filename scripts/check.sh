@@ -26,11 +26,13 @@
 #     override; plus hand-built edge cases, the live-fork cap and the zero-allocation
 #     error-free trajectory (-run TestLockstep in internal/noise), under the
 #     race detector.
-#   * lazy-perturbation fuzz arm: the router's on-demand gaussian draws
-#     must bit-equal the eager perturbation loop for any seed, size and
-#     read order (FuzzLazyPerturbMatchesEager in internal/transpile, run
-#     for -fuzztime=10s on top of its committed seed corpus; a crasher
-#     lands in internal/transpile/testdata/fuzz/ as a permanent seed).
+#   * lazy-perturbation fuzz arm: the router's counter-based gaussian
+#     draws, made on first read and kept under per-pair generation stamps,
+#     must bit-equal the eager loop that draws every pair's ordinal, for
+#     any seed, size and read order (FuzzLazyPerturbMatchesEager in
+#     internal/transpile, run for -fuzztime=10s on top of its committed
+#     seed corpus; a crasher lands in internal/transpile/testdata/fuzz/ as
+#     a permanent seed).
 #   * router differential fuzz arm: on small registry machines, any
 #     workload, width, seed, trial count and cost (uniform or a pressure
 #     profile), StochasticSwap must return the same ops, swap count and
@@ -38,6 +40,16 @@
 #     every edge each step and runs every trial to its full limit
 #     (FuzzStochasticSwapMatchesReference in internal/transpile, run for
 #     -fuzztime=10s on top of its committed seed corpus).
+#   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
+#     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
+#     mean must stay within 3 Welch standard errors of the committed
+#     baseline (internal/experiments/testdata/claims_ensemble.json), and
+#     each figure's machine pairs whose baseline means are more than 3 SE
+#     apart must keep their order (TestClaimsEnsemble, plus the gate's own
+#     arithmetic in TestClaimsGateJudges). A router change that moves the
+#     random stream but keeps its distribution passes; one that shifts the
+#     distribution fails. Takes ~3 s on 2 vCPUs; the arm prints its
+#     wall-clock.
 #   * layered statevector arm: the layered and fused schedules must match
 #     the op-by-op reference within 1e-12, the layer grouping and backward
 #     absorption keep their pinned shapes, and the kernels and layer steps
@@ -209,6 +221,11 @@ go test -run '^$' -fuzz '^FuzzLazyPerturbMatchesEager$' -fuzztime=10s ./internal
 
 echo "check: fuzzing the router's search against the full-rescan reference (10s)"
 go test -run '^$' -fuzz '^FuzzStochasticSwapMatchesReference$' -fuzztime=10s ./internal/transpile
+
+echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
+CLAIMS_START=$SECONDS
+go test -count=1 -run '^(TestClaimsEnsemble|TestClaimsGateJudges)$' ./internal/experiments
+echo "  claims gate took $((SECONDS - CLAIMS_START)) s"
 
 echo "check: layered statevector kernels vs the op-by-op reference, and the allocation guard"
 go test -count=1 \
