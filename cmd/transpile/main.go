@@ -25,6 +25,7 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/qasm"
+	"repro/internal/transpile"
 )
 
 var machines = map[string]func() repro.Machine{
@@ -109,8 +110,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  critical-path 2Q gates:   %d\n", met.Critical2Q)
 	fmt.Fprintf(stdout, "  pulse duration:           %.1f\n", met.PulseDuration)
 	if *print {
+		translated, err := transpile.TranslateToBasis(tr.Routed, m.Basis)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, tr.Translated.String())
+		fmt.Fprint(stdout, translated.String())
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/noise"
+	"repro/internal/transpile"
 )
 
 func main() {
@@ -34,13 +35,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		control := noise.Model{GateError: 0.005, Timing: m.GateDurations()}
-		decoh := noise.Model{DecoherenceRate: 0.005, Timing: m.GateDurations()}
-		fc, err := noise.MonteCarloFidelity(tr.Translated, control, shots, rand.New(rand.NewSource(1)))
+		translated, err := transpile.TranslateToBasis(tr.Routed, m.Basis)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fd, err := noise.MonteCarloFidelity(tr.Translated, decoh, shots, rand.New(rand.NewSource(2)))
+		control := noise.Model{GateError: 0.005, Timing: m.GateDurations()}
+		decoh := noise.Model{DecoherenceRate: 0.005, Timing: m.GateDurations()}
+		fc, err := noise.MonteCarloFidelity(translated, control, shots, rand.New(rand.NewSource(1)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fd, err := noise.MonteCarloFidelity(translated, decoh, shots, rand.New(rand.NewSource(2)))
 		if err != nil {
 			log.Fatal(err)
 		}

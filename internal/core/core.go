@@ -298,11 +298,13 @@ func (m Metrics) String() string {
 
 // Transpiled bundles the full pipeline output for callers that need the
 // physical circuit (e.g. simulation-backed examples), not just counts.
+// The pipeline counts the translation without building it; a caller that
+// prints or simulates the translated circuit builds it from Routed with
+// transpile.TranslateToBasis.
 type Transpiled struct {
-	Layout     transpile.Layout
-	Routed     *circuit.Circuit
-	Translated *circuit.Circuit
-	Metrics    Metrics
+	Layout  transpile.Layout
+	Routed  *circuit.Circuit
+	Metrics Metrics
 
 	// Profile is the pilot pass's measured per-edge SWAP pressure when
 	// Options.ProfileGuided was set (nil otherwise). It always describes
@@ -548,11 +550,11 @@ func (m Machine) Pipeline(opt Options) (transpile.Pipeline, error) {
 	}
 	if opt.Verify {
 		// After the final routing (pilot or guided), before translation:
-		// the translated circuit is a counting artifact with placeholder
-		// 1Q gates, so the routed circuit is the semantic ground truth.
+		// translation only counts basis gates, so the routed circuit is
+		// the semantic ground truth.
 		pipe = append(pipe, transpile.VerifyPass{})
 	}
-	return append(pipe, transpile.TranslatePass{}), nil
+	return append(pipe, transpile.TranslatePass{Durations: m.GateDurations()}), nil
 }
 
 // TranspileContext runs the machine's pass pipeline — placement, routing,
@@ -587,7 +589,7 @@ func (m Machine) TranspileContext(ctx context.Context, c *circuit.Circuit, opt O
 	if err := pipe.Run(pctx); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", m.Name, err)
 	}
-	routed, translated := pctx.Routed, pctx.Translated
+	routed, counts := pctx.Routed, pctx.Counts
 	met := Metrics{
 		Machine:       m.Name,
 		Width:         c.N,
@@ -595,9 +597,9 @@ func (m Machine) TranspileContext(ctx context.Context, c *circuit.Circuit, opt O
 		TotalSwaps:    routed.Circuit.CountByName("swap"),
 		InducedSwaps:  routed.SwapCount,
 		CriticalSwaps: routed.Circuit.CriticalSwaps(),
-		Total2Q:       translated.CountTwoQubit(),
-		Critical2Q:    transpile.Critical2Q(translated),
-		PulseDuration: transpile.PulseDurationTable(translated, m.GateDurations()),
+		Total2Q:       counts.Total2Q,
+		Critical2Q:    counts.Critical2Q,
+		PulseDuration: counts.PulseDuration,
 	}
 	if opt.Fidelity != FidelityOff {
 		prof := m.effectiveNoise(opt)
@@ -620,12 +622,11 @@ func (m Machine) TranspileContext(ctx context.Context, c *circuit.Circuit, opt O
 		met.DecoherenceFidelity = e.Decoherence
 	}
 	return &Transpiled{
-		Layout:     pctx.Layout,
-		Routed:     routed.Circuit,
-		Translated: translated,
-		Metrics:    met,
-		Profile:    pctx.Profile,
-		Timings:    pctx.Timings,
+		Layout:  pctx.Layout,
+		Routed:  routed.Circuit,
+		Metrics: met,
+		Profile: pctx.Profile,
+		Timings: pctx.Timings,
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/topology"
+	"repro/internal/transpile"
 	"repro/internal/weyl"
 	"repro/internal/workloads"
 )
@@ -109,13 +110,17 @@ func TestTranspiledArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Routed == nil || tr.Translated == nil {
+	if tr.Routed == nil {
 		t.Fatal("missing artifacts")
 	}
 	if len(tr.Layout) != 10 {
 		t.Errorf("layout size %d", len(tr.Layout))
 	}
-	if tr.Metrics.Total2Q != tr.Translated.CountTwoQubit() {
+	translated, err := transpile.TranslateToBasis(tr.Routed, m.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Metrics.Total2Q != translated.CountTwoQubit() {
 		t.Error("metrics disagree with translated circuit")
 	}
 }

@@ -66,9 +66,8 @@ func legacyTranspile(m Machine, c *circuit.Circuit, opt Options) (*Transpiled, e
 		return nil, err
 	}
 	return &Transpiled{
-		Layout:     layout,
-		Routed:     routed.Circuit,
-		Translated: translated,
+		Layout: layout,
+		Routed: routed.Circuit,
 		Metrics: Metrics{
 			Machine:       m.Name,
 			Width:         c.N,
@@ -87,9 +86,10 @@ func legacyTranspile(m Machine, c *circuit.Circuit, opt Options) (*Transpiled, e
 // TestPipelineMatchesLegacyTranspile pins the pass-pipeline refactor: for
 // every Machines16 machine, in baseline and single-iteration guided mode,
 // the pipeline's artifacts are byte-identical to the pre-refactor
-// monolithic flow — same layout, same routed and translated circuits
-// (fingerprints cover width, ops, params, and unitary bit patterns), same
-// metrics, same pilot profile totals.
+// monolithic flow — same layout, same routed circuit (fingerprints cover
+// width, ops, params, and unitary bit patterns), same metrics (the
+// pipeline counts the translation the legacy flow built), same pilot
+// profile totals.
 func TestPipelineMatchesLegacyTranspile(t *testing.T) {
 	for _, m := range Machines16() {
 		for _, wl := range []string{"QuantumVolume", "GHZ"} {
@@ -113,9 +113,6 @@ func TestPipelineMatchesLegacyTranspile(t *testing.T) {
 				}
 				if got.Routed.Fingerprint() != want.Routed.Fingerprint() {
 					t.Errorf("%s: routed circuit diverged", tag)
-				}
-				if got.Translated.Fingerprint() != want.Translated.Fingerprint() {
-					t.Errorf("%s: translated circuit diverged", tag)
 				}
 				if got.Metrics != want.Metrics {
 					t.Errorf("%s: metrics diverged:\n got %+v\nwant %+v", tag, got.Metrics, want.Metrics)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/transpile"
 	"repro/internal/workloads"
 )
 
@@ -81,7 +82,11 @@ func TestCompactionAllowsWideMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := noise.MonteCarloFidelity(tr.Translated, noise.Model{}, 3, rand.New(rand.NewSource(4)))
+	translated, err := transpile.TranslateToBasis(tr.Routed, m.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := noise.MonteCarloFidelity(translated, noise.Model{}, 3, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,24 +100,28 @@ func TestCompactionAllowsWideMachines(t *testing.T) {
 // on Heavy-Hex, in BOTH error regimes.
 func TestCodesignFidelityAdvantage(t *testing.T) {
 	ghz := workloads.GHZ(8)
-	hh, err := core.HeavyHex20CX().TranspileContext(context.Background(), ghz, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	translate := func(m core.Machine) *circuit.Circuit {
+		tr, err := m.TranspileContext(context.Background(), ghz, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		translated, err := transpile.TranslateToBasis(tr.Routed, m.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return translated
 	}
-	tree, err := core.Tree20SqrtISwap().TranspileContext(context.Background(), ghz, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	hh, tree := translate(core.HeavyHex20CX()), translate(core.Tree20SqrtISwap())
 	for name, m := range map[string]noise.Model{
 		"control":     {GateError: 0.01},
 		"decoherence": {DecoherenceRate: 0.01},
 	} {
 		rng := rand.New(rand.NewSource(5))
-		fHH, err := noise.MonteCarloFidelity(hh.Translated, m, 200, rng)
+		fHH, err := noise.MonteCarloFidelity(hh, m, 200, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fTree, err := noise.MonteCarloFidelity(tree.Translated, m, 200, rng)
+		fTree, err := noise.MonteCarloFidelity(tree, m, 200, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,9 @@ type Graph struct {
 	wdistMu sync.Mutex             // guards wdist
 	wdist   map[uint64][][]float64 // weighted all-pairs distances per weight fingerprint
 
+	denseMu sync.Mutex    // guards dense
+	dense   map[int][]int // hop-distance DensestSubset per subset size
+
 	fp atomic.Pointer[uint64] // structural fingerprint, computed lazily
 }
 
@@ -72,6 +75,9 @@ func (g *Graph) AddEdge(a, b int) {
 	g.wdistMu.Lock()
 	g.wdist = nil
 	g.wdistMu.Unlock()
+	g.denseMu.Lock()
+	g.dense = nil
+	g.denseMu.Unlock()
 }
 
 // Fingerprint returns a structural hash of the graph: vertex count plus the

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/topology"
+	"repro/internal/weyl"
 	"repro/internal/workloads"
 )
 
@@ -42,5 +44,32 @@ func TestRouterTrialAllocs(t *testing.T) {
 	// of slack for map/runtime noise rather than flaking.
 	if allocs > 1 {
 		t.Errorf("findSwaps allocates %.1f times per round; want ≤ 1 (scratch reuse regressed)", allocs)
+	}
+}
+
+// TestTranslatePassAllocs guards the counting translation: on a routed
+// 84-qubit QuantumVolume(32) cell, TranslatePass allocates its two
+// critical-path level slices and nothing else — no translated circuit.
+func TestTranslatePassAllocs(t *testing.T) {
+	g := topology.Hypercube84()
+	c, err := workloads.Generate("QuantumVolume", 32, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &PassContext{Graph: g, Basis: weyl.BasisSqrtISwap, Circuit: c, Seed: 3, Trials: 5}
+	if err := (Pipeline{LayoutPass{}, RoutePass{}}).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	pass := TranslatePass{Durations: arch.DefaultTiming()}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := pass.Apply(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("TranslatePass allocates %.1f times per routed cell; want ≤ 2 (its level slices)", allocs)
+	}
+	if ctx.Counts.Total2Q == 0 {
+		t.Fatal("translation counted no basis gates: the guard is vacuous")
 	}
 }

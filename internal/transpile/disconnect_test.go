@@ -149,8 +149,8 @@ func TestTranslateUnknownBasisReturnsError(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unknown basis") {
 		t.Fatalf("unhelpful error: %v", err)
 	}
-	if _, err := Count2QForBasis(c, bogus); err == nil {
-		t.Fatal("Count2QForBasis accepted an unknown basis")
+	if _, err := countBasis(c, bogus, nil); err == nil {
+		t.Fatal("countBasis accepted an unknown basis")
 	}
 	if d := PulseDuration(c, bogus); d != 0 {
 		t.Fatalf("PulseDuration(unknown basis) = %g, want 0", d)

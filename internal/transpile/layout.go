@@ -8,7 +8,6 @@ package transpile
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/topology"
@@ -53,7 +52,7 @@ func (l Layout) InverseInto(inv []int) []int {
 
 // Validate checks the layout is injective and within the graph.
 func (l Layout) Validate(g *topology.Graph) error {
-	seen := make(map[int]bool, len(l))
+	seen := make([]bool, g.N())
 	for v, p := range l {
 		if p < 0 || p >= g.N() {
 			return fmt.Errorf("transpile: layout maps q%d to invalid vertex %d", v, p)
@@ -108,7 +107,7 @@ func DenseLayoutCost(g *topology.Graph, c *circuit.Circuit, cost [][]float64) (L
 	if k > g.N() {
 		return nil, fmt.Errorf("transpile: circuit needs %d qubits, machine has %d", k, g.N())
 	}
-	subset := densestSubset(g, k, cost)
+	subset := g.DensestSubset(k, cost)
 	if subset == nil {
 		// Only possible for k < g.N() when no connected region of k
 		// vertices exists. The old fallback (first k vertices) handed
@@ -126,19 +125,17 @@ func DenseLayoutCost(g *topology.Graph, c *circuit.Circuit, cost [][]float64) (L
 	for _, v := range subset {
 		inSubset[v] = true
 	}
-	inducedDeg := func(v int) int {
-		d := 0
+	inducedDeg := make([]int, g.N())
+	for _, v := range subset {
 		for _, w := range g.Neighbors(v) {
 			if inSubset[w] {
-				d++
+				inducedDeg[v]++
 			}
 		}
-		return d
 	}
 	phys := append([]int(nil), subset...)
 	insertionSortInts(phys, func(a, b int) bool {
-		da, db := inducedDeg(a), inducedDeg(b)
-		if da != db {
+		if da, db := inducedDeg[a], inducedDeg[b]; da != db {
 			return da > db
 		}
 		return a < b
@@ -170,86 +167,6 @@ func DenseLayoutCost(g *topology.Graph, c *circuit.Circuit, cost [][]float64) (L
 		return nil, err
 	}
 	return layout, nil
-}
-
-// densestSubset grows a connected subset of size k from every seed vertex,
-// each step adding the candidate with the most neighbors already inside
-// (ties: smaller distance sum to the subset, then smaller index), and keeps
-// the subset with the most induced edges. Distance sums come from cost when
-// non-nil, otherwise hop distances (as exact-integer floats, so the nil
-// path compares identically to the historical int arithmetic). Returns nil
-// when no component holds k vertices (growth is connectivity-preserving, so
-// on a connected graph it always succeeds).
-func densestSubset(g *topology.Graph, k int, cost [][]float64) []int {
-	if k == g.N() {
-		all := make([]int, k)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	n := g.N()
-	// The hop matrix is symmetric, so the nil path can sum row v, which is
-	// contiguous, in place of column v.
-	hops := g.FlatDistances()
-	var best []int
-	bestEdges := -1
-	// Per-seed growth state, reset (not reallocated) for each of the n
-	// seeds: the seed loop dominated DenseLayout's allocation profile.
-	in := make([]bool, n)
-	degIn := make([]int, n)       // neighbors already inside, per candidate
-	distSum := make([]float64, n) // distance sum to the subset, per candidate
-	subset := make([]int, 0, k)
-	for seed := 0; seed < n; seed++ {
-		clear(in)
-		clear(degIn)
-		clear(distSum)
-		add := func(v int) {
-			in[v] = true
-			for _, w := range g.Neighbors(v) {
-				degIn[w]++
-			}
-			if cost != nil {
-				for u := 0; u < n; u++ {
-					distSum[u] += cost[u][v]
-				}
-			} else {
-				for u, d := range hops[v*n : (v+1)*n] {
-					distSum[u] += d
-				}
-			}
-		}
-		add(seed)
-		subset = append(subset[:0], seed)
-		edges := 0
-		for len(subset) < k {
-			bestV := -1
-			for v := 0; v < n; v++ {
-				if in[v] || degIn[v] == 0 {
-					continue // keep the subset connected
-				}
-				if bestV < 0 || degIn[v] > degIn[bestV] ||
-					(degIn[v] == degIn[bestV] && distSum[v] < distSum[bestV]) {
-					bestV = v
-				}
-			}
-			if bestV < 0 {
-				break // disconnected graph: cannot grow further
-			}
-			edges += degIn[bestV]
-			subset = append(subset, bestV)
-			add(bestV)
-		}
-		if len(subset) == k && edges > bestEdges {
-			bestEdges = edges
-			best = append([]int(nil), subset...)
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	sort.Ints(best)
-	return best
 }
 
 // insertionSortInts sorts distinct ints in place with the given strict

@@ -15,8 +15,8 @@ import (
 // the immutable problem description (graph, basis, logical circuit, seed,
 // trials) plus the artifacts the stages of the paper's Fig. 10
 // flow produce and consume — the routing cost matrix, the chosen layout,
-// the routed circuit, the measured pressure profile, and the translated
-// circuit. Passes communicate exclusively through this struct, so any stage
+// the routed circuit, the measured pressure profile, and the translation's
+// counts. Passes communicate exclusively through this struct, so any stage
 // can be replaced, reordered, or repeated without touching the others.
 type PassContext struct {
 	// Inputs. Circuit is the logical circuit and is never mutated; Seed is
@@ -44,11 +44,13 @@ type PassContext struct {
 	// ReweightPass replaces it with pressure-weighted all-pairs distances.
 	Cost [][]float64
 
-	// Artifacts, in pipeline order.
-	Layout     Layout
-	Routed     *RouteResult
-	Profile    *EdgeProfile // pilot pressure profile (ProfileGuidedPass/ProfilePass)
-	Translated *circuit.Circuit
+	// Artifacts, in pipeline order. Counts is TranslatePass's measurement
+	// of the routed circuit's translation; the translated circuit itself is
+	// built only by callers that print or simulate it (TranslateToBasis).
+	Layout  Layout
+	Routed  *RouteResult
+	Profile *EdgeProfile // pilot pressure profile (ProfileGuidedPass/ProfilePass)
+	Counts  BasisCounts
 
 	// Timings records one entry per executed pass (appended by
 	// Pipeline.Run), so callers can attribute wall-clock to stages.
@@ -265,55 +267,28 @@ func (p NoiseReweightPass) Apply(ctx *PassContext) error {
 	return nil
 }
 
-// TranslatePass rewrites the routed circuit into the machine's native basis
-// with TranslateToBasis.
-type TranslatePass struct{}
+// TranslatePass measures the routed circuit's translation into the
+// context's basis into ctx.Counts: the basis-gate total, the critical-path
+// basis gates and the pulse duration under Durations, each equal to what
+// TranslateToBasis's circuit would give, counted without building it.
+// Durations is the machine's timing table (nil prices every gate at 0).
+type TranslatePass struct {
+	Durations map[string]float64
+}
 
 // Name implements Pass.
 func (TranslatePass) Name() string { return "translate" }
 
 // Apply implements Pass.
-func (TranslatePass) Apply(ctx *PassContext) error {
+func (p TranslatePass) Apply(ctx *PassContext) error {
 	if ctx.Routed == nil {
 		return fmt.Errorf("no routed circuit (run a route pass first)")
 	}
-	tr, err := TranslateToBasis(ctx.Routed.Circuit, ctx.Basis)
+	counts, err := countBasis(ctx.Routed.Circuit, ctx.Basis, p.Durations)
 	if err != nil {
 		return err
 	}
-	ctx.Translated = tr
-	return nil
-}
-
-// PeepholePass applies the local simplification pass (1Q merges, 2Q
-// self-inverse cancellation) to the most processed circuit available: the
-// translated circuit when translation ran, otherwise the routed one. It is
-// not part of the default pipeline — the paper's metrics count gates before
-// peephole clean-up — but slots in after TranslatePass for callers that
-// want executable-circuit output.
-type PeepholePass struct{}
-
-// Name implements Pass.
-func (PeepholePass) Name() string { return "peephole" }
-
-// Apply implements Pass.
-func (PeepholePass) Apply(ctx *PassContext) error {
-	switch {
-	case ctx.Translated != nil:
-		out, err := Peephole(ctx.Translated)
-		if err != nil {
-			return err
-		}
-		ctx.Translated = out
-	case ctx.Routed != nil:
-		out, err := Peephole(ctx.Routed.Circuit)
-		if err != nil {
-			return err
-		}
-		ctx.Routed = &RouteResult{Circuit: out, SwapCount: ctx.Routed.SwapCount, FinalLayout: ctx.Routed.FinalLayout}
-	default:
-		return fmt.Errorf("no circuit to simplify (run a route pass first)")
-	}
+	ctx.Counts = counts
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 	"repro/internal/workloads"
@@ -84,20 +85,19 @@ func TestProfileAndReweightPassesRequireUpstreamArtifacts(t *testing.T) {
 	if err := (TranslatePass{}).Apply(ctx); err == nil {
 		t.Fatal("translate pass ran without a routed circuit")
 	}
-	if err := (PeepholePass{}).Apply(ctx); err == nil {
-		t.Fatal("peephole pass ran without any circuit")
-	}
 }
 
 // TestTranslatePassPreservesFingerprint pins the translation pass's
 // contract: the routed circuit it reads is byte-untouched (its unitary
-// fingerprint is preserved exactly), the translated output is fingerprint-
-// deterministic across runs, and its gate content is exactly what the KAK
-// counting rules prescribe — 1Q ops pass through, every 2Q op becomes
-// basis-gate applications (translation's interleaved u3 frames are
-// placeholders, so full statevector equality is deliberately not claimed).
+// fingerprint is preserved exactly), its counts are deterministic across
+// runs and equal to the circuit TranslateToBasis builds, and that circuit's
+// gate content is exactly what the KAK counting rules prescribe — 1Q ops
+// pass through, every 2Q op becomes basis-gate applications (translation's
+// interleaved u3 frames are placeholders, so full statevector equality is
+// deliberately not claimed).
 func TestTranslatePassPreservesFingerprint(t *testing.T) {
 	g := topology.SquareLattice16()
+	durations := arch.DefaultTiming()
 	run := func() (*PassContext, uint64) {
 		ctx := pipelineContext(t, g, weyl.BasisSqrtISwap, "QFT", 6, 11)
 		pipe := Pipeline{LayoutPass{}, RoutePass{}}
@@ -105,7 +105,7 @@ func TestTranslatePassPreservesFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := ctx.Routed.Circuit.Fingerprint()
-		if err := (TranslatePass{}).Apply(ctx); err != nil {
+		if err := (TranslatePass{Durations: durations}).Apply(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if after := ctx.Routed.Circuit.Fingerprint(); after != before {
@@ -118,17 +118,24 @@ func TestTranslatePassPreservesFingerprint(t *testing.T) {
 	if fpA != fpB {
 		t.Fatalf("routing not deterministic: input fingerprints %d vs %d", fpA, fpB)
 	}
-	if a.Translated.Fingerprint() != b.Translated.Fingerprint() {
-		t.Fatal("translated output fingerprint not deterministic")
+	if a.Counts != b.Counts {
+		t.Fatalf("translation counts not deterministic: %+v vs %+v", a.Counts, b.Counts)
 	}
-	// Structural contract: only basis gates and 1Q ops remain, and the
-	// basis-gate total matches the count-only fast path.
-	want2Q, err := Count2QForBasis(a.Routed.Circuit, weyl.BasisSqrtISwap)
+	translated, err := TranslateToBasis(a.Routed.Circuit, weyl.BasisSqrtISwap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := BasisCounts{
+		Total2Q:       translated.CountTwoQubit(),
+		Critical2Q:    Critical2Q(translated),
+		PulseDuration: PulseDurationTable(translated, durations),
+	}
+	if a.Counts != want {
+		t.Fatalf("counted translation %+v, built translation %+v", a.Counts, want)
+	}
+	// Structural contract: only basis gates and 1Q ops remain.
 	got2Q := 0
-	for _, op := range a.Translated.Ops {
+	for _, op := range translated.Ops {
 		if op.Is2Q() {
 			if op.Name != "siswap" {
 				t.Fatalf("translated circuit contains non-basis 2Q gate %s", op.Name)
@@ -136,8 +143,8 @@ func TestTranslatePassPreservesFingerprint(t *testing.T) {
 			got2Q++
 		}
 	}
-	if got2Q != want2Q {
-		t.Fatalf("translated 2Q count %d, Count2QForBasis says %d", got2Q, want2Q)
+	if got2Q != a.Counts.Total2Q {
+		t.Fatalf("translated 2Q count %d, TranslatePass counted %d", got2Q, a.Counts.Total2Q)
 	}
 }
 
@@ -172,11 +179,11 @@ func TestProfilePassDeterministic(t *testing.T) {
 // timing entry.
 func TestPipelineRecordsTimings(t *testing.T) {
 	ctx := pipelineContext(t, topology.Tree20(), weyl.BasisSqrtISwap, "QFT", 8, 5)
-	pipe := Pipeline{LayoutPass{}, RoutePass{}, ProfilePass{}, ReweightPass{}, TranslatePass{}, PeepholePass{}}
+	pipe := Pipeline{LayoutPass{}, RoutePass{}, ProfilePass{}, ReweightPass{}, TranslatePass{}}
 	if err := pipe.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"layout", "route", "profile", "reweight", "translate", "peephole"}
+	want := []string{"layout", "route", "profile", "reweight", "translate"}
 	if len(ctx.Timings) != len(want) {
 		t.Fatalf("got %d timings, want %d", len(ctx.Timings), len(want))
 	}
@@ -187,23 +194,6 @@ func TestPipelineRecordsTimings(t *testing.T) {
 		if pt.Duration < 0 {
 			t.Errorf("pass %q has negative duration", pt.Name)
 		}
-	}
-}
-
-// TestPeepholePassSimplifiesTranslated checks the peephole stage slots in
-// after translation and never grows the circuit.
-func TestPeepholePassSimplifiesTranslated(t *testing.T) {
-	ctx := pipelineContext(t, topology.SquareLattice16(), weyl.BasisSqrtISwap, "QFT", 8, 5)
-	pipe := Pipeline{LayoutPass{}, RoutePass{}, TranslatePass{}}
-	if err := pipe.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	before := len(ctx.Translated.Ops)
-	if err := (PeepholePass{}).Apply(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if after := len(ctx.Translated.Ops); after > before {
-		t.Fatalf("peephole grew the circuit: %d -> %d ops", before, after)
 	}
 }
 

@@ -3,6 +3,7 @@ package transpile
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/circuit"
@@ -203,7 +204,8 @@ type routerScratch struct {
 	pos    [][2]int  // current physical endpoints per pair
 	cur    []float64 // current perturbed cost per pair
 	pairAt []int     // pair with an endpoint on each vertex, -1 for none
-	delta  []float64 // cost change of swapping each edge, 0 if it moves no pair
+	active []uint64  // one bit per edge: set iff an endpoint holds a pair
+	delta  []float64 // cost change of swapping each edge, valid where active
 	mark   []int     // epoch stamps per edge (monotone epoch ⇒ no clearing)
 	epoch  int
 	seq    [][2]int // swap sequence under construction
@@ -401,13 +403,18 @@ func (r *router) findSwaps(pairs [][2]int) [][2]int {
 // adjacent. All working state lives in r.sc, so steady-state trials
 // allocate nothing.
 //
-// Each edge's delta — the summed cost change of the pairs it would move —
-// is kept in r.sc.delta across steps. A swap on (a, b) moves only the pairs
-// on a and b, so only the edges incident to a, b and those pairs' other
-// endpoints can change delta; the rest keep their values, which equal what
-// a full rescan would compute. The winner is the first edge in Edges()
-// order whose delta beats the running best by the same strict test as a
-// rescan, so ties resolve to the same edge.
+// Only active edges — those with an endpoint that holds a pair, a bit each
+// in r.sc.active — are priced: an edge that moves no pair has delta 0,
+// which never passes the search's strict test, so skipping it changes
+// neither the winner nor the draws. Each active edge's delta — the summed
+// cost change of the pairs it would move — is kept in r.sc.delta across
+// steps. A swap on (a, b) moves only the pairs on a and b, so only the
+// edges incident to a and b can change activity, and only those and the
+// edges at the moved pairs' other endpoints can change delta; the rest
+// keep their values, which equal what a full rescan would compute. The
+// winner is the first set bit in Edges() order whose delta beats the
+// running best by the same strict test as a rescan, so ties resolve to the
+// same edge.
 func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 	sc := r.sc
 	sc.pos = grow(sc.pos, len(pairs))
@@ -433,16 +440,31 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 	edges := r.g.Edges()
 	sc.delta = grow(sc.delta, len(edges))
 	sc.mark = grow(sc.mark, len(edges))
-	delta := sc.delta
-	for e := range edges {
-		delta[e] = r.edgeDelta(e)
+	sc.active = grow(sc.active, (len(edges)+63)/64)
+	clear(sc.active)
+	delta, active := sc.delta, sc.active
+	for i := range pairs {
+		for _, v := range pos[i] {
+			for _, e := range r.incident[v] {
+				if bit := uint64(1) << (e & 63); active[e>>6]&bit == 0 {
+					active[e>>6] |= bit
+					delta[e] = r.edgeDelta(e)
+				}
+			}
+		}
+	}
+	if testHookTrialStep != nil {
+		testHookTrialStep(r)
 	}
 	for step := 0; ; step++ {
 		bestDelta := -1e-12
 		best := -1
-		for e, d := range delta {
-			if d < bestDelta {
-				bestDelta, best = d, e
+		for w, word := range active {
+			for ; word != 0; word &= word - 1 {
+				e := w<<6 | bits.TrailingZeros64(word)
+				if d := delta[e]; d < bestDelta {
+					bestDelta, best = d, e
+				}
 			}
 		}
 		if best < 0 {
@@ -488,18 +510,34 @@ func (r *router) trialSearch(pairs [][2]int, limit int) bool {
 				r.refreshEdges(pos[i][1])
 			}
 		}
+		if testHookTrialStep != nil {
+			testHookTrialStep(r)
+		}
 	}
 }
 
-// refreshEdges recomputes the delta of every edge incident to v that this
-// step has not refreshed yet.
+// testHookTrialStep, when set, runs after trialSearch prices its active
+// edges and after every step's refresh, so a test can check the search
+// state the step left behind. It is nil outside tests.
+var testHookTrialStep func(r *router)
+
+// refreshEdges brings every edge incident to v that this step has not
+// refreshed yet up to date: its active bit, and its delta if it is active.
 func (r *router) refreshEdges(v int) {
 	sc := r.sc
+	edges := r.g.Edges()
 	for _, e := range r.incident[v] {
-		if sc.mark[e] != sc.epoch {
-			sc.mark[e] = sc.epoch
-			sc.delta[e] = r.edgeDelta(e)
+		if sc.mark[e] == sc.epoch {
+			continue
 		}
+		sc.mark[e] = sc.epoch
+		bit := uint64(1) << (e & 63)
+		if sc.pairAt[edges[e][0]] < 0 && sc.pairAt[edges[e][1]] < 0 {
+			sc.active[e>>6] &^= bit
+			continue
+		}
+		sc.active[e>>6] |= bit
+		sc.delta[e] = r.edgeDelta(e)
 	}
 }
 

@@ -176,7 +176,8 @@ func TranslateToBasis(c *circuit.Circuit, b weyl.Basis) (*circuit.Circuit, error
 	}
 	for _, op := range c.Ops {
 		if !op.Is2Q() {
-			out.Append(op)
+			// Passed through as is: it was validated when c was built.
+			out.Ops = append(out.Ops, op)
 			continue
 		}
 		k := int(ks[0])
@@ -201,24 +202,90 @@ func TranslateToBasis(c *circuit.Circuit, b weyl.Basis) (*circuit.Circuit, error
 	return out, nil
 }
 
-// Count2QForBasis returns how many basis-gate applications a circuit costs
-// without materializing the translated circuit (used by fast sweeps).
-func Count2QForBasis(c *circuit.Circuit, b weyl.Basis) (int, error) {
-	if _, err := basisGateName(b); err != nil {
-		return 0, err
+// BasisCounts is what the paper's metrics read from a translated circuit
+// (Fig. 10), counted without building it: the basis-gate total, the basis
+// gates on the critical path, and the duration-weighted critical path.
+type BasisCounts struct {
+	Total2Q       int
+	Critical2Q    int
+	PulseDuration float64
+}
+
+// countBasis measures the translation of c into basis b without building
+// it: Total2Q is TranslateToBasis(c, b).CountTwoQubit(), Critical2Q its
+// Critical2Q and PulseDuration its PulseDurationTable under durations,
+// bit for bit. One walk replays, for both critical paths, the op sequence
+// TranslateToBasis would emit — each 2Q gate of basis count k as u3 frames
+// around k basis-gate applications (two u3s alone when k = 0, so it does
+// not synchronize its qubits), every other op passed through — through
+// CriticalPath's level arithmetic, adding a basis gate's weight once per
+// application. It allocates the two level slices and nothing else.
+func countBasis(c *circuit.Circuit, b weyl.Basis, durations map[string]float64) (BasisCounts, error) {
+	name, err := basisGateName(b)
+	if err != nil {
+		return BasisCounts{}, err
 	}
+	dur := durations[name]
+	depth := frontier{level: make([]float64, c.N)} // weight 1 per basis gate
+	pulse := frontier{level: make([]float64, c.N)} // weight dur per basis gate
 	total := 0
 	for _, op := range c.Ops {
 		if !op.Is2Q() {
+			depth.step(op.Qubits, 0)
+			pulse.step(op.Qubits, 0)
 			continue
 		}
 		k, err := basisCount(op, b)
 		if err != nil {
-			return 0, err
+			return BasisCounts{}, err
 		}
 		total += k
+		pair := [2]int{op.Qubits[0], op.Qubits[1]}
+		u3s := func() {
+			for i := range pair {
+				depth.step(pair[i:i+1], 0)
+				pulse.step(pair[i:i+1], 0)
+			}
+		}
+		for i := 0; i < k; i++ {
+			u3s()
+			depth.step(pair[:], 1)
+			pulse.step(pair[:], dur)
+		}
+		u3s()
 	}
-	return total, nil
+	return BasisCounts{
+		Total2Q:       total,
+		Critical2Q:    int(depth.worst + 0.5),
+		PulseDuration: pulse.worst,
+	}, nil
+}
+
+// frontier is circuit.CriticalPath's state, advanced one op at a time:
+// level[q] is the accumulated weight at qubit q's frontier, worst the
+// largest seen.
+type frontier struct {
+	level []float64
+	worst float64
+}
+
+// step advances the frontier over an op on qs of weight w, with
+// CriticalPath's arithmetic: the op starts at the latest level among qs
+// (never below 0) and every qubit in qs ends at start + w.
+func (f *frontier) step(qs []int, w float64) {
+	start := 0.0
+	for _, q := range qs {
+		if f.level[q] > start {
+			start = f.level[q]
+		}
+	}
+	end := start + w
+	for _, q := range qs {
+		f.level[q] = end
+	}
+	if end > f.worst {
+		f.worst = end
+	}
 }
 
 // PulseDuration returns the duration-weighted critical path of a translated

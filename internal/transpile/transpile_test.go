@@ -237,12 +237,12 @@ func TestTranslateToBasisCounts(t *testing.T) {
 		if got := out.CountTwoQubit(); got != tc.want {
 			t.Errorf("%v: total 2Q = %d, want %d", tc.basis, got, tc.want)
 		}
-		fast, err := Count2QForBasis(c, tc.basis)
+		counted, err := countBasis(c, tc.basis, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast != tc.want {
-			t.Errorf("%v: Count2QForBasis = %d, want %d", tc.basis, fast, tc.want)
+		if counted.Total2Q != tc.want {
+			t.Errorf("%v: counted total 2Q = %d, want %d", tc.basis, counted.Total2Q, tc.want)
 		}
 	}
 }

@@ -40,6 +40,15 @@
 #     every edge each step and runs every trial to its full limit
 #     (FuzzStochasticSwapMatchesReference in internal/transpile, run for
 #     -fuzztime=10s on top of its committed seed corpus).
+#   * counted-translation fuzz arm: TranslatePass counts the translation
+#     without building it; on routed circuits from the small registry
+#     machines (any workload, width and seed) and on hand-built circuits
+#     (basis-count-0 gates, three-qubit ops), under all four bases and the
+#     default, non-dyadic (t-siswap=0.3, t-cx=0.7) and empty timing tables,
+#     its basis-gate total, critical-path basis gates and pulse duration
+#     (to the bit) must equal those read from TranslateToBasis's circuit
+#     (FuzzCountedTranslationMatchesBuilt in internal/transpile, run for
+#     -fuzztime=10s on top of its committed seed corpus).
 #   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
 #     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
 #     mean must stay within 3 Welch standard errors of the committed
@@ -80,9 +89,11 @@
 #   * race-detector runs of the packages with real concurrency surface
 #     (the content-addressed cache, the parallel sweep engine and the
 #     multi-cell drivers — serial == parallel is pinned per driver in
-#     internal/experiments — the transpile pass pipeline, the sim package,
-#     whose compiled Programs are shared read-only across concurrent cells,
-#     and the noise package, whose estimators run inside concurrent cells),
+#     internal/experiments — the transpile pass pipeline, the topology
+#     package, whose graphs cache distances and dense subsets for the
+#     concurrent cells that share them, the sim package, whose compiled
+#     Programs are shared read-only across concurrent cells, and the noise
+#     package, whose estimators run inside concurrent cells),
 #     pinned to GOMAXPROCS=4 so races reproduce even on single-core runners.
 #
 # Run directly, or via scripts/bench.sh which uses it as its preflight.
@@ -222,6 +233,9 @@ go test -run '^$' -fuzz '^FuzzLazyPerturbMatchesEager$' -fuzztime=10s ./internal
 echo "check: fuzzing the router's search against the full-rescan reference (10s)"
 go test -run '^$' -fuzz '^FuzzStochasticSwapMatchesReference$' -fuzztime=10s ./internal/transpile
 
+echo "check: fuzzing the counted translation against the built one (10s)"
+go test -run '^$' -fuzz '^FuzzCountedTranslationMatchesBuilt$' -fuzztime=10s ./internal/transpile
+
 echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
 CLAIMS_START=$SECONDS
 go test -count=1 -run '^(TestClaimsEnsemble|TestClaimsGateJudges)$' ./internal/experiments
@@ -232,10 +246,10 @@ go test -count=1 \
     -run 'TestLayered|TestFused|TestBuildLayers|TestKernelAllocs|TestLayerKernelAllocs|TestScheduleBackwardAbsorption' \
     ./internal/sim
 
-echo "check: race-testing cache + sweep engine + transpile pipeline + sim kernels + noise estimators (GOMAXPROCS=4)"
+echo "check: race-testing cache + sweep engine + transpile pipeline + graph caches + sim kernels + noise estimators (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -race -count=1 \
     ./internal/cache/... ./internal/experiments/... ./internal/faultinject/... \
-    ./internal/par/... ./internal/transpile/... ./internal/sim/... \
+    ./internal/par/... ./internal/transpile/... ./internal/topology/... ./internal/sim/... \
     ./internal/noise/... ./internal/daemon/...
 
 echo "check: qcbenchd smoke (ephemeral port, 32-way dedup probe, byte-identical remote sweep, SIGTERM drain)"
