@@ -101,25 +101,6 @@ func TestIntegrationCodesignOrderingAcrossWorkloads(t *testing.T) {
 	}
 }
 
-// TestIntegrationHeteroExtension exercises the §7 heterogeneous-basis
-// translation through the facade on a routed circuit.
-func TestIntegrationHeteroExtension(t *testing.T) {
-	m := Tree20SqrtISwap()
-	c := workloads.QFT(10, true)
-	tr, err := m.TranspileContext(context.Background(), c, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	het, err := transpile.TranslateHetero(tr.Routed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dHet := transpile.HeteroPulseDuration(het)
-	if dHet <= 0 || dHet > tr.Metrics.PulseDuration+1e-9 {
-		t.Fatalf("hetero duration %g vs homogeneous %g", dHet, tr.Metrics.PulseDuration)
-	}
-}
-
 // TestIntegrationCorralScalingFacade runs the §7 scaling study through the
 // facade.
 func TestIntegrationCorralScalingFacade(t *testing.T) {

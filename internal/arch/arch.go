@@ -52,8 +52,7 @@ type Timing map[string]float64
 // pulses are one full pulse, the SNAIL's √iSWAP is half an iSWAP (§4.1), a
 // logical SWAP is three half-pulses (only present pre-translation), and the
 // Haar-random su4 placeholder counts one pulse. This is the single source
-// of truth behind noise.StandardDurations and every machine built without
-// an explicit table.
+// of truth behind every machine built without an explicit table.
 func DefaultTiming() Timing {
 	return Timing{
 		"cx": 1.0, "syc": 1.0, "iswap": 1.0, "siswap": 0.5,
@@ -79,18 +78,6 @@ func (t Timing) Equal(o Timing) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy (nil stays nil).
-func (t Timing) Clone() Timing {
-	if t == nil {
-		return nil
-	}
-	out := make(Timing, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
 }
 
 // NoiseProfile is an architecture's §3.1 error model as plain data, so the

@@ -99,19 +99,16 @@ func TestTimingOverridesLayerOverDefault(t *testing.T) {
 
 func TestTimingEqualClone(t *testing.T) {
 	d := DefaultTiming()
-	if !d.Equal(d.Clone()) {
-		t.Errorf("clone not equal to original")
+	if !d.Equal(DefaultTiming()) {
+		t.Errorf("two default tables differ")
 	}
-	c := d.Clone()
+	c := DefaultTiming()
 	c["cx"] = 9
 	if d.Equal(c) || d.Duration("cx") != 1.0 {
-		t.Errorf("clone aliases original")
+		t.Errorf("Equal missed a changed entry")
 	}
 	if (Timing)(nil).Equal(Timing{"cx": 1}) || !(Timing)(nil).Equal(Timing{}) {
 		t.Errorf("nil-timing equality wrong")
-	}
-	if (Timing)(nil).Clone() != nil {
-		t.Errorf("Clone(nil) != nil")
 	}
 }
 

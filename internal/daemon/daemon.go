@@ -62,7 +62,6 @@ const (
 	DefaultMaxTimeout    = 2 * time.Minute
 	DefaultDrainTimeout  = 15 * time.Second
 	DefaultQueueFactor   = 4
-	DefaultCacheEntries  = 0 // cache package default
 	shedRetryAfter       = 1 // seconds, sent with 429
 	drainRetryAfter      = 5 // seconds, sent with 503 while draining
 	healthzPath          = "/healthz"
@@ -207,16 +206,6 @@ func (s *Server) Listen() (string, error) {
 	}
 	s.ln = ln
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Serve accepts requests until ctx is cancelled, then drains: admission

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/linalg"
 	"repro/internal/optimize"
@@ -49,6 +50,46 @@ func TestTemplateUnitaryShape(t *testing.T) {
 	}
 	if _, err := TemplateUnitary(2, 3, params[:5]); err == nil {
 		t.Fatal("wrong param count accepted")
+	}
+}
+
+// TestTemplateCircuitMatchesUnitary multiplies out the op sequence that
+// TemplateCircuit builds for the noisy Fig. 15 cells and compares it with
+// TemplateUnitary's Eq. 10 product.
+func TestTemplateCircuitMatchesUnitary(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, nk := range [][2]int{{1, 1}, {2, 3}, {3, 2}} {
+		n, k := nk[0], nk[1]
+		params := make([]float64, ParamsPerTemplate(k))
+		for i := range params {
+			params[i] = rng.Float64() * 2 * math.Pi
+		}
+		want, err := TemplateUnitary(n, k, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := TemplateCircuit(n, k, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := linalg.Identity(4)
+		for _, op := range c.Ops {
+			u, err := circuit.Unitary(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case len(op.Qubits) == 2:
+			case op.Qubits[0] == 0:
+				u = u.Kron(gates.I2())
+			default:
+				u = gates.I2().Kron(u)
+			}
+			got = u.Mul(got)
+		}
+		if !got.EqualWithin(want, 1e-12) {
+			t.Errorf("n=%d k=%d: TemplateCircuit's ops multiply out to a different unitary than TemplateUnitary", n, k)
+		}
 	}
 }
 

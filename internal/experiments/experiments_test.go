@@ -222,12 +222,6 @@ func TestFig15Small(t *testing.T) {
 	}
 }
 
-func TestDurationAxis(t *testing.T) {
-	if Duration(2, 3) != 1.5 || Duration(3, 4) != 4.0/3.0 {
-		t.Error("duration axis k/n wrong")
-	}
-}
-
 func TestCircuitForDeterminism(t *testing.T) {
 	a, err := BenchmarkCircuit("QuantumVolume", 8, 2022)
 	if err != nil {

@@ -37,10 +37,6 @@ type Fig15Result struct {
 	AvgTotalFidelity [][]float64
 }
 
-// Duration returns the pulse-duration x-coordinate k/n for a root and
-// template size (Fig. 15 top-right).
-func Duration(n, k int) float64 { return float64(k) / float64(n) }
-
 // fig15CellSeed derives the decomposition RNG seed of one (n, k, sample)
 // cell from its coordinates and the study's base seed via FNV — the same
 // pure-function-of-coordinates scheme as SweepSpec.taskSeed, which is what

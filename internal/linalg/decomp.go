@@ -94,28 +94,6 @@ func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// Inverse returns m⁻¹ for a square nonsingular matrix.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	m.mustSquare("Inverse")
-	n := m.Rows
-	out := New(n, n)
-	e := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := m.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out, nil
-}
-
 // QR returns the thin QR factorization m = Q*R using modified Gram-Schmidt,
 // with Q having orthonormal columns. Requires Rows >= Cols and full column
 // rank.
@@ -155,22 +133,4 @@ func (m *Matrix) QR() (q, r *Matrix, err error) {
 		}
 	}
 	return q, r, nil
-}
-
-// ExpHermitian returns exp(i*s*H) for a Hermitian matrix H, computed via the
-// eigendecomposition of H. The result is unitary.
-func ExpHermitian(h *Matrix, s float64) (*Matrix, error) {
-	if !h.IsHermitian(1e-10) {
-		return nil, fmt.Errorf("linalg: ExpHermitian requires a Hermitian matrix")
-	}
-	vals, vecs, err := EigHermitian(h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Rows
-	d := New(n, n)
-	for i := 0; i < n; i++ {
-		d.Set(i, i, cmplx.Exp(complex(0, s*vals[i])))
-	}
-	return vecs.Mul(d).Mul(vecs.Dagger()), nil
 }

@@ -174,77 +174,3 @@ func SimultaneousDiagonalize(a, b *Matrix) (*Matrix, error) {
 	}
 	return p, nil
 }
-
-// EigHermitian diagonalizes a complex Hermitian matrix, returning ascending
-// real eigenvalues and a unitary matrix of column eigenvectors with
-// h = V * diag(vals) * V†.
-//
-// It embeds H = A + iB into the real symmetric matrix [[A, -B], [B, A]],
-// whose spectrum is that of H doubled, and lifts real eigenvectors (x; y)
-// back to complex ones x + iy, orthonormalizing within eigenvalue clusters.
-func EigHermitian(h *Matrix) ([]float64, *Matrix, error) {
-	h.mustSquare("EigHermitian")
-	if !h.IsHermitian(1e-9) {
-		return nil, nil, fmt.Errorf("linalg: EigHermitian requires Hermitian input")
-	}
-	n := h.Rows
-	big := New(2*n, 2*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			re, im := real(h.At(i, j)), imag(h.At(i, j))
-			big.Set(i, j, complex(re, 0))
-			big.Set(i+n, j+n, complex(re, 0))
-			big.Set(i, j+n, complex(-im, 0))
-			big.Set(i+n, j, complex(im, 0))
-		}
-	}
-	vals, vecs, err := EigSymmetricReal(big)
-	if err != nil {
-		return nil, nil, err
-	}
-	outVals := make([]float64, 0, n)
-	out := New(n, n)
-	kept := make([]([]complex128), 0, n)
-	for c := 0; c < 2*n && len(kept) < n; c++ {
-		z := make([]complex128, n)
-		for r := 0; r < n; r++ {
-			z[r] = complex(real(vecs.At(r, c)), real(vecs.At(r+n, c)))
-		}
-		// Orthogonalize against eigenvectors already kept in the same
-		// eigenvalue cluster (duplicates appear as i-rotated copies).
-		for k := len(kept) - 1; k >= 0; k-- {
-			if math.Abs(outVals[k]-vals[c]) > 1e-7 {
-				break
-			}
-			var dot complex128
-			for r := 0; r < n; r++ {
-				dot += cmplx.Conj(kept[k][r]) * z[r]
-			}
-			for r := 0; r < n; r++ {
-				z[r] -= dot * kept[k][r]
-			}
-		}
-		var norm float64
-		for _, v := range z {
-			norm += real(v)*real(v) + imag(v)*imag(v)
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-7 {
-			continue // duplicate of an already-kept eigenvector
-		}
-		for r := range z {
-			z[r] /= complex(norm, 0)
-		}
-		kept = append(kept, z)
-		outVals = append(outVals, vals[c])
-	}
-	if len(kept) != n {
-		return nil, nil, fmt.Errorf("linalg: EigHermitian recovered %d of %d eigenvectors", len(kept), n)
-	}
-	for c, z := range kept {
-		for r := 0; r < n; r++ {
-			out.Set(r, c, z[r])
-		}
-	}
-	return outVals, out, nil
-}

@@ -109,57 +109,6 @@ func TestSimultaneousDiagonalizeRejectsNonCommuting(t *testing.T) {
 	}
 }
 
-func TestEigHermitianReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(4)
-		a := randMatrix(rng, n, n)
-		h := a.Add(a.Dagger()).Scale(0.5)
-		vals, v, err := EigHermitian(h)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		d := New(n, n)
-		for i, lam := range vals {
-			d.Set(i, i, complex(lam, 0))
-		}
-		if recon := v.Mul(d).Mul(v.Dagger()); !recon.EqualWithin(h, 1e-8) {
-			t.Fatalf("trial %d: V D V† != H (diff %g)", trial, recon.MaxAbsDiff(h))
-		}
-		if !v.IsUnitary(1e-8) {
-			t.Fatalf("trial %d: eigenvector matrix not unitary", trial)
-		}
-	}
-}
-
-func TestEigHermitianDegenerate(t *testing.T) {
-	// Identity: fully degenerate spectrum.
-	vals, v, err := EigHermitian(Identity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lam := range vals {
-		if math.Abs(lam-1) > 1e-10 {
-			t.Fatalf("identity eigenvalue %g != 1", lam)
-		}
-	}
-	if !v.IsUnitary(1e-9) {
-		t.Fatal("degenerate eigenvectors not unitary")
-	}
-	// Pauli Y: complex Hermitian with eigenvalues ±1.
-	y := FromRows([][]complex128{{0, -1i}, {1i, 0}})
-	vals, v, err = EigHermitian(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vals[0]+1) > 1e-10 || math.Abs(vals[1]-1) > 1e-10 {
-		t.Fatalf("Pauli Y eigenvalues = %v", vals)
-	}
-	if !v.IsUnitary(1e-9) {
-		t.Fatal("Pauli Y eigenvectors not unitary")
-	}
-}
-
 func TestPolyRootsKnown(t *testing.T) {
 	// x² - 1 → ±1
 	roots, err := PolyRoots([]complex128{-1, 0, 1})

@@ -86,16 +86,6 @@ func (m *Matrix) Add(b *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.mustSameShape(b, "Sub")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s * m.
 func (m *Matrix) Scale(s complex128) *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -181,15 +171,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Conj returns the element-wise complex conjugate of m.
-func (m *Matrix) Conj() *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = cmplx.Conj(v)
-	}
-	return out
-}
-
 // Dagger returns the conjugate transpose (Hermitian adjoint) of m.
 func (m *Matrix) Dagger() *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -257,22 +238,6 @@ func (m *Matrix) IsUnitary(tol float64) bool {
 		return false
 	}
 	return m.Dagger().Mul(m).EqualWithin(Identity(m.Rows), tol)
-}
-
-// IsHermitian reports whether m = m† within tol.
-func (m *Matrix) IsHermitian(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	return m.EqualWithin(m.Dagger(), tol)
-}
-
-// IsSymmetric reports whether m = mᵀ within tol (no conjugation).
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	return m.EqualWithin(m.Transpose(), tol)
 }
 
 // MaxImagAbs returns the largest |imag(element)|, a realness check.

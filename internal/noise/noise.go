@@ -99,14 +99,6 @@ func (m Model) opGateError(op circuit.Op) float64 {
 	return m.GateError
 }
 
-// StandardDurations returns the paper's pulse-length normalization — the
-// architecture registry's default timing table (arch.DefaultTiming), so
-// gate timing has one source of truth. Machines with custom tables should
-// charge noise with Machine.GateDurations() instead.
-func StandardDurations() map[string]float64 {
-	return map[string]float64(arch.DefaultTiming())
-}
-
 var paulis = []*linalg.Matrix{gates.X(), gates.Y(), gates.Z()}
 
 // ValidateForSim checks that a circuit is trajectory-simulable, with

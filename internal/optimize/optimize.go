@@ -6,7 +6,6 @@ package optimize
 
 import (
 	"math"
-	"sort"
 )
 
 // AdamConfig tunes the Adam optimizer.
@@ -99,95 +98,4 @@ func FiniteDiffGrad(f func([]float64) float64, h float64) func([]float64) (float
 		}
 		return fx, g
 	}
-}
-
-// NelderMeadConfig tunes the simplex search.
-type NelderMeadConfig struct {
-	MaxIter int     // default 400·dim
-	Step    float64 // initial simplex spread (default 0.5)
-	Tol     float64 // spread tolerance (default 1e-10)
-}
-
-// NelderMead minimizes f from x0 with the standard simplex moves
-// (reflection, expansion, contraction, shrink).
-func NelderMead(x0 []float64, f func([]float64) float64, cfg NelderMeadConfig) ([]float64, float64) {
-	n := len(x0)
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 400 * (n + 1)
-	}
-	if cfg.Step == 0 {
-		cfg.Step = 0.5
-	}
-	if cfg.Tol == 0 {
-		cfg.Tol = 1e-10
-	}
-	const (
-		alpha = 1.0 // reflect
-		gamma = 2.0 // expand
-		rho   = 0.5 // contract
-		sigma = 0.5 // shrink
-	)
-	type vertex struct {
-		x []float64
-		f float64
-	}
-	simplex := make([]vertex, n+1)
-	for i := range simplex {
-		x := append([]float64(nil), x0...)
-		if i > 0 {
-			x[i-1] += cfg.Step
-		}
-		simplex[i] = vertex{x, f(x)}
-	}
-	centroid := make([]float64, n)
-	xr := make([]float64, n)
-	xe := make([]float64, n)
-	xc := make([]float64, n)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
-		if simplex[n].f-simplex[0].f < cfg.Tol {
-			break
-		}
-		for j := 0; j < n; j++ {
-			centroid[j] = 0
-			for i := 0; i < n; i++ {
-				centroid[j] += simplex[i].x[j]
-			}
-			centroid[j] /= float64(n)
-		}
-		worst := simplex[n]
-		for j := 0; j < n; j++ {
-			xr[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
-		}
-		fr := f(xr)
-		switch {
-		case fr < simplex[0].f:
-			for j := 0; j < n; j++ {
-				xe[j] = centroid[j] + gamma*(xr[j]-centroid[j])
-			}
-			if fe := f(xe); fe < fr {
-				simplex[n] = vertex{append([]float64(nil), xe...), fe}
-			} else {
-				simplex[n] = vertex{append([]float64(nil), xr...), fr}
-			}
-		case fr < simplex[n-1].f:
-			simplex[n] = vertex{append([]float64(nil), xr...), fr}
-		default:
-			for j := 0; j < n; j++ {
-				xc[j] = centroid[j] + rho*(worst.x[j]-centroid[j])
-			}
-			if fc := f(xc); fc < worst.f {
-				simplex[n] = vertex{append([]float64(nil), xc...), fc}
-			} else {
-				for i := 1; i <= n; i++ {
-					for j := 0; j < n; j++ {
-						simplex[i].x[j] = simplex[0].x[j] + sigma*(simplex[i].x[j]-simplex[0].x[j])
-					}
-					simplex[i].f = f(simplex[i].x)
-				}
-			}
-		}
-	}
-	sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
-	return simplex[0].x, simplex[0].f
 }

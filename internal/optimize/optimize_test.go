@@ -51,23 +51,6 @@ func TestAdamAnalyticGradient(t *testing.T) {
 	}
 }
 
-func TestNelderMeadSphere(t *testing.T) {
-	x, f := NelderMead([]float64{3, -2}, sphere, NelderMeadConfig{})
-	if f > 1e-8 {
-		t.Fatalf("NM on sphere: f=%g at %v", f, x)
-	}
-}
-
-func TestNelderMeadRosenbrock(t *testing.T) {
-	x, f := NelderMead([]float64{-1.2, 1}, rosenbrock, NelderMeadConfig{MaxIter: 20000})
-	if f > 1e-6 {
-		t.Fatalf("NM on rosenbrock: f=%g at %v", f, x)
-	}
-	if math.Abs(x[0]-1) > 1e-2 || math.Abs(x[1]-1) > 1e-2 {
-		t.Fatalf("NM rosenbrock minimum at %v", x)
-	}
-}
-
 func TestFiniteDiffGradAccuracy(t *testing.T) {
 	fg := FiniteDiffGrad(sphere, 1e-6)
 	_, g := fg([]float64{2, 0})

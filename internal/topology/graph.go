@@ -249,30 +249,6 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(len(g.edges)) / float64(g.n)
 }
 
-// InducedSubgraph returns the subgraph on the kept vertices, relabeled
-// 0..len(keep)-1 in the order given.
-func (g *Graph) InducedSubgraph(name string, keep []int) *Graph {
-	idx := make(map[int]int, len(keep))
-	for i, v := range keep {
-		if v < 0 || v >= g.n {
-			panic(fmt.Sprintf("topology: keep vertex %d out of range", v))
-		}
-		if _, dup := idx[v]; dup {
-			panic(fmt.Sprintf("topology: keep vertex %d repeated", v))
-		}
-		idx[v] = i
-	}
-	out := NewGraph(name, len(keep))
-	for _, e := range g.edges {
-		a, oka := idx[e[0]]
-		b, okb := idx[e[1]]
-		if oka && okb {
-			out.AddEdge(a, b)
-		}
-	}
-	return out
-}
-
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s{n=%d, e=%d}", g.Name, g.n, len(g.edges))

@@ -207,12 +207,3 @@ func Corral12() *Graph {
 	g.Name = "Corral(1,2)"
 	return g
 }
-
-// MakeTree builds a generalized 4-ary tree with the given number of router
-// levels (levels=2 gives Tree20, levels=3 gives Tree84). Exposed for
-// scaling studies beyond the paper's sizes.
-func MakeTree(levels int) *Graph {
-	g := Tree(4, levels)
-	g.Name = fmt.Sprintf("Tree-%dL", levels)
-	return g
-}

@@ -166,27 +166,6 @@ func TestTreeRR84Table2(t *testing.T) {
 	}
 }
 
-func TestMakeTreeMatchesHandBuilt(t *testing.T) {
-	for _, tc := range []struct {
-		levels int
-		want   *Graph
-	}{
-		{2, Tree20()},
-		{3, Tree84()},
-	} {
-		g := MakeTree(tc.levels)
-		if g.N() != tc.want.N() || g.NumEdges() != tc.want.NumEdges() {
-			t.Errorf("MakeTree(%d): %d nodes %d edges, want %d/%d",
-				tc.levels, g.N(), g.NumEdges(), tc.want.N(), tc.want.NumEdges())
-		}
-		for _, e := range tc.want.Edges() {
-			if !g.HasEdge(e[0], e[1]) {
-				t.Errorf("MakeTree(%d) missing edge %v", tc.levels, e)
-			}
-		}
-	}
-}
-
 func TestCorral11Table1(t *testing.T) {
 	s := Corral11().Stats()
 	if s.Qubits != 16 || s.Diameter != 4 {
@@ -313,14 +292,6 @@ func TestGraphBasics(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := SquareLattice(3, 3)
-	sub := g.InducedSubgraph("corner", []int{0, 1, 3, 4})
-	if sub.N() != 4 || sub.NumEdges() != 4 {
-		t.Errorf("2x2 corner: %d nodes %d edges, want 4/4", sub.N(), sub.NumEdges())
-	}
-}
-
 func TestGraphPanics(t *testing.T) {
 	g := NewGraph("p", 2)
 	for name, f := range map[string]func(){
@@ -343,7 +314,7 @@ func TestAllTopologiesConnected(t *testing.T) {
 		SquareLattice16(), SquareLattice84(), HexLattice20(), HexLattice84(),
 		HeavyHex20(), HeavyHex84(), LatticeAltDiag84(), Hypercube16(),
 		Hypercube84(), Tree20(), TreeRR20(), Tree84(), TreeRR84(),
-		Corral11(), Corral12(), MakeTree(4),
+		Corral11(), Corral12(), Tree(4, 4),
 	}
 	for _, g := range all {
 		if !g.IsConnected() {

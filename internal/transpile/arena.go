@@ -27,22 +27,3 @@ func (a *intArena) take(n int) []int {
 	a.buf = a.buf[n:]
 	return s
 }
-
-// floatArena is intArena for []float64 payloads (emitted ops' params).
-type floatArena struct {
-	buf []float64
-}
-
-// take returns a zeroed slice of n float64s with capacity exactly n.
-func (a *floatArena) take(n int) []float64 {
-	if n > len(a.buf) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		a.buf = make([]float64, size)
-	}
-	s := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	return s
-}

@@ -32,14 +32,8 @@ func (l Layout) Copy() Layout {
 	return out
 }
 
-// Inverse returns the physical→virtual map (-1 for unused vertices).
-func (l Layout) Inverse(n int) []int {
-	return l.InverseInto(make([]int, n))
-}
-
 // InverseInto fills inv (fully — every entry is overwritten) with the
-// physical→virtual map, -1 for unused vertices, and returns it. It is the
-// allocation-free form of Inverse for callers with a reusable buffer.
+// physical→virtual map, -1 for unused vertices, and returns it.
 func (l Layout) InverseInto(inv []int) []int {
 	for i := range inv {
 		inv[i] = -1

@@ -41,7 +41,7 @@ type PassContext struct {
 
 	// Cost is the routing cost matrix consumed by layout and routing
 	// passes: nil means uniform hop distances (the baseline pipeline);
-	// ReweightPass replaces it with pressure-weighted all-pairs distances.
+	// NoiseReweightPass replaces it with error-weighted all-pairs distances.
 	Cost [][]float64
 
 	// Artifacts, in pipeline order. Counts is TranslatePass's measurement
@@ -184,49 +184,20 @@ func (ProfilePass) Apply(ctx *PassContext) error {
 	return nil
 }
 
-// ReweightPass converts the measured pressure profile into a weighted
-// all-pairs cost matrix (EdgeProfile.Weights → Graph.WeightedDistances) and
-// installs it as ctx.Cost, so subsequent layout/route passes price
-// congested links above idle ones. Alpha ≤ 0 uses DefaultPressureAlpha.
-type ReweightPass struct {
-	Alpha float64
-}
-
-// Name implements Pass.
-func (ReweightPass) Name() string { return "reweight" }
-
-// Apply implements Pass.
-func (p ReweightPass) Apply(ctx *PassContext) error {
-	if ctx.Profile == nil {
-		return fmt.Errorf("no pressure profile (run a profile pass first)")
-	}
-	alpha := p.Alpha
-	if alpha <= 0 {
-		alpha = DefaultPressureAlpha
-	}
-	cost, err := ctx.Graph.WeightedDistances(ctx.Profile.Weights(alpha))
-	if err != nil {
-		return err
-	}
-	ctx.Cost = cost
-	return nil
-}
-
 // DefaultNoiseAlpha scales how strongly per-edge error rates inflate edge
 // costs in NoiseReweightPass (w = 1 + alpha·c/max where c = −ln(1−p)): 2.0
 // makes the worst coupling read three hops long, enough to steer traffic
 // off a bad link without making every detour free.
 const DefaultNoiseAlpha = 2.0
 
-// NoiseReweightPass is the noise-aware ReweightPass source: it converts
-// per-edge two-qubit error rates into a weighted all-pairs cost matrix
-// (Graph.ErrorWeights → Graph.WeightedDistances) and installs it as
-// ctx.Cost, so subsequent layout/route passes prefer high-fidelity
-// couplings the way pressure-weighted passes avoid congested ones. Placed
-// before the first LayoutPass it routes against error rates alone ("pure"
-// mode); with Blend set it multiplies the error weights into the measured
-// SWAP-pressure weights of ctx.Profile, pricing a link by both its
-// congestion and its quality — blend mode therefore requires a profile
+// NoiseReweightPass converts per-edge two-qubit error rates into a weighted
+// all-pairs cost matrix (Graph.ErrorWeights → Graph.WeightedDistances) and
+// installs it as ctx.Cost, so subsequent layout/route passes prefer
+// high-fidelity couplings the way pressure-weighted passes avoid congested
+// ones. Placed before the first LayoutPass it routes against error rates
+// alone ("pure" mode); with Blend set it multiplies the error weights into
+// the measured SWAP-pressure weights of ctx.Profile, pricing a link by both
+// its congestion and its quality — blend mode therefore requires a profile
 // pass upstream. Errors supplies the rate per physical coupling (a, b);
 // rates must lie in [0,1). Alpha ≤ 0 uses DefaultNoiseAlpha.
 type NoiseReweightPass struct {

@@ -76,9 +76,6 @@ func TestProfileAndReweightPassesRequireUpstreamArtifacts(t *testing.T) {
 	if err := (ProfilePass{}).Apply(ctx); err == nil {
 		t.Fatal("profile pass ran without a routed circuit")
 	}
-	if err := (ReweightPass{}).Apply(ctx); err == nil {
-		t.Fatal("reweight pass ran without a profile")
-	}
 	if err := (ProfileGuidedPass{}).Apply(ctx); err == nil {
 		t.Fatal("profile-guided pass ran without a pilot routing")
 	}
@@ -179,11 +176,11 @@ func TestProfilePassDeterministic(t *testing.T) {
 // timing entry.
 func TestPipelineRecordsTimings(t *testing.T) {
 	ctx := pipelineContext(t, topology.Tree20(), weyl.BasisSqrtISwap, "QFT", 8, 5)
-	pipe := Pipeline{LayoutPass{}, RoutePass{}, ProfilePass{}, ReweightPass{}, TranslatePass{}}
+	pipe := Pipeline{LayoutPass{}, RoutePass{}, ProfilePass{}, TranslatePass{}}
 	if err := pipe.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"layout", "route", "profile", "reweight", "translate"}
+	want := []string{"layout", "route", "profile", "translate"}
 	if len(ctx.Timings) != len(want) {
 		t.Fatalf("got %d timings, want %d", len(ctx.Timings), len(want))
 	}

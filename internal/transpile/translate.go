@@ -312,9 +312,9 @@ func PulseDuration(c *circuit.Circuit, b weyl.Basis) float64 {
 // durations[name] pulse units (0 when absent), 1Q gates are free. This is
 // the per-architecture generalization of PulseDuration — with the default
 // table (arch.DefaultTiming) it reproduces PulseDuration's numbers exactly
-// on translated circuits, and it prices mixed-basis circuits (heterogeneous
-// translation, pre-translation routed circuits with explicit swaps) that a
-// single-basis weighting cannot.
+// on translated circuits, and it prices mixed-gate circuits (routed
+// circuits with explicit swaps, before translation) that a single-basis
+// weighting cannot.
 func PulseDurationTable(c *circuit.Circuit, durations map[string]float64) float64 {
 	return c.CriticalPath(func(op circuit.Op) float64 {
 		if !op.Is2Q() {
@@ -327,5 +327,10 @@ func PulseDurationTable(c *circuit.Circuit, durations map[string]float64) float6
 // Critical2Q returns the number of basis-gate applications on the critical
 // path of a translated circuit.
 func Critical2Q(c *circuit.Circuit) int {
-	return c.Depth2Q()
+	return int(c.CriticalPath(func(op circuit.Op) float64 {
+		if op.Is2Q() {
+			return 1
+		}
+		return 0
+	}) + 0.5)
 }

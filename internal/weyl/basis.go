@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/gates"
-	"repro/internal/linalg"
 )
 
 // Basis identifies a hardware-native two-qubit basis gate. The paper's
@@ -40,22 +39,6 @@ func (b Basis) String() string {
 		return "iSWAP"
 	default:
 		return fmt.Sprintf("Basis(%d)", int(b))
-	}
-}
-
-// Gate returns the 4x4 unitary of the basis gate.
-func (b Basis) Gate() *linalg.Matrix {
-	switch b {
-	case BasisCX:
-		return gates.CX()
-	case BasisSqrtISwap:
-		return gates.SqrtISwap()
-	case BasisSYC:
-		return gates.SYC()
-	case BasisISwap:
-		return gates.ISwap()
-	default:
-		panic("weyl: unknown basis")
 	}
 }
 
@@ -131,18 +114,4 @@ func (b Basis) NumGates(c Coord) int {
 	default:
 		panic("weyl: unknown basis")
 	}
-}
-
-// NumGatesFor computes the basis-count for an explicit 4x4 unitary.
-func (b Basis) NumGatesFor(u *linalg.Matrix) (int, error) {
-	c, err := Coordinates(u)
-	if err != nil {
-		return 0, err
-	}
-	return b.NumGates(c), nil
-}
-
-// AllBases lists the bases in the order used by the paper's comparisons.
-func AllBases() []Basis {
-	return []Basis{BasisCX, BasisSqrtISwap, BasisSYC, BasisISwap}
 }

@@ -3,7 +3,6 @@ package weyl
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 )
@@ -42,14 +41,8 @@ func (c Coord) IsIdentityClass() bool { return c.ApproxEqual(Coord{}) }
 var (
 	CoordCNOT      = Coord{math.Pi / 4, 0, 0}
 	CoordISwap     = Coord{math.Pi / 4, math.Pi / 4, 0}
-	CoordSWAP      = Coord{math.Pi / 4, math.Pi / 4, math.Pi / 4}
 	CoordSqrtISwap = Coord{math.Pi / 8, math.Pi / 8, 0}
 )
-
-// CoordNRootISwap returns the class of the n-th root of iSWAP.
-func CoordNRootISwap(n int) Coord {
-	return Coord{math.Pi / (4 * float64(n)), math.Pi / (4 * float64(n)), 0}
-}
 
 // Coordinates computes the canonical Weyl-chamber coordinates of a 4x4
 // unitary. It extracts the spectrum {e^{2iθ_j}} of the magic-basis Gamma
@@ -169,49 +162,4 @@ func canonicalize(a, b, c float64, ops weylOp) (Coord, int) {
 		}
 	}
 	return Coord{v[0], v[1], v[2]}, moves
-}
-
-// LocallyEquivalent reports whether two 4x4 unitaries differ only by
-// single-qubit gates and global phase.
-func LocallyEquivalent(u, v *linalg.Matrix) (bool, error) {
-	cu, err := Coordinates(u)
-	if err != nil {
-		return false, err
-	}
-	cv, err := Coordinates(v)
-	if err != nil {
-		return false, err
-	}
-	return cu.ApproxEqual(cv), nil
-}
-
-// IsPerfectEntangler reports whether a unitary with coordinates c can map
-// some product state to a maximally entangled state. The criterion is the
-// Makhlin/Kraus–Cirac condition: the convex hull of the gamma-matrix
-// eigenvalues {e^{2iθ_j}} must contain the origin. For unit-circle points
-// that is equivalent to no angular gap exceeding π.
-func (c Coord) IsPerfectEntangler() bool {
-	// Reconstruct the four phase angles 2θ_j from the coordinates.
-	thetas := []float64{
-		c.X - c.Y + c.Z,
-		c.X + c.Y - c.Z,
-		-c.X - c.Y - c.Z,
-		-c.X + c.Y + c.Z,
-	}
-	angles := make([]float64, len(thetas))
-	for i, t := range thetas {
-		a := math.Mod(2*t, 2*math.Pi)
-		if a < 0 {
-			a += 2 * math.Pi
-		}
-		angles[i] = a
-	}
-	sort.Float64s(angles)
-	maxGap := 2*math.Pi - angles[len(angles)-1] + angles[0]
-	for i := 1; i < len(angles); i++ {
-		if g := angles[i] - angles[i-1]; g > maxGap {
-			maxGap = g
-		}
-	}
-	return maxGap <= math.Pi+1e-6
 }

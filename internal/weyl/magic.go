@@ -73,19 +73,3 @@ func su4Phase(u *linalg.Matrix) (complex128, *linalg.Matrix) {
 }
 
 func phaseOf(z complex128) float64 { return math.Atan2(imag(z), real(z)) }
-
-// MakhlinInvariants returns the local invariants (G1 complex, G2 real) of a
-// two-qubit unitary:
-//
-//	G1 = tr²(m) / 16,   G2 = (tr²(m) − tr(m²)) / 4,
-//
-// computed on the SU(4) normalization of U. Two unitaries are locally
-// equivalent iff their (G1, G2) agree.
-func MakhlinInvariants(u *linalg.Matrix) (complex128, float64) {
-	m := GammaMatrix(u)
-	tr := m.Trace()
-	tr2 := m.Mul(m).Trace()
-	g1 := tr * tr / 16
-	g2 := real(tr*tr-tr2) / 4
-	return g1, g2
-}

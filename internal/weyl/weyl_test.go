@@ -207,98 +207,6 @@ func TestSplitTensor(t *testing.T) {
 	}
 }
 
-func TestPerfectEntangler(t *testing.T) {
-	cases := []struct {
-		name string
-		u    *linalg.Matrix
-		want bool
-	}{
-		{"I", linalg.Identity(4), false},
-		{"CX", gates.CX(), true},
-		{"iSWAP", gates.ISwap(), true},
-		{"SWAP", gates.SWAP(), false},
-		{"sqrtISWAP", gates.SqrtISwap(), true}, // boundary PE (paper §6.3)
-		{"4thISWAP", gates.NRootISwap(4), false},
-		{"3rdISWAP", gates.NRootISwap(3), false},
-		// The Sycamore gate's conditional phase pushes it just outside the
-		// perfect-entangler polytope (its class is (π/4, π/4, π/12); the
-		// iSWAP point on the PE boundary is (π/4, π/4, 0)).
-		{"SYC", gates.SYC(), false},
-		{"sqrtSWAP", gates.Canonical(math.Pi/8, math.Pi/8, math.Pi/8), true},
-	}
-	for _, tc := range cases {
-		c, err := Coordinates(tc.u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.IsPerfectEntangler(); got != tc.want {
-			t.Errorf("%s: IsPerfectEntangler = %v, want %v (coords %v)", tc.name, got, tc.want, c)
-		}
-	}
-}
-
-func TestMakhlinInvariants(t *testing.T) {
-	cases := []struct {
-		name string
-		u    *linalg.Matrix
-		g1   complex128
-		g2   float64
-	}{
-		{"I", linalg.Identity(4), 1, 3},
-		{"CX", gates.CX(), 0, 1},
-		{"iSWAP", gates.ISwap(), 0, -1},
-		{"SWAP", gates.SWAP(), -1, -3},
-	}
-	for _, tc := range cases {
-		g1, g2 := MakhlinInvariants(tc.u)
-		if cmplx.Abs(g1-tc.g1) > 1e-9 || math.Abs(g2-tc.g2) > 1e-9 {
-			t.Errorf("%s: invariants (%v, %v), want (%v, %v)", tc.name, g1, g2, tc.g1, tc.g2)
-		}
-	}
-	// Invariance under locals.
-	rng := rand.New(rand.NewSource(9))
-	u := gates.RandomSU4(rng)
-	k := gates.RandomSU2(rng).Kron(gates.RandomSU2(rng))
-	a1, a2 := MakhlinInvariants(u)
-	b1, b2 := MakhlinInvariants(k.Mul(u))
-	if cmplx.Abs(a1-b1) > 1e-8 || math.Abs(a2-b2) > 1e-8 {
-		t.Error("Makhlin invariants changed under local gates")
-	}
-}
-
-func TestLocallyEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	u := gates.RandomSU4(rng)
-	k1 := gates.RandomSU2(rng).Kron(gates.RandomSU2(rng))
-	k2 := gates.RandomSU2(rng).Kron(gates.RandomSU2(rng))
-	eq, err := LocallyEquivalent(u, k1.Mul(u).Mul(k2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("dressed unitary not recognized as equivalent")
-	}
-	eq, err = LocallyEquivalent(gates.CX(), gates.SWAP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Fatal("CX and SWAP reported equivalent")
-	}
-	// CZ and CX are locally equivalent (conjugate by H on target).
-	eq, _ = LocallyEquivalent(gates.CX(), gates.CZ())
-	if !eq {
-		t.Fatal("CX and CZ should be locally equivalent")
-	}
-	// √SWAP and √SWAP† are NOT locally equivalent (chiral classes).
-	sswap := gates.Canonical(math.Pi/8, math.Pi/8, math.Pi/8)
-	sswapDg := gates.Canonical(math.Pi/8, math.Pi/8, -math.Pi/8)
-	eq, _ = LocallyEquivalent(sswap, sswapDg)
-	if eq {
-		t.Fatal("√SWAP and √SWAP† must be distinct classes")
-	}
-}
-
 func TestBasisCounts(t *testing.T) {
 	q := math.Pi / 4
 	id := Coord{}

@@ -86,6 +86,19 @@
 #     that imports the internal packages directly; go vet and go test run
 #     inside it with run.sh's offline environment, so deleting or renaming
 #     an API it uses fails here rather than at benchmark time.
+#   * reachability arm: every binary (cmd/*, examples/*, qcperf) is built
+#     with -gcflags=all=-l, so that inlining hides no caller, into a temp
+#     dir; go tool nm lists their text symbols and scripts/reach matches
+#     them against every function with a body in the non-test files under
+#     internal/. A function no binary links must be on
+#     scripts/reach/allowlist.txt with the reason it stays (a test oracle,
+#     a test fixture, the paper's hardware); an allowlist entry that is
+#     linked or names no function fails too. Unlinked code is deleted, or
+#     listed with its reason, never left to accumulate.
+#   * pprof guard arm: no main package but cmd/qcbenchd (qcperf listed from
+#     its own module) may depend on runtime/pprof or net/http/pprof.
+#     Linking the profiler turns on the memory profiler's buckets: 1.49 MB
+#     held on qcperf's daemon-warm workload, ~16% of its mem_held_mb.
 #   * race-detector runs of the packages with real concurrency surface
 #     (the content-addressed cache, the parallel sweep engine and the
 #     multi-cell drivers — serial == parallel is pinned per driver in
@@ -214,6 +227,34 @@ echo "check: qcperf builds and passes its tests against this tree"
 (cd qcperf &&
     export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTELEMETRY=off &&
     go vet ./... && go test -count=1 ./...)
+
+echo "check: every function under internal/ is linked by a binary or allowlisted (scripts/reach)"
+REACHDIR="$(mktemp -d)"
+trap 'rm -rf "$REACHDIR"' EXIT
+for p in ./cmd/* ./examples/*; do
+    go build -gcflags=all=-l -o "$REACHDIR/$(basename "$(dirname "$p")")-$(basename "$p")" "$p"
+done
+(cd qcperf &&
+    export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTELEMETRY=off &&
+    go build -gcflags=all=-l -o "$REACHDIR/qcperf" .)
+for b in "$REACHDIR"/*; do go tool nm "$b"; done | go run ./scripts/reach
+rm -rf "$REACHDIR"
+trap - EXIT
+
+echo "check: only cmd/qcbenchd may link runtime/pprof or net/http/pprof"
+PPROFUSERS="$( {
+    go list -f '{{if eq .Name "main"}}{{.ImportPath}} {{join .Deps " "}}{{end}}' ./...
+    (cd qcperf &&
+        export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTELEMETRY=off &&
+        go list -f '{{.ImportPath}} {{join .Deps " "}}' .)
+} | awk '$1 != "repro/cmd/qcbenchd" {
+    for (i = 2; i <= NF; i++) if ($i == "runtime/pprof" || $i == "net/http/pprof") print $1 " depends on " $i
+}')"
+if [[ -n "$PPROFUSERS" ]]; then
+    echo "$PPROFUSERS"
+    echo "check: FAILED — the profiler belongs in cmd/qcbenchd only; linked elsewhere it holds memory-profile buckets (qcperf mem_held_mb)"
+    exit 1
+fi
 
 echo "check: architecture registry integrity (smoke builds, unique names + fingerprints)"
 go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
