@@ -79,8 +79,8 @@ func TestKernelAllocs(t *testing.T) {
 
 // TestLayerKernelAllocs guards the layer engine: executing a full kLayer
 // step — cross-tile 2×2, X and 4×4 members on their own sweeps, a
-// cross-tile diagonal, the fused tile-local 2×2 pair, and riders of every
-// tile-local kind — must not allocate. The layer kernels run millions of
+// cross-tile diagonal, and tile-local members of every kind — must not
+// allocate. The layer kernels run millions of
 // times per sweep cell, so even one allocation per pass would dominate
 // small-state throughput and thrash the GC on big ones.
 func TestLayerKernelAllocs(t *testing.T) {
@@ -96,9 +96,9 @@ func TestLayerKernelAllocs(t *testing.T) {
 		{kind: kX, qa: 1},                               // cross-tile exchange
 		{kind: kMat2Q, qa: 2, qb: 4, u: su4},            // cross-tile 4×4
 		{kind: kDiag1Q, qa: 3, d: [4]complex128{1, 1i}}, // cross-tile diagonal
-		{kind: kMat1Q, qa: n - 1, u: gates.H()},         // tile-local pair half
-		{kind: kMat1Q, qa: n - 2, u: gates.H()},         // tile-local pair half
-		{kind: kMat1Q, qa: n - 3, u: gates.H()},         // tile-local, unpaired
+		{kind: kMat1Q, qa: n - 1, u: gates.H()},         // tile-local 2×2
+		{kind: kMat1Q, qa: n - 2, u: gates.H()},         // tile-local 2×2
+		{kind: kMat1Q, qa: n - 3, u: gates.H()},         // tile-local 2×2
 		{kind: kDiag2Q, qa: 3, qb: n - 4, d: [4]complex128{1, 1, 1, -1}},
 		{kind: kMat2Q, qa: n - 5, qb: n - 6, u: su4}, // tile-local 4×4
 		{kind: kCX, qa: n - 7, qb: n - 8},

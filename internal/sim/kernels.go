@@ -10,6 +10,22 @@ import (
 	"repro/internal/linalg"
 )
 
+// The kernels in this file are the portable kernel set. The four that do
+// complex arithmetic — tileMat1Q, tileMat2Q, tileDiag1Q and diagQuarter —
+// are bound per platform: kernels_generic.go forwards them to the Go loops
+// here (tileMat1QGo, tileMat2QGo, tileDiag1QGo, diagQuarterGo), and on
+// amd64 kernels_amd64.go runs them as SSE2 routines, with the Go loops
+// kept as the oracle FuzzSSE2KernelsMatchGo compares them against bit for
+// bit. The routines are exact: Go lowers m·a to (mr·ar − mi·ai,
+// mr·ai + mi·ar); SSE2 forms (mr·ar, mr·ai) + (−mi·ai, mi·ar), which is
+// the same pair of IEEE results because (−x)·y = −(x·y), x + (−y) = x − y
+// and addition commutes; and a row's products are summed left to right,
+// as written below. That holds against the Go loops compiled at the
+// default GOAMD64=v1; at v3 Go itself fuses multiply-adds, which round
+// once and move the last bit, and so would an FMA routine. The exchanges
+// (tileX, tileCX, tileSwap) are plain 16-byte moves, and tileMix is on no
+// timed path, so they are Go everywhere.
+
 // iSWAP-family inner-block entries, read once from the same memoized
 // matrices circuit.Unitary resolves, so the mix kernel multiplies the exact
 // floating-point values the generic path would (e.g. the iSWAP diagonal is
@@ -204,8 +220,8 @@ func (s *State) apply(m *member, region []complex128, base int) {
 	}
 }
 
-// tileMat1Q applies a 2×2 over a region; mask < len(region).
-func tileMat1Q(region []complex128, mask int, u *linalg.Matrix) {
+// tileMat1QGo applies a 2×2 over a region; mask < len(region).
+func tileMat1QGo(region []complex128, mask int, u *linalg.Matrix) {
 	u00, u01 := u.Data[0], u.Data[1]
 	u10, u11 := u.Data[2], u.Data[3]
 	for base := 0; base < len(region); base += mask << 1 {
@@ -214,37 +230,6 @@ func tileMat1Q(region []complex128, mask int, u *linalg.Matrix) {
 			a0, a1 := region[i], region[j]
 			region[i] = u00*a0 + u01*a1
 			region[j] = u10*a0 + u11*a1
-		}
-	}
-}
-
-// tileMat1QPair applies two 2×2s on distinct bits of a region in one quad
-// pass: ux mixes along mx first, then uy along my, loading and storing each
-// amplitude once — bit-identical to the two strided sweeps.
-func tileMat1QPair(region []complex128, mx int, ux *linalg.Matrix, my int, uy *linalg.Matrix) {
-	x00, x01 := ux.Data[0], ux.Data[1]
-	x10, x11 := ux.Data[2], ux.Data[3]
-	y00, y01 := uy.Data[0], uy.Data[1]
-	y10, y11 := uy.Data[2], uy.Data[3]
-	lo, hi := mx, my
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i := mid; i < mid+lo; i++ {
-				ix, iy := i+mx, i+my
-				ixy := ix + my
-				a00, ax, ay, axy := region[i], region[ix], region[iy], region[ixy]
-				b00 := x00*a00 + x01*ax
-				bx := x10*a00 + x11*ax
-				by := x00*ay + x01*axy
-				bxy := x10*ay + x11*axy
-				region[i] = y00*b00 + y01*by
-				region[iy] = y10*b00 + y11*by
-				region[ix] = y00*bx + y01*bxy
-				region[ixy] = y10*bx + y11*bxy
-			}
 		}
 	}
 }
@@ -259,12 +244,12 @@ func tileX(region []complex128, mask int) {
 	}
 }
 
-// tileDiag1Q applies diag(d0, d1) on a region at any stride: below the
+// tileDiag1QGo applies diag(d0, d1) on a region at any stride: below the
 // region size it is the strided phase sweep, skipping unit factors (so
 // z/s/t/p touch only half the state); at or above it the qubit's bit is
 // constant over the region — read it from the region's global base and do
 // one scalar multiply.
-func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
+func tileDiag1QGo(region []complex128, gbase, mask int, d0, d1 complex128) {
 	if mask < len(region) {
 		for base := 0; base < len(region); base += mask << 1 {
 			if d0 != 1 {
@@ -313,37 +298,24 @@ func tileDiag2Q(region []complex128, gbase, maskA, maskB int, d [4]complex128) {
 		if d[3] != 1 {
 			diagQuarter(region, maskA, maskB, maskA|maskB, d[3])
 		}
-	case inA: // qb's bit fixed over the region
-		b := 0
-		if gbase&maskB != 0 {
-			b = 1
-		}
-		tileDiag1Q(region, gbase, maskA, d[b], d[2+b])
 	case inB: // qa's bit fixed over the region
 		a := 0
 		if gbase&maskA != 0 {
 			a = 1
 		}
 		tileDiag1Q(region, gbase, maskB, d[2*a], d[2*a+1])
-	default: // both fixed: one scalar
-		sel := 0
-		if gbase&maskA != 0 {
-			sel |= 2
-		}
+	default: // qb's bit fixed; tileDiag1Q reads qa's from gbase when it is too
+		b := 0
 		if gbase&maskB != 0 {
-			sel |= 1
+			b = 1
 		}
-		if dv := d[sel]; dv != 1 {
-			for i := range region {
-				region[i] *= dv
-			}
-		}
+		tileDiag1Q(region, gbase, maskA, d[b], d[2+b])
 	}
 }
 
-// diagQuarter multiplies one quarter of a region's quad lattice — the
+// diagQuarterGo multiplies one quarter of a region's quad lattice — the
 // indices congruent to off under the two masks — by a scalar.
-func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
+func diagQuarterGo(region []complex128, maskA, maskB, off int, d complex128) {
 	lo, hi := maskA, maskB
 	if lo > hi {
 		lo, hi = hi, lo
@@ -357,9 +329,9 @@ func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
 	}
 }
 
-// tileMat2Q applies a 4×4 over a region, visiting each index quad
+// tileMat2QGo applies a 4×4 over a region, visiting each index quad
 // (i00, i01, i10, i11) once; both masks below the region size.
-func tileMat2Q(region []complex128, maskA, maskB int, u *linalg.Matrix) {
+func tileMat2QGo(region []complex128, maskA, maskB int, u *linalg.Matrix) {
 	m00, m01, m02, m03 := u.At(0, 0), u.At(0, 1), u.At(0, 2), u.At(0, 3)
 	m10, m11, m12, m13 := u.At(1, 0), u.At(1, 1), u.At(1, 2), u.At(1, 3)
 	m20, m21, m22, m23 := u.At(2, 0), u.At(2, 1), u.At(2, 2), u.At(2, 3)

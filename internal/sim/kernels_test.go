@@ -12,7 +12,7 @@ import (
 )
 
 // randomState returns a normalized Haar-ish random state for kernel tests.
-func randomState(t *testing.T, n int, rng *rand.Rand) *State {
+func randomState(t testing.TB, n int, rng *rand.Rand) *State {
 	t.Helper()
 	s, err := NewState(n)
 	if err != nil {

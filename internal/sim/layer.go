@@ -30,8 +30,7 @@
 //     size) gets its own whole-array sweep first — the pass the unlayered
 //     schedule would have paid;
 //   - every other member runs tile by tile: each tile is loaded once and
-//     each member's kernel runs over it while it is cache-hot, with 2×2
-//     members fused in pairs into one quad pass;
+//     each member's kernel runs over it while it is cache-hot;
 //   - diagonal members ride along at any stride: a diagonal factor whose
 //     mask spans tiles is constant over a tile, so it degenerates to one
 //     scalar multiply selected from the tile's global base index.
@@ -123,7 +122,7 @@ func buildLayers(ops []member, n int) ([]member, []int) {
 // layerTileExp sets the cache-blocking tile: 2^layerTileExp amplitudes
 // (128 KiB), the unit every tile-local member's kernel runs over while it
 // is resident. The exponent was measured, not derived: on the bench host,
-// larger tiles beat L1-sized ones because the fused-pair kernels are
+// larger tiles beat L1-sized ones because the matrix kernels are
 // arithmetic-bound and smaller tiles just multiply per-tile overhead.
 const layerTileExp = 13
 
@@ -139,7 +138,7 @@ func (s *State) crossTile(m *member, tile int) bool {
 
 // applyLayer executes a kLayer step: one whole-array sweep per cross-tile
 // member, then one cache-blocked pass that runs every other member over
-// each tile in member order, fusing 2×2 members in pairs.
+// each tile in member order.
 func (s *State) applyLayer(members []member) {
 	tile := min(1<<layerTileExp, len(s.Amp))
 	for i := range members {
@@ -149,22 +148,10 @@ func (s *State) applyLayer(members []member) {
 	}
 	for base := 0; base < len(s.Amp); base += tile {
 		region := s.Amp[base : base+tile]
-		var pend *member // a tile-local 2×2 waiting for its pair
 		for i := range members {
-			m := &members[i]
-			switch {
-			case s.crossTile(m, tile):
-			case m.kind != kMat1Q:
+			if m := &members[i]; !s.crossTile(m, tile) {
 				s.apply(m, region, base)
-			case pend == nil:
-				pend = m
-			default:
-				tileMat1QPair(region, s.maskOf(pend.qa), pend.u, s.maskOf(m.qa), m.u)
-				pend = nil
 			}
-		}
-		if pend != nil {
-			tileMat1Q(region, s.maskOf(pend.qa), pend.u)
 		}
 	}
 }

@@ -32,8 +32,8 @@ func TestLayeredMatchesUnfusedRandom(t *testing.T) {
 }
 
 // TestReservedDropRepro pins one hand-built input: an x and two h on
-// cross-tile bits batched with three tile-local h, so one tile-local 2×2
-// is left unpaired in the tile pass and must still be applied exactly once.
+// cross-tile bits batched with three tile-local h; the tile pass must
+// apply each tile-local 2×2 exactly once.
 func TestReservedDropRepro(t *testing.T) {
 	n := layerTileExp + 3 // qubits 0..2 are cross-tile bits
 	c := circuit.New(n)

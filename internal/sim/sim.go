@@ -6,16 +6,25 @@
 // so the amplitude of |q0 q1 ... q(n-1)⟩ sits at index q0·2^(n-1) + ... .
 //
 // Every gate, fused or not, runs through one set of stride-based region
-// kernels (kernels.go): a 2×2 or 4×4 matrix for generic gates, phase
-// multiplies for diagonals (z/s/sdg/t/tdg/rz/p/cz/cp/rzz), amplitude
-// exchanges for x/cx/swap, and a 2×2 inner-block mix for the iSWAP family
-// (iswap/siswap — the SNAIL-native basis gates). A kernel visits each
-// (i, i+2^k) pair or index quad of its region exactly once, and the same
-// kernel sweeps either the whole amplitude array or one cache-sized tile
-// of a batched layer (layer.go). Apply1Q, Apply2Q and ApplyOp validate
-// their input and sweep the whole array; Run compiles the circuit with the
-// fusion scheduler (fusion.go) first. Every specialized kernel is checked
-// against the generic matrix kernels in kernels_test.go.
+// kernels per platform (kernels.go): a 2×2 or 4×4 matrix for generic
+// gates, phase multiplies for diagonals (z/s/sdg/t/tdg/rz/p/cz/cp/rzz),
+// amplitude exchanges for x/cx/swap, and a 2×2 inner-block mix for the
+// iSWAP family (iswap/siswap — the SNAIL-native basis gates). A kernel
+// visits each (i, i+2^k) pair or index quad of its region exactly once,
+// and the same kernel sweeps either the whole amplitude array or one
+// cache-sized tile of a batched layer (layer.go). Apply1Q, Apply2Q and
+// ApplyOp validate their input and sweep the whole array; Run compiles the
+// circuit with the fusion scheduler (fusion.go) first. Every specialized
+// kernel is checked against the generic matrix kernels in kernels_test.go.
+//
+// The Go loops of kernels.go are the portable kernel set. On amd64 the
+// matrix and phase-multiply kernels are SSE2 routines (kernels_amd64.s)
+// that perform the Go loops' IEEE operations in the same order, two
+// float64 lanes at a time, so every amplitude, and every Monte-Carlo
+// estimate built on them, is bit-identical; the Go loops are their oracle
+// (FuzzSSE2KernelsMatchGo). The routines use no FMA, whose single rounding
+// would move those bits, and no AVX, which the GOAMD64=v1 baseline does not
+// guarantee: SSE2 needs no CPU dispatch and no third code path.
 package sim
 
 import (

@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
 # check.sh — static and concurrency preflight for the repository:
 #   * gofmt -l over every Go file: unformatted code is rejected repo-wide
-#   * go vet over every package
+#   * go vet over every package (on amd64 this includes asmdecl, which
+#     checks the SSE2 kernels' frame sizes and argument names against their
+#     Go declarations)
+#   * portable-path vet: GOARCH=arm64 go vet ./... compiles and vets the
+#     files amd64 leaves out (internal/sim/kernels_generic.go binds the
+#     simulator's kernels to the Go loops there), so the non-amd64 build
+#     cannot rot unnoticed. ~25 s cold, cached after that.
 #   * doc-comment name check: a Go doc comment must lead with the name of
 #     the symbol it documents; stale names (e.g. a comment saying
 #     FormatFig15 above a method renamed to Format) are rejected. Only
@@ -49,6 +55,14 @@
 #     (to the bit) must equal those read from TranslateToBasis's circuit
 #     (FuzzCountedTranslationMatchesBuilt in internal/transpile, run for
 #     -fuzztime=10s on top of its committed seed corpus).
+#   * SSE2 kernel fuzz arm: on random widths 1–14, both mask orders, the
+#     whole array or a tile at a nonzero base (the diagonal kernels'
+#     fixed-bit path), and finite factors and amplitudes including ±0,
+#     subnormals and near-overflow magnitudes, every amplitude the platform
+#     kernels (tileMat1Q, tileMat2Q, tileDiag1Q, diagQuarter: SSE2 on amd64)
+#     write must carry the same Float64bits as the Go loops'
+#     (FuzzSSE2KernelsMatchGo in internal/sim, run for -fuzztime=10s on top
+#     of its committed seed corpus in internal/sim/testdata/fuzz/).
 #   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
 #     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
 #     mean must stay within 3 Welch standard errors of the committed
@@ -92,9 +106,12 @@
 #     them against every function with a body in the non-test files under
 #     internal/. A function no binary links must be on
 #     scripts/reach/allowlist.txt with the reason it stays (a test oracle,
-#     a test fixture, the paper's hardware); an allowlist entry that is
-#     linked or names no function fails too. Unlinked code is deleted, or
-#     listed with its reason, never left to accumulate.
+#     a test fixture, the paper's hardware); so must a package-level const,
+#     var or type under internal/ that no Go file in the repository, tests
+#     included, references (bare in its package or as pkg.Name). An
+#     allowlist entry that is linked, referenced or names nothing fails too.
+#     Unused code is deleted, or listed with its reason, never left to
+#     accumulate.
 #   * pprof guard arm: no main package but cmd/qcbenchd (qcperf listed from
 #     its own module) may depend on runtime/pprof or net/http/pprof.
 #     Linking the profiler turns on the memory profiler's buckets: 1.49 MB
@@ -123,6 +140,9 @@ fi
 
 echo "check: go vet ./..."
 go vet ./...
+
+echo "check: GOARCH=arm64 go vet ./... (the portable kernels off amd64)"
+GOARCH=arm64 go vet ./...
 
 echo "check: doc-comment names match declarations"
 DOCCHECK="$(find . -name '*.go' -not -path './.git/*' | sort | xargs awk '
@@ -228,7 +248,7 @@ echo "check: qcperf builds and passes its tests against this tree"
     export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTELEMETRY=off &&
     go vet ./... && go test -count=1 ./...)
 
-echo "check: every function under internal/ is linked by a binary or allowlisted (scripts/reach)"
+echo "check: every function under internal/ is linked by a binary, every package-level name referenced, or allowlisted (scripts/reach)"
 REACHDIR="$(mktemp -d)"
 trap 'rm -rf "$REACHDIR"' EXIT
 for p in ./cmd/* ./examples/*; do
@@ -276,6 +296,9 @@ go test -run '^$' -fuzz '^FuzzStochasticSwapMatchesReference$' -fuzztime=10s ./i
 
 echo "check: fuzzing the counted translation against the built one (10s)"
 go test -run '^$' -fuzz '^FuzzCountedTranslationMatchesBuilt$' -fuzztime=10s ./internal/transpile
+
+echo "check: fuzzing the SSE2 kernels against the Go loops, bit for bit (10s)"
+go test -run '^$' -fuzz '^FuzzSSE2KernelsMatchGo$' -fuzztime=10s ./internal/sim
 
 echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
 CLAIMS_START=$SECONDS

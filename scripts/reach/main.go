@@ -1,17 +1,23 @@
 // Command reach fails when a function under internal/ is linked by no
-// binary and not on the allowlist, or when an allowlist entry is stale.
+// binary, or a package-level const, var or type under internal/ is
+// referenced by no Go file in the repository, and it is not on the
+// allowlist; and when an allowlist entry is stale.
 //
 // It reads `go tool nm` output for the repository's binaries, built with
 // -gcflags=all=-l so that inlining hides no caller, on standard input, and
 // compares the text symbols with every function that has a body in the
-// non-test files under internal/. Run it from the repository root:
+// non-test files under internal/. A second pass parses every Go file below
+// the repository root, tests included, and counts a name as referenced
+// when it appears bare in its own package or as pkg.Name in a file that
+// imports the package. Run it from the repository root:
 //
 //	for b in bin/*; do go tool nm "$b"; done | go run ./scripts/reach
 //
 // Each line of scripts/reach/allowlist.txt is a symbol, blank space and the
-// reason the function stays although no binary links it. A symbol is the
-// package path below internal/, the receiver type for a method, and the
-// name: sim.State.RunUnfused. Lines starting with # are comments.
+// reason the declaration stays although nothing links or references it. A
+// symbol is the package path below internal/, the receiver type for a
+// method, and the name: sim.State.RunUnfused, weyl.CoordCNOT. Lines
+// starting with # are comments.
 package main
 
 import (
@@ -35,10 +41,12 @@ const (
 	allowlistPath = "scripts/reach/allowlist.txt"
 )
 
-// fn is one function declaration with a body.
+// fn is one function declaration with a body, or one package-level const,
+// var or type name.
 type fn struct {
 	pos   string
-	lines int // from the func keyword's line to the closing brace's
+	lines int  // from the func keyword's line to the closing brace's; 0 for a name
+	name  bool // a const, var or type: used means referenced, not linked
 }
 
 func main() {
@@ -49,11 +57,22 @@ func main() {
 	exitIf(err)
 	decls, err := parseDecls(sourceRoot)
 	exitIf(err)
+	names, referenced, err := parseNames(".")
+	exitIf(err)
+	unreferenced := 0
+	for key, d := range names {
+		decls[key] = d
+		if referenced[key] {
+			linked[key] = true
+		} else {
+			unreferenced++
+		}
+	}
 	allow, err := readAllowlist(allowlistPath)
 	exitIf(err)
 	problems, unlinked, total := compare(decls, linked, allow)
-	fmt.Printf("reach: %d of %d function-body lines under %s/ are linked by no binary; %d allowlist entries\n",
-		unlinked, total, sourceRoot, len(allow))
+	fmt.Printf("reach: %d of %d function-body lines under %s/ are linked by no binary, %d of %d package-level names referenced by no file; %d allowlist entries\n",
+		unlinked, total, sourceRoot, unreferenced, len(names), len(allow))
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -171,6 +190,99 @@ func parseDecls(root string) (map[string]fn, error) {
 	return decls, err
 }
 
+// parseNames walks every Go file below root, tests included. It returns
+// the package-level const, var and type names declared in the non-test
+// files under root/internal/, keyed pkg.Name, and the set of keys some
+// file references: a bare identifier in a file of the declaring package's
+// directory, or a selector pkg.Name on an import of the package. Field,
+// parameter and method names are declarations, never references; a local
+// name that shadows a package-level one reads as a reference to it.
+func parseNames(root string) (map[string]fn, map[string]bool, error) {
+	names, referenced := map[string]fn{}, map[string]bool{}
+	fset := token.NewFileSet()
+	src := filepath.Join(root, sourceRoot)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "" // the file's package key when it lies under root/internal/
+		if rel, err := filepath.Rel(src, filepath.Dir(path)); err == nil && !strings.HasPrefix(rel, "..") {
+			pkg = filepath.ToSlash(rel)
+		}
+		declares := pkg != "" && !strings.HasSuffix(path, "_test.go")
+		imports := map[string]string{} // local name → package key
+		for _, is := range f.Imports {
+			p := strings.Trim(is.Path.Value, `"`)
+			if !strings.HasPrefix(p, modulePrefix) {
+				continue
+			}
+			local := p[strings.LastIndexByte(p, '/')+1:]
+			if is.Name != nil {
+				local = is.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(p, modulePrefix)
+		}
+		skip := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok == token.IMPORT {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				var ids []*ast.Ident
+				switch sp := spec.(type) {
+				case *ast.ValueSpec:
+					ids = sp.Names
+				case *ast.TypeSpec:
+					ids = []*ast.Ident{sp.Name}
+				}
+				for _, id := range ids {
+					skip[id] = true
+					if declares && id.Name != "_" {
+						names[pkg+"."+id.Name] = fn{pos: fset.Position(id.Pos()).String(), name: true}
+					}
+				}
+			}
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				skip[n.Name] = true
+			case *ast.Field:
+				for _, id := range n.Names {
+					skip[id] = true
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					referenced[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				ast.Inspect(n.X, visit) // n.Sel is a field or method
+				return false
+			case *ast.Ident:
+				if pkg != "" && !skip[n] {
+					referenced[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+		return nil
+	})
+	return names, referenced, err
+}
+
 // declKey is pkg.Name for a function and pkg.Recv.Name for a method, with
 // the receiver's pointer and type parameters dropped.
 func declKey(pkg string, fd *ast.FuncDecl) string {
@@ -202,7 +314,8 @@ func readAllowlist(path string) (map[string]string, error) {
 }
 
 // compare returns one sorted message per problem, the body lines of the
-// unlinked functions and the body lines of all functions.
+// unlinked functions and the body lines of all functions. linked holds the
+// linked functions and the referenced names.
 func compare(decls map[string]fn, linked map[string]bool, allow map[string]string) (problems []string, unlinked, total int) {
 	for key, d := range decls {
 		total += d.lines
@@ -210,14 +323,21 @@ func compare(decls map[string]fn, linked map[string]bool, allow map[string]strin
 			continue
 		}
 		unlinked += d.lines
-		if allow[key] == "" {
+		switch {
+		case allow[key] != "":
+		case d.name:
+			problems = append(problems, fmt.Sprintf("%s: %s is referenced by no Go file: delete it, or allowlist it in %s with the reason it stays",
+				d.pos, key, allowlistPath))
+		default:
 			problems = append(problems, fmt.Sprintf("%s: %s (%d lines) is linked by no binary: delete it, or allowlist it in %s with the reason it stays",
 				d.pos, key, d.lines, allowlistPath))
 		}
 	}
 	for key := range allow {
-		if _, ok := decls[key]; !ok {
-			problems = append(problems, fmt.Sprintf("%s: %s names no function under %s/: remove the entry", allowlistPath, key, sourceRoot))
+		if d, ok := decls[key]; !ok {
+			problems = append(problems, fmt.Sprintf("%s: %s names no function or package-level name under %s/: remove the entry", allowlistPath, key, sourceRoot))
+		} else if linked[key] && d.name {
+			problems = append(problems, fmt.Sprintf("%s: %s is referenced now: remove the entry", allowlistPath, key))
 		} else if linked[key] {
 			problems = append(problems, fmt.Sprintf("%s: %s is linked by a binary now: remove the entry", allowlistPath, key))
 		}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -82,5 +86,70 @@ func TestCompareReportsUnlistedAndStale(t *testing.T) {
 		if !strings.Contains(problems[i], w) {
 			t.Errorf("problem %d = %q, want it to mention %q", i, problems[i], w)
 		}
+	}
+}
+
+// TestParseNamesFindsUnreferenced runs the name pass on a two-package tree:
+// a name referenced bare in its package (tests included) or as pkg.Name
+// from another package is used, a declaration in a test file or under
+// testdata/ is neither declared nor a reference, and a field declaration
+// or selector that shares a package-level name is no reference to it.
+func TestParseNamesFindsUnreferenced(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"internal/a/a.go": `package a
+
+const Used, unused = 1, 2
+
+var local = 3
+
+type (
+	T int
+	S struct{ shadowed int }
+)
+
+const shadowed = 4
+
+func f(shadowed int) int { return local + shadowed }
+`,
+		"internal/a/a_test.go":        "package a\n\nvar _ T\n\nconst testOnly = 5\n",
+		"internal/b/b.go":             "package b\n\nimport x \"repro/internal/a\"\n\nvar _ = x.Used + x.S{}.shadowed\n",
+		"internal/a/testdata/skip.go": "package a\n\nvar _ = unused\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, referenced, err := parseNames(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared, unused []string
+	for key := range names {
+		declared = append(declared, key)
+		if !referenced[key] {
+			unused = append(unused, key)
+		}
+	}
+	sort.Strings(declared)
+	sort.Strings(unused)
+	wantDeclared := []string{"a.S", "a.T", "a.Used", "a.local", "a.shadowed", "a.unused"}
+	if !slices.Equal(declared, wantDeclared) {
+		t.Errorf("declared = %v, want %v", declared, wantDeclared)
+	}
+	// The parameter shadowed in f reads as a reference (the accepted blind
+	// spot); the struct field does not.
+	if want := []string{"a.unused"}; !slices.Equal(unused, want) {
+		t.Errorf("unreferenced = %v, want %v", unused, want)
+	}
+	problems, _, _ := compare(names, referenced, map[string]string{"a.Used": "fixture"})
+	if len(problems) != 2 || !strings.Contains(problems[0], "a.unused is referenced by no Go file") ||
+		!strings.Contains(problems[1], "a.Used is referenced now") {
+		t.Errorf("problems = %q", problems)
 	}
 }
