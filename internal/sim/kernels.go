@@ -10,21 +10,22 @@ import (
 	"repro/internal/linalg"
 )
 
-// The kernels in this file are the portable kernel set. The four that do
-// complex arithmetic — tileMat1Q, tileMat2Q, tileDiag1Q and diagQuarter —
+// The kernels in this file are the portable kernel set. The three
+// complex-arithmetic primitives — tileMat1Q, tileMat2Q and scale, the
+// strided complex scale under tileDiag1Q, diagQuarter and so tileDiag2Q —
 // are bound per platform: kernels_generic.go forwards them to the Go loops
-// here (tileMat1QGo, tileMat2QGo, tileDiag1QGo, diagQuarterGo), and on
-// amd64 kernels_amd64.go runs them as SSE2 routines, with the Go loops
-// kept as the oracle FuzzSSE2KernelsMatchGo compares them against bit for
-// bit. The routines are exact: Go lowers m·a to (mr·ar − mi·ai,
-// mr·ai + mi·ar); SSE2 forms (mr·ar, mr·ai) + (−mi·ai, mi·ar), which is
-// the same pair of IEEE results because (−x)·y = −(x·y), x + (−y) = x − y
-// and addition commutes; and a row's products are summed left to right,
-// as written below. That holds against the Go loops compiled at the
-// default GOAMD64=v1; at v3 Go itself fuses multiply-adds, which round
-// once and move the last bit, and so would an FMA routine. The exchanges
-// (tileX, tileCX, tileSwap) are plain 16-byte moves, and tileMix is on no
-// timed path, so they are Go everywhere.
+// here (tileMat1QGo, tileMat2QGo, scaleGo), and on amd64 kernels_amd64.go
+// runs them as SSE2 routines, with the Go loops kept as the oracle
+// FuzzSSE2KernelsMatchGo compares them against bit for bit. The routines
+// are exact: Go lowers m·a to (mr·ar − mi·ai, mr·ai + mi·ar); SSE2 forms
+// (mr·ar, mr·ai) + (−mi·ai, mi·ar), which is the same pair of IEEE results
+// because (−x)·y = −(x·y), x + (−y) = x − y and addition commutes; and a
+// row's products are summed left to right, as written below. That holds
+// against the Go loops compiled at the default GOAMD64=v1; at v3 Go itself
+// fuses multiply-adds, which round once and move the last bit, and so
+// would an FMA routine. The exchanges (tileX, tileCX, tileSwap) are plain
+// 16-byte moves, and tileMix is on no timed path, so they are Go
+// everywhere.
 
 // iSWAP-family inner-block entries, read once from the same memoized
 // matrices circuit.Unitary resolves, so the mix kernel multiplies the exact
@@ -244,24 +245,19 @@ func tileX(region []complex128, mask int) {
 	}
 }
 
-// tileDiag1QGo applies diag(d0, d1) on a region at any stride: below the
+// tileDiag1Q applies diag(d0, d1) on a region at any stride: below the
 // region size it is the strided phase sweep, skipping unit factors (so
 // z/s/t/p touch only half the state); at or above it the qubit's bit is
 // constant over the region — read it from the region's global base and do
 // one scalar multiply.
-func tileDiag1QGo(region []complex128, gbase, mask int, d0, d1 complex128) {
-	if mask < len(region) {
-		for base := 0; base < len(region); base += mask << 1 {
-			if d0 != 1 {
-				for i := base; i < base+mask; i++ {
-					region[i] *= d0
-				}
-			}
-			if d1 != 1 {
-				for i := base + mask; i < base+(mask<<1); i++ {
-					region[i] *= d1
-				}
-			}
+func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
+	n := len(region)
+	if mask < n {
+		if d0 != 1 {
+			scale(region, mask, n, 0, d0)
+		}
+		if d1 != 1 {
+			scale(region, mask, n, mask, d1)
 		}
 		return
 	}
@@ -270,9 +266,7 @@ func tileDiag1QGo(region []complex128, gbase, mask int, d0, d1 complex128) {
 		d = d1
 	}
 	if d != 1 {
-		for i := range region {
-			region[i] *= d
-		}
+		scale(region, n, n, 0, d)
 	}
 }
 
@@ -313,13 +307,18 @@ func tileDiag2Q(region []complex128, gbase, maskA, maskB int, d [4]complex128) {
 	}
 }
 
-// diagQuarterGo multiplies one quarter of a region's quad lattice — the
+// diagQuarter multiplies one quarter of a region's quad lattice — the
 // indices congruent to off under the two masks — by a scalar.
-func diagQuarterGo(region []complex128, maskA, maskB, off int, d complex128) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
+	scale(region, min(maskA, maskB), max(maskA, maskB), off, d)
+}
+
+// scaleGo multiplies region[i] by d for every i in [mid+off, mid+off+lo),
+// mid stepping by 2·lo over [outer, outer+hi) and outer by 2·hi over the
+// region: with (lo, hi) = (mask, len(region)) it sweeps one half of a 1Q
+// stride, with (len(region), len(region)) the whole region, with the
+// sorted masks of a pair one quarter of its quads.
+func scaleGo(region []complex128, lo, hi, off int, d complex128) {
 	for outer := 0; outer < len(region); outer += hi << 1 {
 		for mid := outer; mid < outer+hi; mid += lo << 1 {
 			for i := mid + off; i < mid+off+lo; i++ {

@@ -14,11 +14,7 @@ func mat1QSSE2(region []complex128, mask int, coef *[16]float64)
 //go:noescape
 func mat2QSSE2(region []complex128, maskA, maskB int, coef *[64]float64)
 
-// scaleSSE2 multiplies region[i] by the factor packed in coef for every i
-// in [mid+off, mid+off+lo), mid stepping by 2·lo over [outer, outer+hi)
-// and outer by 2·hi over the region: with (lo, hi) = (mask, len(region))
-// it sweeps one half of a 1Q stride, with (len(region), len(region)) the
-// whole region, with the sorted masks of a pair one quarter of its quads.
+// scaleSSE2 is scaleGo with the factor packed in coef.
 //
 //go:noescape
 func scaleSSE2(region []complex128, lo, hi, off int, coef *[4]float64)
@@ -45,33 +41,9 @@ func tileMat2Q(region []complex128, maskA, maskB int, u *linalg.Matrix) {
 	mat2QSSE2(region, maskA, maskB, &coef)
 }
 
-// scale is scaleSSE2 with the factor packed.
+// scale is scaleSSE2 with the factor packed; scaleGo is its Go loop.
 func scale(region []complex128, lo, hi, off int, d complex128) {
 	var coef [4]float64
 	pack(coef[:], d)
 	scaleSSE2(region, lo, hi, off, &coef)
-}
-
-func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
-	n := len(region)
-	if mask < n {
-		if d0 != 1 {
-			scale(region, mask, n, 0, d0)
-		}
-		if d1 != 1 {
-			scale(region, mask, n, mask, d1)
-		}
-		return
-	}
-	d := d0
-	if gbase&mask != 0 {
-		d = d1
-	}
-	if d != 1 {
-		scale(region, n, n, 0, d)
-	}
-}
-
-func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
-	scale(region, min(maskA, maskB), max(maskA, maskB), off, d)
 }

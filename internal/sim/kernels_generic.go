@@ -14,10 +14,6 @@ func tileMat2Q(region []complex128, maskA, maskB int, u *linalg.Matrix) {
 	tileMat2QGo(region, maskA, maskB, u)
 }
 
-func tileDiag1Q(region []complex128, gbase, mask int, d0, d1 complex128) {
-	tileDiag1QGo(region, gbase, mask, d0, d1)
-}
-
-func diagQuarter(region []complex128, maskA, maskB, off int, d complex128) {
-	diagQuarterGo(region, maskA, maskB, off, d)
+func scale(region []complex128, lo, hi, off int, d complex128) {
+	scaleGo(region, lo, hi, off, d)
 }

@@ -63,12 +63,14 @@ func requireSameBits(t *testing.T, name string, region []complex128, platform, g
 }
 
 // FuzzSSE2KernelsMatchGo pins the platform kernel set to the Go loops bit
-// for bit. On amd64 tileMat1Q, tileMat2Q, tileDiag1Q and diagQuarter run
-// SSE2 routines, and every amplitude they write must carry
-// the Float64bits the Go loop writes; elsewhere both sides are the Go loops.
-// Inputs: widths 1–14, masks in both orders, a region that is the whole
-// array or a tile at a nonzero base (so tileDiag1Q takes its fixed-bit
-// path), and factors and amplitudes from fuzzFactor.
+// for bit. On amd64 tileMat1Q, tileMat2Q and scale run SSE2 routines, and
+// every amplitude they write must carry the Float64bits the Go loop
+// writes; elsewhere both sides are the Go loops. scale is checked at the
+// three stride shapes its callers use: a half of a 1Q stride (tileDiag1Q
+// below the region), the whole region (tileDiag1Q's fixed-bit scalar) and
+// a quarter of a pair's quads (diagQuarter). Inputs: widths 1–14, masks in
+// both orders, a region that is the whole array or a tile at a nonzero
+// base, and factors and amplitudes from fuzzFactor.
 func FuzzSSE2KernelsMatchGo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb, qa, qb uint8, tiled bool, seed int64) {
 		n := 1 + int(nb)%14
@@ -82,24 +84,27 @@ func FuzzSSE2KernelsMatchGo(f *testing.F) {
 			base = (1 + r.Intn(len(amp)>>layerTileExp-1)) << layerTileExp
 			region = amp[base : base+1<<layerTileExp]
 		}
-		// Local masks stay below the region; diagonals take any qubit's.
+		// Masks stay below the region: bits above it are the callers' to read.
 		k := bits.TrailingZeros(uint(len(region)))
 		la, lb := int(qa)%k, int(qb)%k
 		if lb == la {
 			lb = (la + 1) % k
 		}
 		ma, mb := 1<<la, 1<<lb
-		mg := 1 << (n - 1 - int(qa)%n)
-		tag := fmt.Sprintf("n=%d base=%d masks=(%d,%d) global=%d", n, base, ma, mb, mg)
+		tag := fmt.Sprintf("n=%d base=%d masks=(%d,%d)", n, base, ma, mb)
 
 		u := fuzzMatrix(r, 2)
 		requireSameBits(t, "tileMat1Q "+tag, region,
 			func(a []complex128) { tileMat1Q(a, ma, u) },
 			func(a []complex128) { tileMat1QGo(a, ma, u) })
-		d0, d1 := fuzzFactor(r), fuzzFactor(r)
-		requireSameBits(t, "tileDiag1Q "+tag, region,
-			func(a []complex128) { tileDiag1Q(a, base, mg, d0, d1) },
-			func(a []complex128) { tileDiag1QGo(a, base, mg, d0, d1) })
+		d := fuzzFactor(r)
+		half := [2]int{0, ma}[r.Intn(2)]
+		requireSameBits(t, fmt.Sprintf("scale half off=%d %s", half, tag), region,
+			func(a []complex128) { scale(a, ma, len(a), half, d) },
+			func(a []complex128) { scaleGo(a, ma, len(a), half, d) })
+		requireSameBits(t, "scale whole "+tag, region,
+			func(a []complex128) { scale(a, len(a), len(a), 0, d) },
+			func(a []complex128) { scaleGo(a, len(a), len(a), 0, d) })
 		if ma == mb {
 			return // one amplitude pair: no second bit
 		}
@@ -107,16 +112,17 @@ func FuzzSSE2KernelsMatchGo(f *testing.F) {
 		requireSameBits(t, "tileMat2Q "+tag, region,
 			func(a []complex128) { tileMat2Q(a, ma, mb, u4) },
 			func(a []complex128) { tileMat2QGo(a, ma, mb, u4) })
+		lo, hi := min(ma, mb), max(ma, mb)
 		off := [4]int{0, ma, mb, ma | mb}[r.Intn(4)]
-		d := fuzzFactor(r)
-		requireSameBits(t, fmt.Sprintf("diagQuarter off=%d %s", off, tag), region,
-			func(a []complex128) { diagQuarter(a, ma, mb, off, d) },
-			func(a []complex128) { diagQuarterGo(a, ma, mb, off, d) })
+		requireSameBits(t, fmt.Sprintf("scale quarter off=%d %s", off, tag), region,
+			func(a []complex128) { scale(a, lo, hi, off, d) },
+			func(a []complex128) { scaleGo(a, lo, hi, off, d) })
 	})
 }
 
 // BenchmarkKernels reports ns per amplitude of each complex-arithmetic
-// kernel over a 13-qubit region, once as the Go loop and once as the
+// kernel over a 13-qubit region (scale at tileDiag1Q's half-stride shape
+// and diagQuarter's quarter shape), once as the Go loop and once as the
 // platform kernel (SSE2 on amd64, the Go loop again elsewhere), at the
 // lowest, a middle and the highest strides.
 func BenchmarkKernels(b *testing.B) {
@@ -124,7 +130,7 @@ func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	amp := randomState(b, n, rng).Amp
 	u, u4 := gates.H(), gates.RandomSU4(rng)
-	d0, d1 := expi(-0.3), expi(0.3)
+	d := expi(0.3)
 	type side struct {
 		name string
 		fn   func(lo, hi int)
@@ -139,12 +145,12 @@ func BenchmarkKernels(b *testing.B) {
 		{"mat2Q", [2]side{
 			{"go", func(lo, hi int) { tileMat2QGo(amp, hi, lo, u4) }},
 			{"sse2", func(lo, hi int) { tileMat2Q(amp, hi, lo, u4) }}}},
-		{"diag1Q", [2]side{
-			{"go", func(lo, _ int) { tileDiag1QGo(amp, 0, lo, d0, d1) }},
-			{"sse2", func(lo, _ int) { tileDiag1Q(amp, 0, lo, d0, d1) }}}},
-		{"diagQuarter", [2]side{
-			{"go", func(lo, hi int) { diagQuarterGo(amp, hi, lo, lo|hi, d1) }},
-			{"sse2", func(lo, hi int) { diagQuarter(amp, hi, lo, lo|hi, d1) }}}},
+		{"scaleHalf", [2]side{
+			{"go", func(lo, _ int) { scaleGo(amp, lo, len(amp), lo, d) }},
+			{"sse2", func(lo, _ int) { scale(amp, lo, len(amp), lo, d) }}}},
+		{"scaleQuarter", [2]side{
+			{"go", func(lo, hi int) { scaleGo(amp, lo, hi, lo|hi, d) }},
+			{"sse2", func(lo, hi int) { scale(amp, lo, hi, lo|hi, d) }}}},
 	}
 	strides := []struct {
 		name   string

@@ -138,7 +138,16 @@ func (s *State) crossTile(m *member, tile int) bool {
 
 // applyLayer executes a kLayer step: one whole-array sweep per cross-tile
 // member, then one cache-blocked pass that runs every other member over
-// each tile in member order.
+// each tile.
+//
+// The tile pass keeps the order in which earlier builds, which fused 2×2
+// members in pairs, applied them: a tile-local 2×2 waits for the next one
+// and the two run back to back, and one left unpaired runs after every
+// other member. Members on disjoint qubits commute, but not in the last
+// bits: a phase d applied after a 2×2 rounds as d·(u00·a0 + u01·a1),
+// before it as u00·(d·a0) + u01·(d·a1). Keeping the order keeps every
+// Monte-Carlo estimate of noise.MonteCarloVersion lockstep/v2
+// (TestLayerOrderBits pins it).
 func (s *State) applyLayer(members []member) {
 	tile := min(1<<layerTileExp, len(s.Amp))
 	for i := range members {
@@ -148,10 +157,23 @@ func (s *State) applyLayer(members []member) {
 	}
 	for base := 0; base < len(s.Amp); base += tile {
 		region := s.Amp[base : base+tile]
+		var pend *member // a tile-local 2×2 waiting for the next one
 		for i := range members {
-			if m := &members[i]; !s.crossTile(m, tile) {
+			m := &members[i]
+			switch {
+			case s.crossTile(m, tile):
+			case m.kind != kMat1Q:
 				s.apply(m, region, base)
+			case pend == nil:
+				pend = m
+			default:
+				s.apply(pend, region, base)
+				s.apply(m, region, base)
+				pend = nil
 			}
+		}
+		if pend != nil {
+			s.apply(pend, region, base)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 // TestLayeredMatchesUnfusedRandom is the layering engine's property test:
 // at widths where the cache-blocked geometry is actually exercised —
 // cross-tile members on their own sweeps, cross-tile diagonals as
-// per-tile scalars, tile-local riders and fused 2×2 pairs — the layered
-// Run must agree with the op-by-op reference path within 1e-12 over the
-// full gate vocabulary. (Widths ≤ 8, where every member is tile-local, are
-// covered by TestFusedMatchesUnfusedRandom.)
+// per-tile scalars and tile-local riders — the layered Run must agree
+// with the op-by-op reference path within 1e-12 over the full gate
+// vocabulary. (Widths ≤ 8, where every member is tile-local, are covered
+// by TestFusedMatchesUnfusedRandom.)
 func TestLayeredMatchesUnfusedRandom(t *testing.T) {
 	cases := []struct {
 		n, ops int
@@ -44,6 +45,84 @@ func TestReservedDropRepro(t *testing.T) {
 		c.H(q)
 	}
 	checkLayeredMatchesUnfused(t, c)
+}
+
+// TestLayerOrderBits pins, bit for bit, the order in which applyLayer
+// runs a layer's members: cross-tile members first, then each tile-local
+// 2×2 held until the next one and the pair run back to back, an unpaired
+// last one after every other member. Each case lists the ops in program
+// order and the order they must take effect in; the reference applies
+// them one by one over the whole array in that order. Applying them in
+// program order must move some bit, or the case could not tell the two
+// orders apart.
+func TestLayerOrderBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	su4 := gates.RandomSU4(rng)
+	cases := []struct {
+		name  string
+		n     int
+		build func(c *circuit.Circuit)
+		order []int
+	}{
+		{"h·rz·h", 6, func(c *circuit.Circuit) { c.H(0); c.RZ(1, 0.3); c.H(2) }, []int{1, 0, 2}},
+		{"u3·siswap", 6, func(c *circuit.Circuit) { c.U3(0, 0.3, 0.5, 0.7); c.SqrtISwap(1, 2) }, []int{1, 0}},
+		{"h·su4·h·h", 6, func(c *circuit.Circuit) { c.H(0); c.SU4(1, 2, su4); c.H(3); c.H(4) }, []int{1, 0, 2, 3}},
+		{"h·cp·t·u3", 6, func(c *circuit.Circuit) { c.H(0); c.CP(1, 2, 0.4); c.T(3); c.U3(4, 0.2, 0.1, 0.9) }, []int{1, 2, 0, 3}},
+		{"cross-tile", layerTileExp + 2, func(c *circuit.Circuit) {
+			c.H(0)       // cross-tile 2×2: its own sweep, first
+			c.RZ(1, 0.7) // cross-tile diagonal: a scalar per tile
+			c.H(5)
+			c.CP(6, 7, 0.4)
+			c.U3(8, 0.3, 0.5, 0.7)
+		}, []int{0, 1, 3, 2, 4}},
+	}
+	sameBits := func(a, b *State) bool {
+		for i := range a.Amp {
+			if math.Float64bits(real(a.Amp[i])) != math.Float64bits(real(b.Amp[i])) ||
+				math.Float64bits(imag(a.Amp[i])) != math.Float64bits(imag(b.Amp[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range cases {
+		c := circuit.New(tc.n)
+		tc.build(c)
+		in := randomState(t, tc.n, rng)
+		run := func(order []int) *State {
+			s, err := NewState(tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(s.Amp, in.Amp)
+			for _, k := range order {
+				if err := s.ApplyOp(c.Ops[k]); err != nil {
+					t.Fatalf("%s: op %d: %v", tc.name, k, err)
+				}
+			}
+			return s
+		}
+		members := make([]member, len(c.Ops))
+		for k, op := range c.Ops {
+			m, err := opMember(op, tc.n)
+			if err != nil {
+				t.Fatalf("%s: op %d: %v", tc.name, k, err)
+			}
+			members[k] = m
+		}
+		layered := run(nil)
+		layered.applyLayer(members)
+		if !sameBits(layered, run(tc.order)) {
+			t.Errorf("%s: layer pass does not match ops applied in order %v bit for bit", tc.name, tc.order)
+		}
+		program := make([]int, len(c.Ops))
+		for k := range program {
+			program[k] = k
+		}
+		if sameBits(layered, run(program)) {
+			t.Errorf("%s: program order gives the same bits; the case does not pin the order", tc.name)
+		}
+	}
 }
 
 // checkLayeredMatchesUnfused requires c to schedule at least one kLayer

@@ -18,7 +18,8 @@
 // kernel is checked against the generic matrix kernels in kernels_test.go.
 //
 // The Go loops of kernels.go are the portable kernel set. On amd64 the
-// matrix and phase-multiply kernels are SSE2 routines (kernels_amd64.s)
+// matrix kernels and the strided complex scale under every phase multiply
+// are SSE2 routines (kernels_amd64.s)
 // that perform the Go loops' IEEE operations in the same order, two
 // float64 lanes at a time, so every amplitude, and every Monte-Carlo
 // estimate built on them, is bit-identical; the Go loops are their oracle

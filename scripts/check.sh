@@ -56,10 +56,11 @@
 #     (FuzzCountedTranslationMatchesBuilt in internal/transpile, run for
 #     -fuzztime=10s on top of its committed seed corpus).
 #   * SSE2 kernel fuzz arm: on random widths 1–14, both mask orders, the
-#     whole array or a tile at a nonzero base (the diagonal kernels'
-#     fixed-bit path), and finite factors and amplitudes including ±0,
-#     subnormals and near-overflow magnitudes, every amplitude the platform
-#     kernels (tileMat1Q, tileMat2Q, tileDiag1Q, diagQuarter: SSE2 on amd64)
+#     whole array or a tile at a nonzero base, scale at the half-stride,
+#     whole-region and quarter-lattice shapes its callers use, and finite
+#     factors and amplitudes including ±0, subnormals and near-overflow
+#     magnitudes, every amplitude the platform kernels (tileMat1Q,
+#     tileMat2Q, scale: SSE2 on amd64)
 #     write must carry the same Float64bits as the Go loops'
 #     (FuzzSSE2KernelsMatchGo in internal/sim, run for -fuzztime=10s on top
 #     of its committed seed corpus in internal/sim/testdata/fuzz/).
