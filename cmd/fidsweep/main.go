@@ -63,13 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *parallelism < 0 {
 		return cli.Usagef("-parallelism must be ≥ 0 (0 = all cores), got %d", *parallelism)
 	}
-	fidelity := core.FidelityCount
-	switch *model {
-	case "count":
-	case "montecarlo":
-		fidelity = core.FidelityMonteCarlo
-	default:
-		return cli.Usagef("unknown -model %q: want count or montecarlo", *model)
+	fidelity, err := core.FidelityNames.Parse("-model", *model)
+	if err != nil {
+		return cli.Usagef("%v", err)
 	}
 	if *shots < 0 {
 		return cli.Usagef("-shots must be ≥ 0 (0 = default), got %d", *shots)

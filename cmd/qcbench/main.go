@@ -36,12 +36,12 @@
 // byte-for-byte.
 //
 // -cachedir DIR enables the content-addressed result cache with an on-disk
-// JSON tier rooted at DIR (created if missing): every (machine, circuit,
-// seed, trials, router, profile-mode) evaluation is stored under a hash of
-// its inputs, so regenerating a figure — or another figure sharing cells —
-// skips routing that already ran, in this process or any earlier one.
-// Profile-guided and baseline evaluations are keyed separately and can
-// share a directory without cross-contamination. Cached output is
+// JSON tier rooted at DIR (created if missing): every evaluation is stored
+// under a hash of its machine, circuit and result-changing options
+// (core.Options.Identity), so regenerating a figure — or another figure
+// sharing cells — skips routing that already ran, in this process or any
+// earlier one, and baseline, profile-guided and noisy evaluations share a
+// directory without cross-contamination. Cached output is
 // byte-identical to a cold run of the same build: keys are content hashes
 // of the inputs plus a pipeline version tag, so entries need no manual
 // invalidation, but a directory written by a build with different routing
@@ -58,9 +58,12 @@
 // (trajectory sampling, -noise-shots trajectories per cell). -noise-route
 // re-routes against error-weighted edge costs instead of plain hop counts:
 // pure prices edges by −ln(1−p) alone; blend multiplies the error weights
-// into measured SWAP-pressure weights after a pilot pass. Noisy evaluations
-// carry a tagged noise/v1 cache-key field, so a -cachedir shared with
-// baseline runs stays uncontaminated and baseline entries still hit.
+// into measured SWAP-pressure weights after a pilot pass.
+//
+// -server URL runs a -fig sweep on a qcbenchd service, byte-identically:
+// the request carries every knob above that changes a result, the noise
+// flags included (daemon.Knobs). -cachedir, -resume and -parallelism are
+// usage errors with it: the daemon owns its cache, journal and pool.
 //
 // Long unattended runs are bounded and interruptible: -cell-timeout D
 // fails any single evaluation exceeding D (the sweep continues under
@@ -235,23 +238,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if (*noiseModel != "" || *noiseRoute != "") && *noiseFlag == "" && *machines == "" {
 		return cli.Usagef("-noise-model/-noise-route need a noise profile: set -noise, or -machines specs with e2q=/tdec= keys")
 	}
+	fidelity, err := core.FidelityNames.Parse("-noise-model", *noiseModel)
+	if err != nil {
+		return cli.Usagef("%v", err)
+	}
 	var noiseProfile *arch.NoiseProfile
 	if *noiseFlag != "" {
-		var err error
 		if noiseProfile, err = arch.ParseNoise(*noiseFlag); err != nil {
 			return cli.Usagef("bad -noise: %v", err)
 		}
 	}
-	fidelity := core.FidelityOff
-	if noiseConfigured {
-		switch *noiseModel {
-		case "", "count":
-			fidelity = core.FidelityCount
-		case "montecarlo":
-			fidelity = core.FidelityMonteCarlo
-		default:
-			return cli.Usagef("unknown -noise-model %q: want count or montecarlo", *noiseModel)
-		}
+	if noiseConfigured && fidelity == core.FidelityOff {
+		fidelity = core.FidelityCount
 	}
 	if *noiseShots < 0 {
 		return cli.Usagef("-noise-shots must be ≥ 0 (0 = default), got %d", *noiseShots)
@@ -259,15 +257,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *noiseShots > 0 && fidelity != core.FidelityMonteCarlo {
 		return cli.Usagef("-noise-shots only applies to -noise-model montecarlo; it would be ignored otherwise")
 	}
-	routeMode := core.NoiseRouteOff
-	switch *noiseRoute {
-	case "":
-	case "pure":
-		routeMode = core.NoiseRoutePure
-	case "blend":
-		routeMode = core.NoiseRouteBlend
-	default:
-		return cli.Usagef("unknown -noise-route %q: want pure or blend", *noiseRoute)
+	routeMode, err := core.NoiseRouteNames.Parse("-noise-route", *noiseRoute)
+	if err != nil {
+		return cli.Usagef("%v", err)
 	}
 	// Remote sweeps hand cache, journal, and pool sizing to the daemon;
 	// flags that would silently do nothing (or fight the server) are
@@ -284,9 +276,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *parallelism != 0 {
 			return cli.Usagef("-parallelism does not apply with -server: the daemon sizes its own worker pool")
-		}
-		if noiseConfigured {
-			return cli.Usagef("noise flags are not supported with -server yet; run the sweep locally")
 		}
 	}
 	postSizes, err := parsePosts(*posts)
@@ -341,6 +330,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.CellTimeout = *cellTimeout
 	cfg.Deadline = *deadline
 	cfg.Tolerant = *tolerant
+	cfg.Noise = noiseProfile
+	cfg.Fidelity = fidelity
+	cfg.NoiseShots = *noiseShots
+	cfg.NoiseRoute = routeMode
 
 	if *cachedir != "" {
 		store, err := core.NewMetricsCache(0, *cachedir)
@@ -377,21 +370,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	default:
 		// Figure specs pin their historical seed and explicit trial counts
-		// (and with them their cache keys), so graft only the flag-driven
-		// knobs onto the spec's Config.
-		spec.Parallelism = cfg.Parallelism
-		spec.Cache = cfg.Cache
-		spec.ProfileGuided = cfg.ProfileGuided
-		spec.ProfileIterations = cfg.ProfileIterations
-		spec.CellTimeout = cfg.CellTimeout
-		spec.Deadline = cfg.Deadline
-		spec.Tolerant = cfg.Tolerant
-		spec.Noise = noiseProfile
-		spec.Fidelity = fidelity
-		spec.NoiseShots = *noiseShots
-		spec.NoiseRoute = routeMode
-		if *trialsFlag > 0 {
-			spec.Trials = *trialsFlag
+		// (and with them their cache keys); the flags set everything else.
+		seed, trials := spec.Seed, spec.Trials
+		spec.Config = cfg
+		spec.Seed = seed
+		if *trialsFlag == 0 {
+			spec.Trials = trials
 		}
 		headerSuffix := fmt.Sprintf("%s mode%s%s", mode(quick), profiledSuffix(*profile), noiseSuffix(fidelity, routeMode))
 		if *server != "" {
@@ -459,11 +443,11 @@ func printSweep(stdout, stderr io.Writer, useCSV bool, fig int, headerSuffix str
 }
 
 // remoteSweep runs a -fig sweep on a qcbenchd server instead of locally.
-// The wire request carries the same spec the local path would run — the
-// figure's machines as declarative specs (FigMachineSpecs round-trips the
-// stock sets name-and-fingerprint-identically), the spec's pinned seed and
-// explicit trial count, and the same profile knobs — so cell seeds, cache
-// keys, and therefore every metric match a local run exactly.
+// The wire request is the spec the local path would run
+// (daemon.NewSweepRequest), with the figure's machines as declarative
+// specs (FigMachineSpecs round-trips the stock sets
+// name-and-fingerprint-identically), so cell seeds, cache keys, and
+// therefore every metric match a local run exactly.
 func remoteSweep(ctx context.Context, server string, fig int, machineSpecs string, spec experiments.SweepSpec) ([]experiments.Series, error) {
 	specList := machineSpecs
 	if specList == "" {
@@ -472,33 +456,12 @@ func remoteSweep(ctx context.Context, server string, fig int, machineSpecs strin
 			return nil, err
 		}
 	}
-	kindName := "swaps"
-	if spec.Kind == experiments.Codesign {
-		kindName = "codesign"
-	}
-	routerName := ""
-	if spec.Router == core.RouterSabre {
-		routerName = "sabre"
-	}
-	req := daemon.SweepRequest{
-		ID:                spec.ID,
-		Kind:              kindName,
-		Machines:          specList,
-		Workloads:         spec.Workloads,
-		Sizes:             spec.Sizes,
-		Seed:              spec.Seed,
-		Trials:            spec.Trials,
-		Router:            routerName,
-		Profile:           spec.ProfileGuided,
-		ProfileIterations: spec.ProfileIterations,
-		CellTimeoutMS:     spec.CellTimeout.Milliseconds(),
-	}
 	if spec.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
 		defer cancel()
 	}
-	return daemon.NewClient(strings.TrimRight(server, "/")).SweepSeries(ctx, req)
+	return daemon.NewClient(strings.TrimRight(server, "/")).SweepSeries(ctx, daemon.NewSweepRequest(spec, specList))
 }
 
 func mode(quick bool) string {
@@ -518,23 +481,8 @@ func profiledSuffix(profiled bool) string {
 // noiseSuffix describes the noise configuration in the figure header, empty
 // when noise is off so historical headers stay byte-identical.
 func noiseSuffix(fidelity core.FidelityModel, route core.NoiseRouteMode) string {
-	var parts []string
-	switch fidelity {
-	case core.FidelityCount:
-		parts = append(parts, "noise: count model")
-	case core.FidelityMonteCarlo:
-		parts = append(parts, "noise: montecarlo")
-	}
-	switch route {
-	case core.NoiseRoutePure:
-		parts = append(parts, "error-weighted routing")
-	case core.NoiseRouteBlend:
-		parts = append(parts, "error×pressure routing")
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return ", " + strings.Join(parts, ", ")
+	return [...]string{core.FidelityCount: ", noise: count model", core.FidelityMonteCarlo: ", noise: montecarlo"}[fidelity] +
+		[...]string{core.NoiseRoutePure: ", error-weighted routing", core.NoiseRouteBlend: ", error×pressure routing"}[route]
 }
 
 // parsePosts parses the -posts list. Non-positive sizes are rejected here

@@ -41,33 +41,31 @@ func startDaemon(t *testing.T, cfg daemon.Config) string {
 
 // TestServerSweepByteIdentical is the remote-fidelity acceptance check at
 // the CLI surface: the same figure sweep run locally and against a daemon
-// produces byte-identical stdout, in both table and CSV form.
+// produces byte-identical stdout, in both table and CSV form, noiseless
+// and under each noise mode.
 func TestServerSweepByteIdentical(t *testing.T) {
 	base := startDaemon(t, daemon.Config{Parallelism: 2})
-	args := []string{"-fig", "11", "-machines", "grid:rows=4,cols=4,name=Square-Lattice", "-trials", "1"}
-
-	local, _, err := runQ(t, args...)
-	if err != nil {
-		t.Fatalf("local sweep: %v", err)
-	}
-	remote, _, err := runQ(t, append([]string{"-server", base}, args...)...)
-	if err != nil {
-		t.Fatalf("remote sweep: %v", err)
-	}
-	if remote != local {
-		t.Errorf("remote stdout diverged from local:\nremote:\n%s\nlocal:\n%s", remote, local)
-	}
-
-	localCSV, _, err := runQ(t, append(args, "-csv")...)
-	if err != nil {
-		t.Fatalf("local csv sweep: %v", err)
-	}
-	remoteCSV, _, err := runQ(t, append([]string{"-server", base, "-csv"}, args...)...)
-	if err != nil {
-		t.Fatalf("remote csv sweep: %v", err)
-	}
-	if remoteCSV != localCSV {
-		t.Errorf("remote CSV diverged from local:\nremote:\n%s\nlocal:\n%s", remoteCSV, localCSV)
+	sweep := []string{"-fig", "11", "-machines", "grid:rows=4,cols=4,name=Square-Lattice", "-trials", "1"}
+	for _, knobs := range [][]string{
+		nil,
+		{"-noise", "e2q=0.002,tdec=0.001"},
+		{"-noise", "e2q=0.002,tdec=0.001", "-noise-model", "montecarlo", "-noise-shots", "8"},
+		{"-noise", "e2q=0.002,tdec=0.001", "-noise-route", "pure"},
+	} {
+		for _, form := range [][]string{nil, {"-csv"}} {
+			args := append(append(append([]string{}, sweep...), knobs...), form...)
+			local, _, err := runQ(t, args...)
+			if err != nil {
+				t.Fatalf("local sweep %v: %v", args, err)
+			}
+			remote, _, err := runQ(t, append([]string{"-server", base}, args...)...)
+			if err != nil {
+				t.Fatalf("remote sweep %v: %v", args, err)
+			}
+			if remote != local {
+				t.Errorf("%v: remote stdout diverged from local:\nremote:\n%s\nlocal:\n%s", args, remote, local)
+			}
+		}
 	}
 }
 
@@ -94,8 +92,8 @@ func TestServerStockFigureMachines(t *testing.T) {
 }
 
 // TestServerConflictingFlagsRejected pins the -server flag surface: knobs
-// the daemon owns (cache, journal, pool size) and not-yet-supported noise
-// flags are usage errors, not silent no-ops.
+// the daemon owns (cache, journal, pool size) are usage errors, not silent
+// no-ops.
 func TestServerConflictingFlagsRejected(t *testing.T) {
 	url := "http://127.0.0.1:1"
 	_, _, err := runQ(t, "-headline", "-server", url)
@@ -106,8 +104,6 @@ func TestServerConflictingFlagsRejected(t *testing.T) {
 	wantUsageError(t, err, "journals sweeps server-side")
 	_, _, err = runQ(t, "-fig", "11", "-server", url, "-parallelism", "2")
 	wantUsageError(t, err, "daemon sizes its own worker pool")
-	_, _, err = runQ(t, "-fig", "11", "-server", url, "-noise", "e2q=0.002,tdec=0.001")
-	wantUsageError(t, err, "not supported with -server")
 }
 
 // TestServerUnreachableFails pins the failure surface: a dead server is a

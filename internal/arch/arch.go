@@ -33,6 +33,7 @@ package arch
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -315,8 +316,11 @@ func Parse(s string) (Arch, error) {
 // ≥ 0, and edge endpoints are distinct non-negative qubit indices.
 func (p *NoiseProfile) setKey(key, val string) error {
 	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("bad noise parameter %q=%q (not a number)", key, val)
+	}
+	if v == 0 {
+		v = 0 // one zero: -0 would print as 0 yet hash as other bits
 	}
 	switch {
 	case key == "e2q":

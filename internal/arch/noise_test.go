@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,9 @@ func TestNoiseSpecValidation(t *testing.T) {
 		"grid:rows=4,e2q-0=0.1",   // malformed edge key
 		"grid:rows=4,e2q--1-2=0.1",
 		"grid:rows=4,e2q-0-1=1.5",
+		"grid:rows=4,e2q=NaN", // NaN passes every range comparison
+		"grid:rows=4,tdec=Inf",
+		"grid:rows=4,e2q-0-1=nan",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid noise key", spec)
@@ -69,9 +73,13 @@ func TestParseNoise(t *testing.T) {
 		t.Fatalf("edge override missing: %+v", p.EdgeE2Q)
 	}
 	// All-zero parses to the nil (noiseless) profile, mirroring the spec
-	// grammar's normalization.
-	if p, err := ParseNoise("e2q=0,tdec=0"); err != nil || p != nil {
+	// grammar's normalization; -0 is that zero, so it prints and hashes
+	// like 0.
+	if p, err := ParseNoise("e2q=0,tdec=-0"); err != nil || p != nil {
 		t.Fatalf("ParseNoise all-zero = (%v, %v), want (nil, nil)", p, err)
+	}
+	if p, err := ParseNoise("e2q=-0,tdec=0.1,e2q-0-1=-0"); err != nil || math.Signbit(p.E2Q) || math.Signbit(p.EdgeE2Q[[2]int{0, 1}]) {
+		t.Fatalf("ParseNoise kept a negative zero: (%+v, %v)", p, err)
 	}
 	for _, bad := range []string{
 		"",                 // empty profile is a caller error

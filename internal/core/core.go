@@ -9,7 +9,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -40,9 +43,8 @@ type Machine struct {
 	// error, decoherence per unit duration, per-edge overrides), carried
 	// from the e2q=/tdec=/e2q-<a>-<b>= spec keys. nil means noiseless
 	// hardware; evaluations fall back to Options.Noise when the machine has
-	// no profile of its own. The profile changes nothing unless a fidelity
-	// model or noise routing is requested, so it needs no cache-key field
-	// of its own (the noise/v1 field covers it when one is).
+	// no profile of its own. Like Options.Noise, it is inert unless a
+	// fidelity model or noise routing is requested.
 	Noise *arch.NoiseProfile
 }
 
@@ -107,6 +109,43 @@ const (
 	RouterSabre
 )
 
+// Names spells an enum on the command line and the daemon wire: entry i
+// names value i. "" parses to the zero value, the default an unset flag or
+// field selects, and is the entry of a default with no other spelling.
+type Names[T ~int] []string
+
+// String returns v's name, or its number when the table has no entry.
+func (n Names[T]) String(v T) string {
+	if v < 0 || int(v) >= len(n) {
+		return strconv.Itoa(int(v))
+	}
+	return n[v]
+}
+
+// Parse returns the value named s. what names the flag or field in the
+// error, which lists the accepted names.
+func (n Names[T]) Parse(what, s string) (T, error) {
+	if s == "" {
+		return 0, nil
+	}
+	if i := slices.Index(n, s); i >= 0 {
+		return T(i), nil
+	}
+	want := slices.DeleteFunc(slices.Clone(n), func(name string) bool { return name == "" })
+	return 0, fmt.Errorf("unknown %s %q: want %s", what, s, strings.Join(want, " or "))
+}
+
+// The name tables of the evaluation enums, for the CLI flags and the wire.
+var (
+	RouterNames     = Names[RouterKind]{"stochastic", "sabre"}
+	FidelityNames   = Names[FidelityModel]{"", "count", "montecarlo"}
+	NoiseRouteNames = Names[NoiseRouteMode]{"", "pure", "blend"}
+)
+
+func (r RouterKind) String() string     { return RouterNames.String(r) }
+func (f FidelityModel) String() string  { return FidelityNames.String(f) }
+func (r NoiseRouteMode) String() string { return NoiseRouteNames.String(r) }
+
 // FidelityModel selects how an evaluation estimates the routed circuit's
 // fidelity under the machine's noise profile (Metrics.EstFidelity).
 type FidelityModel int
@@ -163,10 +202,8 @@ type Options struct {
 	// cooperative polls (per routed layer, per simulation sweep) stop the
 	// work shortly after it expires, failing the cell with
 	// context.DeadlineExceeded instead of wedging the sweep. 0 means no
-	// per-cell bound. Like Parallelism, the timeout can only change
-	// *whether* an evaluation completes, never what it computes, so it is
-	// excluded from cache keys — a cell that timed out under a tight budget
-	// and was recomputed under a looser one produces the identical entry.
+	// per-cell bound. Like Parallelism, it changes only *whether* an
+	// evaluation completes, never what it computes (see Identity).
 	CellTimeout time.Duration
 
 	// ProfileGuided enables the pressure-weighted pipeline: a pilot pass
@@ -176,18 +213,14 @@ type Options struct {
 	// fences, tree roots) above idle ones. The cheaper routing — by induced
 	// SWAP count, pilot on ties — is kept, so a guided run never does worse
 	// than the baseline it profiled. Costs roughly 2× the routing time per
-	// iteration. Off by default; the default pipeline is byte-identical to
-	// a build without this feature. Results remain a pure function of
-	// (inputs, Seed, Trials, Router, ProfileGuided, ProfileIterations), and
-	// guided evaluations are cache-keyed separately from baseline ones.
+	// iteration. Off by default.
 	ProfileGuided bool
 
 	// ProfileIterations bounds the profile→reweight→reroute feedback loop
 	// of guided mode (transpile.ProfileGuidedPass): each iteration profiles
 	// the best routing so far, re-weights the cost matrices, and re-routes,
-	// keeping the result only when strictly cheaper. 0 (and 1) mean the
-	// single pilot→reweight step guided mode has always run, so existing
-	// configurations — and their warm cache entries — are unchanged. The
+	// keeping the result only when strictly cheaper. 0 and 1 both mean
+	// the single pilot→reweight step guided mode has always run. The
 	// loop stops early at a fixed point: when the incumbent routing's
 	// pressure profile reproduces an edge-weight vector already tried, or
 	// when no induced SWAPs remain. Ignored unless ProfileGuided is set.
@@ -200,11 +233,9 @@ type Options struct {
 	// catching router bugs at the source instead of publishing wrong
 	// metrics. It is exponential in the touched-qubit count and errors
 	// beyond sim.MaxQubits, so it is an opt-in assurance knob for the
-	// small machines, not a default. Verification changes no artifact or
-	// metric, so it needs no cache-key field of its own — but a verified
-	// EvaluateContext never *reads* the cache either: serving a cached (possibly
-	// never-verified) result would skip the very check the knob asks for.
-	// Verified runs always run the full pipeline.
+	// small machines, not a default. It changes no metric, but a verified
+	// EvaluateContext never *reads* the cache: a cached result may never
+	// have been verified, which would skip the very check the knob asks for.
 	Verify bool
 
 	// Noise is the default noise profile for machines that carry none of
@@ -216,34 +247,54 @@ type Options struct {
 
 	// Fidelity selects the estimator that fills Metrics.EstFidelity /
 	// ControlFidelity / DecoherenceFidelity from the routed circuit and the
-	// effective noise profile. FidelityOff (the default) computes nothing
-	// and leaves every historical cache key bit-identical; the other modes
-	// require a non-zero noise profile (machine or Options) and add the
-	// tagged noise/v1 key field. Estimation runs on the *routed* circuit —
+	// effective noise profile. FidelityOff (the default) computes nothing;
+	// the other modes require a non-zero noise profile (machine or
+	// Options). Estimation runs on the *routed* circuit —
 	// the semantic ground truth — not the translated one, whose placeholder
 	// 1Q gates are a counting artifact.
 	Fidelity FidelityModel
 
 	// NoiseShots is the trajectory count for FidelityMonteCarlo (0 →
-	// noise.DefaultShots). Normalized into the cache key the way Trials is,
-	// so the implicit default and an explicit DefaultShots share entries.
-	// Ignored by the count model.
+	// noise.DefaultShots), ignored by the count model.
 	NoiseShots int
 
 	// NoiseRoute routes against per-edge error rates instead of hop counts
-	// (see NoiseRouteMode). Like Fidelity it requires a noise profile and
-	// is cache-keyed under noise/v1; unlike Parallelism it changes the
-	// routed circuit itself, so the two routings never share entries.
+	// (see NoiseRouteMode). Like Fidelity it requires a noise profile.
 	NoiseRoute NoiseRouteMode
 
-	// Cache, when non-nil, memoizes EvaluateContext results
-	// content-addressed by (machine name, topology fingerprint, basis,
-	// circuit fingerprint, seed, trials, router). Because routing is a pure
-	// function of those inputs, a hit is byte-identical to recomputing;
-	// Parallelism is deliberately excluded from the key since it never
-	// changes results. Concurrent EvaluateContext calls on the same key
-	// compute once and share the result.
+	// Cache, when non-nil, memoizes EvaluateContext results under
+	// EvaluateKey: the machine and circuit plus the options' Identity.
+	// Because an evaluation is a pure function of those, a hit is
+	// byte-identical to recomputing. Concurrent EvaluateContext calls on
+	// the same key compute once and share the result.
 	Cache *cache.Store[Metrics]
+}
+
+// Identity returns the form of opt an evaluation's numbers depend on, the
+// one EvaluateKey hashes: the runtime-only fields (Parallelism,
+// CellTimeout, Verify, Cache) zeroed, Trials defaulted, NoiseShots
+// defaulted under the Monte-Carlo model and zeroed under the others,
+// ProfileIterations 0 unless guided with more than one iteration, and
+// Noise nil unless a fidelity model or noise routing reads it.
+func (opt Options) Identity() Options {
+	id := opt
+	id.Parallelism, id.CellTimeout, id.Verify, id.Cache = 0, 0, false, nil
+	if id.Trials <= 0 {
+		id.Trials = transpile.DefaultTrials
+	}
+	if !id.ProfileGuided || id.ProfileIterations <= 1 {
+		id.ProfileIterations = 0
+	}
+	switch {
+	case id.Fidelity != FidelityMonteCarlo:
+		id.NoiseShots = 0
+	case id.NoiseShots <= 0:
+		id.NoiseShots = noise.DefaultShots
+	}
+	if id.Fidelity == FidelityOff && id.NoiseRoute == NoiseRouteOff {
+		id.Noise = nil
+	}
+	return id
 }
 
 // MetricsCache is the content-addressed Evaluate result cache behind
@@ -362,24 +413,20 @@ func (m Machine) EvaluateContext(ctx context.Context, c *circuit.Circuit, opt Op
 const evaluateKeyDomain = "core.Evaluate/v2"
 
 // EvaluateKey derives the content hash of one Evaluate call: everything the
-// metrics depend on and nothing else (CellTimeout and Parallelism change
-// only whether/how fast a run completes, never its numbers, so they are
-// excluded). Trials is normalized so the implicit default and an explicit
-// DefaultTrials share an entry. Exported so the sweep journal can address
-// completed cells by the same identity the cache uses — a resumed run
-// replays exactly the cells an uninterrupted run would have served warm.
+// metrics depend on and nothing else — the machine, the circuit, and
+// opt.Identity(), so options that evaluate identically share an entry.
+// Exported so the sweep journal can address completed cells by the same
+// identity the cache uses — a resumed run replays exactly the cells an
+// uninterrupted run would have served warm.
 func (m Machine) EvaluateKey(c *circuit.Circuit, opt Options) cache.Key {
-	trials := opt.Trials
-	if trials <= 0 {
-		trials = transpile.DefaultTrials
-	}
+	opt = opt.Identity()
 	h := cache.NewHasher(evaluateKeyDomain)
 	h.WriteString(m.Name)
 	h.WriteUint(m.Graph.Fingerprint())
 	h.WriteInt(int64(m.Basis))
 	h.WriteUint(c.Fingerprint())
 	h.WriteInt(opt.Seed)
-	h.WriteInt(int64(trials))
+	h.WriteInt(int64(opt.Trials))
 	h.WriteInt(int64(opt.Router))
 	// Profile-guided mode computes different numbers from the same inputs,
 	// so it must never share entries with the baseline. Appending a tagged
@@ -392,10 +439,9 @@ func (m Machine) EvaluateKey(c *circuit.Circuit, opt Options) cache.Key {
 		h.WriteString("profile-guided/v1")
 		// Multi-iteration guided runs compute different numbers again, so
 		// they get their own tagged field — appended only for iterations
-		// > 1, because 0 and 1 both mean the single pilot→reweight step
-		// the profile-guided/v1 namespace has always held: warm guided
-		// entries from earlier builds keep hitting.
-		if opt.ProfileIterations > 1 {
+		// > 1 (Identity folds 0 and 1 to 0): warm guided entries from
+		// earlier builds keep hitting.
+		if opt.ProfileIterations != 0 {
 			h.WriteString("profile-iterations")
 			h.WriteInt(int64(opt.ProfileIterations))
 		}
@@ -424,20 +470,14 @@ func (m Machine) EvaluateKey(c *circuit.Circuit, opt Options) cache.Key {
 	// profile, because an inert profile changes nothing: every baseline key
 	// (and both fig11 goldens' warm caches) stays bit-identical to earlier
 	// builds. The field hashes the mode selections plus the effective
-	// profile's parameters; shots join only under the Monte-Carlo model,
-	// normalized so the implicit default and an explicit DefaultShots share
-	// an entry (the count model ignores shots entirely).
+	// profile's parameters, and the shots under the Monte-Carlo model.
 	if opt.Fidelity != FidelityOff || opt.NoiseRoute != NoiseRouteOff {
 		h.WriteString("noise/v1")
 		h.WriteInt(int64(opt.Fidelity))
 		h.WriteInt(int64(opt.NoiseRoute))
 		if opt.Fidelity == FidelityMonteCarlo {
-			shots := opt.NoiseShots
-			if shots <= 0 {
-				shots = noise.DefaultShots
-			}
 			h.WriteString("shots")
-			h.WriteInt(int64(shots))
+			h.WriteInt(int64(opt.NoiseShots))
 			// The trajectory algorithm's version: a change that moves
 			// Monte-Carlo fidelities (even in the last bits) bumps it, so
 			// disk tiers warmed by an older build recompute instead of

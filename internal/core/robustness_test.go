@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/noise"
+	"repro/internal/transpile"
 	"repro/internal/workloads"
 )
 
@@ -125,5 +127,67 @@ func TestEvaluateContextMatchesEvaluate(t *testing.T) {
 	}
 	if want != got {
 		t.Fatalf("context-threaded metrics diverged:\n  plain %+v\n  ctx   %+v", want, got)
+	}
+}
+
+// TestIdentityMatchesEvaluateKey holds Identity and EvaluateKey to one
+// notion of sameness: over options that differ in spelling (an implicit or
+// explicit default, an inert field set or not) or in substance, two share
+// a key exactly when their identity forms are equal, and Identity is
+// idempotent.
+func TestIdentityMatchesEvaluateKey(t *testing.T) {
+	m := HeavyHex20CX()
+	c := workloads.QFT(8, true)
+	p := &arch.NoiseProfile{E2Q: 0.002, TDec: 0.001}
+	variants := []Options{
+		{Seed: 1},
+		{Seed: 1, Trials: transpile.DefaultTrials},
+		{Seed: 1, Trials: 5, Parallelism: 4, CellTimeout: time.Second, Verify: true},
+		{Seed: 1, ProfileIterations: 3},
+		{Seed: 1, ProfileGuided: true},
+		{Seed: 1, ProfileGuided: true, ProfileIterations: 1},
+		{Seed: 1, ProfileGuided: true, ProfileIterations: 3},
+		{Seed: 1, Noise: p},
+		{Seed: 1, NoiseShots: 64},
+		{Seed: 1, Noise: p, Fidelity: FidelityCount},
+		{Seed: 1, Noise: p, Fidelity: FidelityCount, NoiseShots: 64},
+		{Seed: 1, Noise: p, Fidelity: FidelityMonteCarlo},
+		{Seed: 1, Noise: p, Fidelity: FidelityMonteCarlo, NoiseShots: noise.DefaultShots},
+		{Seed: 1, Noise: p, Fidelity: FidelityMonteCarlo, NoiseShots: 64},
+		{Seed: 1, Noise: p, NoiseRoute: NoiseRoutePure},
+		{Seed: 1, Noise: &arch.NoiseProfile{E2Q: 0.004}, NoiseRoute: NoiseRoutePure},
+		{Seed: 1, Router: RouterSabre},
+		{Seed: 2},
+	}
+	for i, a := range variants {
+		if id := a.Identity(); !reflect.DeepEqual(id.Identity(), id) {
+			t.Errorf("variant %d: Identity is not idempotent", i)
+		}
+		for j, b := range variants[:i] {
+			sameID := reflect.DeepEqual(a.Identity(), b.Identity())
+			if sameKey := m.EvaluateKey(c, a) == m.EvaluateKey(c, b); sameID != sameKey {
+				t.Errorf("variants %d and %d: equal identity %v, equal key %v", j, i, sameID, sameKey)
+			}
+		}
+	}
+}
+
+// TestNamesRoundTrip: every value of the evaluation enums parses back from
+// its name, and an unknown name is refused with the accepted ones listed.
+func TestNamesRoundTrip(t *testing.T) {
+	testNames(t, RouterNames, "want stochastic or sabre")
+	testNames(t, FidelityNames, "want count or montecarlo")
+	testNames(t, NoiseRouteNames, "want pure or blend")
+}
+
+func testNames[T ~int](t *testing.T, n Names[T], want string) {
+	t.Helper()
+	for i := range n {
+		if v, err := n.Parse("flag", n.String(T(i))); err != nil || v != T(i) {
+			t.Errorf("Parse(String(%d)) = %d, %v", i, v, err)
+		}
+	}
+	if _, err := n.Parse("flag", "bogus"); err == nil || err.Error() != `unknown flag "bogus": `+want {
+		t.Errorf("Parse(bogus) = %v, want %q", err, want)
 	}
 }

@@ -185,10 +185,11 @@ func (c *Client) Evaluate(ctx context.Context, req EvaluateRequest) (core.Metric
 	return met, err
 }
 
-// SweepResult is a completed (or partially completed) remote sweep: cell
-// results indexed by the sweep's fixed cell order, plus the server's final
-// accounting.
+// SweepResult is a completed (or partially completed) remote sweep: the
+// spec the request describes, cell results indexed by its fixed cell
+// order, and the server's final accounting.
 type SweepResult struct {
+	Spec    experiments.SweepSpec
 	Cells   []*SweepCellResult
 	Summary SweepSummary
 }
@@ -203,7 +204,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResult, err
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	res := &SweepResult{Cells: make([]*SweepCellResult, len(spec.Cells()))}
+	res := &SweepResult{Spec: spec, Cells: make([]*SweepCellResult, len(spec.Cells()))}
 	err = c.post(ctx, sweepPath, req, func(resp *http.Response) error {
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -237,10 +238,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResult, err
 		}
 		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 // SweepSeries runs a remote sweep and assembles the streamed cells into
@@ -250,14 +248,11 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResult, err
 // failures surface as experiments.CellErrors alongside the partial
 // series, mirroring a local tolerant sweep.
 func (c *Client) SweepSeries(ctx context.Context, req SweepRequest) ([]experiments.Series, error) {
-	spec, err := SpecFromRequest(req)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
 	res, err := c.Sweep(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	spec := res.Spec
 	cells := spec.Cells()
 	out := make([]experiments.Series, spec.NumSeries())
 	for wi, w := range spec.Workloads {

@@ -39,7 +39,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -47,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -69,7 +72,7 @@ const (
 	metricsPath          = "/metrics"
 	evaluatePath         = "/evaluate"
 	sweepPath            = "/sweep"
-	sweepJournalDomain   = "daemon.Sweep/v3"
+	sweepJournalDomain   = "daemon.Sweep/v4"
 	ndjsonContentType    = "application/x-ndjson"
 	jsonContentType      = "application/json"
 	maxEvaluateBodyBytes = 1 << 20
@@ -303,8 +306,8 @@ func (s *Server) acquire(ctx context.Context, shed bool) (release func(), err er
 // fill per key acquires a worker slot (shedding or blocking per shed),
 // runs the EvalHook seam, and evaluates with a recover that converts a
 // panic into a *par.PanicError confined to the requests joined on this
-// key. The options must carry a nil Cache — the server's store is the
-// cache, applied here, so the inner pipeline never double-caches.
+// key. The server's store is the cache and ctx carries the clamped
+// deadline, so opt's Cache and CellTimeout never apply a second time.
 func (s *Server) evaluate(ctx context.Context, shed bool, key cache.Key, m core.Machine, c *circuit.Circuit, opt core.Options, workload string, size int) (core.Metrics, error) {
 	fill := func() (met core.Metrics, err error) {
 		defer func() {
@@ -327,7 +330,7 @@ func (s *Server) evaluate(ctx context.Context, shed bool, key cache.Key, m core.
 			}
 		}
 		eo := opt
-		eo.Cache = nil
+		eo.Cache, eo.CellTimeout = nil, 0
 		return m.EvaluateContext(ctx, c, eo)
 	}
 	return s.store.Do(key, fill)
@@ -339,13 +342,17 @@ func (s *Server) requestTimeout(ms int64) time.Duration {
 	if max <= 0 {
 		max = DefaultMaxTimeout
 	}
-	if ms <= 0 {
-		return max
-	}
-	if d := time.Duration(ms) * time.Millisecond; d < max {
+	if d := msDuration(ms); d > 0 && d < max {
 		return d
 	}
 	return max
+}
+
+// msDuration reads a wire millisecond count as a duration: 0 for a
+// non-positive count, saturating where the nanoseconds would overflow.
+func msDuration(ms int64) time.Duration {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	return time.Duration(max(0, min(ms, maxMS))) * time.Millisecond
 }
 
 // statusWriter records the status code a handler wrote (200 if it never
@@ -406,6 +413,68 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck // response already committed
 }
 
+// Knobs are the evaluation settings an /evaluate or /sweep request carries
+// besides its coordinates and trial count: every core.Options field that
+// can change a result, spelled as qcbench's flags and core's name tables
+// spell them (noise in the -noise grammar). An empty field is the option's
+// zero value, so noise alone is inert, as core.Options.Noise is.
+type Knobs struct {
+	Router            string `json:"router,omitempty"` // stochastic, sabre
+	Profile           bool   `json:"profile,omitempty"`
+	ProfileIterations int    `json:"profile_iterations,omitempty"`
+	Noise             string `json:"noise,omitempty"`
+	NoiseModel        string `json:"noise_model,omitempty"` // count, montecarlo
+	NoiseRoute        string `json:"noise_route,omitempty"` // pure, blend
+	NoiseShots        int    `json:"noise_shots,omitempty"`
+}
+
+// options is the one conversion from the wire: it validates the knobs and
+// maps them, with the request's seed and trial count, onto core.Options.
+// Every error is a client mistake (400).
+func (k Knobs) options(seed int64, trials int) (opt core.Options, err error) {
+	opt = core.Options{Seed: seed, Trials: trials, ProfileGuided: k.Profile,
+		ProfileIterations: k.ProfileIterations, NoiseShots: k.NoiseShots}
+	if k.Noise != "" {
+		if opt.Noise, err = arch.ParseNoise(k.Noise); err != nil {
+			return opt, fmt.Errorf("noise: %v", err)
+		}
+	}
+	if opt.Router, err = core.RouterNames.Parse("router", k.Router); err != nil {
+		return opt, err
+	}
+	if opt.Fidelity, err = core.FidelityNames.Parse("noise_model", k.NoiseModel); err != nil {
+		return opt, err
+	}
+	if opt.NoiseRoute, err = core.NoiseRouteNames.Parse("noise_route", k.NoiseRoute); err != nil {
+		return opt, err
+	}
+	switch {
+	case trials < 0:
+		err = fmt.Errorf("trials must be ≥ 0, got %d", trials)
+	case k.ProfileIterations < 0:
+		err = fmt.Errorf("profile_iterations must be ≥ 0, got %d", k.ProfileIterations)
+	case k.NoiseShots < 0:
+		err = fmt.Errorf("noise_shots must be ≥ 0, got %d", k.NoiseShots)
+	case k.NoiseShots > 0 && opt.Fidelity != core.FidelityMonteCarlo:
+		err = fmt.Errorf("noise_shots only applies to noise_model montecarlo")
+	}
+	return opt, err
+}
+
+// knobsOf is options' inverse: the knobs that convert back to opt's
+// evaluation settings.
+func knobsOf(opt core.Options) Knobs {
+	return Knobs{
+		Router:            opt.Router.String(),
+		Profile:           opt.ProfileGuided,
+		ProfileIterations: opt.ProfileIterations,
+		Noise:             opt.Noise.String(),
+		NoiseModel:        opt.Fidelity.String(),
+		NoiseRoute:        opt.NoiseRoute.String(),
+		NoiseShots:        opt.NoiseShots,
+	}
+}
+
 // EvaluateRequest is the /evaluate wire request: one machine (declarative
 // arch spec), one benchmark workload at one width, and the evaluation
 // knobs that are part of the result's identity. Seed seeds both the
@@ -413,33 +482,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 // evaluations. TimeoutMS is a runtime bound only — it never changes what a
 // completed evaluation computes and is excluded from the cache key.
 type EvaluateRequest struct {
-	Machine           string `json:"machine"`
-	Workload          string `json:"workload"`
-	Size              int    `json:"size"`
-	Seed              int64  `json:"seed"`
-	Trials            int    `json:"trials,omitempty"`
-	Router            string `json:"router,omitempty"` // "", "stochastic", "sabre"
-	Profile           bool   `json:"profile,omitempty"`
-	ProfileIterations int    `json:"profile_iterations,omitempty"`
-	TimeoutMS         int64  `json:"timeout_ms,omitempty"`
-}
-
-// parseRouter maps the wire router name to core.RouterKind.
-func parseRouter(name string) (core.RouterKind, error) {
-	switch name {
-	case "", "stochastic":
-		return core.RouterStochastic, nil
-	case "sabre":
-		return core.RouterSabre, nil
-	default:
-		return 0, fmt.Errorf("unknown router %q: want stochastic or sabre", name)
-	}
+	Machine  string `json:"machine"`
+	Workload string `json:"workload"`
+	Size     int    `json:"size"`
+	Seed     int64  `json:"seed"`
+	Trials   int    `json:"trials,omitempty"`
+	Knobs
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // buildEvaluate validates an EvaluateRequest into its machine, circuit,
 // and options. Every error here is a client mistake (400).
 func buildEvaluate(req EvaluateRequest) (core.Machine, *circuit.Circuit, core.Options, error) {
-	var opt core.Options
+	opt, err := req.options(req.Seed, req.Trials)
+	if err != nil {
+		return core.Machine{}, nil, opt, err
+	}
 	if req.Machine == "" {
 		return core.Machine{}, nil, opt, fmt.Errorf("missing machine spec")
 	}
@@ -450,25 +508,21 @@ func buildEvaluate(req EvaluateRequest) (core.Machine, *circuit.Circuit, core.Op
 	if req.Size > m.Graph.N() {
 		return core.Machine{}, nil, opt, fmt.Errorf("size %d exceeds machine %s (%d qubits)", req.Size, m.Name, m.Graph.N())
 	}
+	if (opt.Fidelity != core.FidelityOff || opt.NoiseRoute != core.NoiseRouteOff) && m.Noise.IsZero() && opt.Noise.IsZero() {
+		return core.Machine{}, nil, opt, fmt.Errorf("noise_model/noise_route need a noise profile: set noise, or e2q=/tdec= keys in the machine spec")
+	}
 	c, err := experiments.BenchmarkCircuit(req.Workload, req.Size, req.Seed)
 	if err != nil {
 		return core.Machine{}, nil, opt, fmt.Errorf("workload: %v", err)
 	}
-	rk, err := parseRouter(req.Router)
-	if err != nil {
-		return core.Machine{}, nil, opt, err
-	}
-	if req.Trials < 0 {
-		return core.Machine{}, nil, opt, fmt.Errorf("trials must be ≥ 0, got %d", req.Trials)
-	}
-	opt = core.Options{
-		Seed:              req.Seed,
-		Trials:            req.Trials,
-		Router:            rk,
-		ProfileGuided:     req.Profile,
-		ProfileIterations: req.ProfileIterations,
-	}
 	return m, c, opt, nil
+}
+
+// decodeRequest decodes a JSON request body, refusing unknown fields.
+func decodeRequest(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // handleEvaluate serves POST /evaluate: validate, content-address, and run
@@ -481,9 +535,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvaluateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEvaluateBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxEvaluateBodyBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
 		return
 	}

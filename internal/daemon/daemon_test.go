@@ -13,9 +13,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/noise"
 )
 
 // startServer boots a Server under test and returns its base URL plus a
@@ -301,6 +303,11 @@ func TestEvaluateBadRequest(t *testing.T) {
 		{"bad router", func(r *EvaluateRequest) { r.Router = "dijkstra" }, "unknown router"},
 		{"negative trials", func(r *EvaluateRequest) { r.Trials = -1 }, "trials"},
 		{"bad workload", func(r *EvaluateRequest) { r.Workload = "NoSuchLoad" }, "workload"},
+		{"bad noise", func(r *EvaluateRequest) { r.Noise = "e2q=2" }, "noise"},
+		{"bad noise model", func(r *EvaluateRequest) { r.Noise, r.NoiseModel = "e2q=0.01", "exact" }, "unknown noise_model"},
+		{"bad noise route", func(r *EvaluateRequest) { r.Noise, r.NoiseRoute = "e2q=0.01", "fast" }, "unknown noise_route"},
+		{"shots without montecarlo", func(r *EvaluateRequest) { r.Noise, r.NoiseModel, r.NoiseShots = "e2q=0.01", "count", 8 }, "noise_shots"},
+		{"noise mode without profile", func(r *EvaluateRequest) { r.NoiseModel = "count" }, "need a noise profile"},
 	} {
 		req := testEvaluateRequest()
 		tc.mut(&req)
@@ -328,8 +335,9 @@ func testSweepRequest() SweepRequest {
 // sweep's journal. Spellings the server evaluates identically must share
 // one journal, so a re-POST after a drain resumes instead of recomputing;
 // CellTimeoutMS only bounds runtime and never moves the key; every other
-// field separates keys. The field list is checked against the struct, so
-// a new SweepRequest field fails here until it is classified.
+// field separates keys. The field list, the embedded Knobs' fields
+// included, is checked against the struct, so a new wire field fails here
+// until it is classified.
 func TestSweepJournalKeyIdentity(t *testing.T) {
 	key := func(req SweepRequest) cache.Key {
 		t.Helper()
@@ -341,6 +349,8 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 	}
 	type edit func(*SweepRequest)
 	guided := func(r *SweepRequest) { r.Profile = true }
+	counted := func(r *SweepRequest) { r.Noise, r.NoiseModel = "e2q=0.002,tdec=0.001", "count" }
+	sampled := func(r *SweepRequest) { r.Noise, r.NoiseModel = "e2q=0.002,tdec=0.001", "montecarlo" }
 	same := []struct {
 		name string
 		a, b edit
@@ -351,6 +361,9 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 		{"iterations without guidance", func(r *SweepRequest) {}, func(r *SweepRequest) { r.ProfileIterations = 3 }},
 		{"cell timeout", func(r *SweepRequest) {}, func(r *SweepRequest) { r.CellTimeoutMS = 5000 }},
 		{"machine key order", func(r *SweepRequest) { r.Machines = "grid:rows=2,cols=3,name=G" }, func(r *SweepRequest) { r.Machines = "grid:cols=3,rows=2,name=G" }},
+		{"noise parameter order", counted, func(r *SweepRequest) { r.Noise, r.NoiseModel = "tdec=0.001,e2q=0.002", "count" }},
+		{"noise without a noise mode", func(r *SweepRequest) {}, func(r *SweepRequest) { r.Noise = "e2q=0.002,tdec=0.001" }},
+		{"shots default vs explicit", sampled, func(r *SweepRequest) { sampled(r); r.NoiseShots = noise.DefaultShots }},
 	}
 	for _, tc := range same {
 		a, b := testSweepRequest(), testSweepRequest()
@@ -379,6 +392,10 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 		"Router":            {nil, func(r *SweepRequest) { r.Router = "sabre" }},
 		"Profile":           {nil, guided},
 		"ProfileIterations": {guided, func(r *SweepRequest) { r.Profile, r.ProfileIterations = true, 3 }},
+		"Noise":             {counted, func(r *SweepRequest) { r.Noise = "e2q=0.004,tdec=0.001" }},
+		"NoiseModel":        {counted, sampled},
+		"NoiseRoute":        {counted, func(r *SweepRequest) { r.NoiseRoute = "pure" }},
+		"NoiseShots":        {sampled, func(r *SweepRequest) { r.NoiseShots = 64 }},
 	}
 	for name, e := range separates {
 		a, b := testSweepRequest(), testSweepRequest()
@@ -391,15 +408,18 @@ func TestSweepJournalKeyIdentity(t *testing.T) {
 			t.Errorf("changing %s did not change the journal key", name)
 		}
 	}
-	rt := reflect.TypeOf(SweepRequest{})
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if _, ok := separates[name]; !ok && !runtimeOnly[name] {
-			t.Errorf("SweepRequest.%s is not classified as key-separating or runtime-only", name)
+	wire := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(SweepRequest{})) {
+		if f.Anonymous {
+			continue
+		}
+		wire++
+		if _, ok := separates[f.Name]; !ok && !runtimeOnly[f.Name] {
+			t.Errorf("SweepRequest.%s is not classified as key-separating or runtime-only", f.Name)
 		}
 	}
-	if n := len(separates) + len(runtimeOnly); n != rt.NumField() {
-		t.Errorf("%d classified fields, SweepRequest has %d", n, rt.NumField())
+	if n := len(separates) + len(runtimeOnly); n != wire {
+		t.Errorf("%d classified fields, SweepRequest has %d", n, wire)
 	}
 }
 
@@ -610,5 +630,36 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestEvaluateNoisyMatchesLocal: the noise knobs travel over /evaluate, and
+// the served metrics are those of a local evaluation under the core.Options
+// they spell.
+func TestEvaluateNoisyMatchesLocal(t *testing.T) {
+	_, base, _ := startServer(t, Config{Parallelism: 1})
+	req := testEvaluateRequest()
+	req.Noise, req.NoiseModel, req.NoiseShots, req.NoiseRoute = "e2q=0.01,tdec=0.002", "montecarlo", 8, "pure"
+	remote, err := NewClient(base).Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatalf("evaluate: %v", err)
+	}
+	m, err := core.FromSpec(req.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := experiments.BenchmarkCircuit(req.Workload, req.Size, req.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := m.EvaluateContext(context.Background(), c, core.Options{
+		Seed: req.Seed, Trials: req.Trials, Noise: &arch.NoiseProfile{E2Q: 0.01, TDec: 0.002},
+		Fidelity: core.FidelityMonteCarlo, NoiseShots: 8, NoiseRoute: core.NoiseRoutePure,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote != local || remote.EstFidelity == 0 {
+		t.Errorf("served %+v, local %+v (want equal, with a fidelity)", remote, local)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,22 +22,21 @@ import (
 // description of one figure-style sweep. Machines travel as a declarative
 // arch spec list (the experiments.MachinesFromSpecs grammar) so the
 // request is plain data; every other field maps onto the corresponding
-// experiments.SweepSpec knob. Cell seeds derive from (ID, workload, size,
-// machine name, Seed) exactly as in a local sweep, so a request mirroring
-// a figure spec produces byte-identical metrics. CellTimeoutMS bounds each
-// cell's runtime without entering any cache key or journal identity.
+// experiments.SweepSpec field (SpecFromRequest, and NewSweepRequest back).
+// Cell seeds derive from (ID, workload, size, machine name, Seed) exactly
+// as in a local sweep, so a request mirroring a figure spec produces
+// byte-identical metrics. CellTimeoutMS bounds each cell's runtime without
+// entering any cache key or journal identity.
 type SweepRequest struct {
-	ID                string   `json:"id"`
-	Kind              string   `json:"kind"` // "swaps" or "codesign"
-	Machines          string   `json:"machines"`
-	Workloads         []string `json:"workloads"`
-	Sizes             []int    `json:"sizes"`
-	Seed              int64    `json:"seed"`
-	Trials            int      `json:"trials,omitempty"`
-	Router            string   `json:"router,omitempty"`
-	Profile           bool     `json:"profile,omitempty"`
-	ProfileIterations int      `json:"profile_iterations,omitempty"`
-	CellTimeoutMS     int64    `json:"cell_timeout_ms,omitempty"`
+	ID        string   `json:"id"`
+	Kind      string   `json:"kind"` // "swaps" or "codesign"
+	Machines  string   `json:"machines"`
+	Workloads []string `json:"workloads"`
+	Sizes     []int    `json:"sizes"`
+	Seed      int64    `json:"seed"`
+	Trials    int      `json:"trials,omitempty"`
+	Knobs
+	CellTimeoutMS int64 `json:"cell_timeout_ms,omitempty"`
 }
 
 // SweepCellResult is one streamed cell outcome. Exactly one of Metrics,
@@ -75,110 +76,94 @@ type SweepEvent struct {
 	Done *SweepSummary    `json:"done,omitempty"`
 }
 
-// parseKind maps the wire kind name to experiments.SweepKind.
-func parseKind(name string) (experiments.SweepKind, error) {
-	switch name {
-	case "swaps":
-		return experiments.SwapCounts, nil
-	case "codesign":
-		return experiments.Codesign, nil
-	default:
-		return 0, fmt.Errorf("unknown kind %q: want swaps or codesign", name)
-	}
-}
-
 // SpecFromRequest reconstructs the experiments.SweepSpec a SweepRequest
 // describes. Shared by server and client: the server evaluates under it,
 // the client enumerates its Cells to assemble streamed results into
 // Series, and because both sides build it from the same wire data they
 // agree on cell order, seeds, and labels without further coordination.
 func SpecFromRequest(req SweepRequest) (experiments.SweepSpec, error) {
-	var spec experiments.SweepSpec
-	kind, err := parseKind(req.Kind)
+	spec, err := req.spec()
 	if err != nil {
 		return spec, err
 	}
-	if req.Machines == "" {
-		return spec, fmt.Errorf("missing machines spec list")
-	}
-	ms, err := experiments.MachinesFromSpecs(req.Machines)
-	if err != nil {
+	if spec.Machines, err = experiments.MachinesFromSpecs(req.Machines); err != nil {
 		return spec, fmt.Errorf("machines: %v", err)
 	}
-	if len(req.Workloads) == 0 {
-		return spec, fmt.Errorf("missing workloads")
-	}
-	if len(req.Sizes) == 0 {
-		return spec, fmt.Errorf("missing sizes")
-	}
-	for _, size := range req.Sizes {
-		if size < 2 {
-			return spec, fmt.Errorf("size %d too small (workloads need ≥ 2 qubits)", size)
-		}
-	}
-	if req.Trials < 0 {
-		return spec, fmt.Errorf("trials must be ≥ 0, got %d", req.Trials)
-	}
-	rk, err := parseRouter(req.Router)
-	if err != nil {
-		return spec, err
-	}
-	spec = experiments.SweepSpec{
-		ID:        req.ID,
-		Kind:      kind,
-		Machines:  ms,
-		Workloads: req.Workloads,
-		Sizes:     req.Sizes,
-	}
-	spec.Seed = req.Seed
-	spec.Trials = req.Trials
-	spec.Router = rk
-	spec.ProfileGuided = req.Profile
-	spec.ProfileIterations = req.ProfileIterations
 	return spec, nil
 }
 
+// spec validates and converts everything in req but its machine list,
+// which it only requires to be present.
+func (req SweepRequest) spec() (experiments.SweepSpec, error) {
+	var spec experiments.SweepSpec
+	kind, err := experiments.KindNames.Parse("kind", req.Kind)
+	if err != nil {
+		return spec, err
+	}
+	small := slices.IndexFunc(req.Sizes, func(size int) bool { return size < 2 })
+	switch {
+	case req.Machines == "":
+		return spec, fmt.Errorf("missing machines spec list")
+	case len(req.Workloads) == 0:
+		return spec, fmt.Errorf("missing workloads")
+	case len(req.Sizes) == 0:
+		return spec, fmt.Errorf("missing sizes")
+	case small >= 0:
+		return spec, fmt.Errorf("size %d too small (workloads need ≥ 2 qubits)", req.Sizes[small])
+	}
+	opt, err := req.options(req.Seed, req.Trials)
+	if err != nil {
+		return spec, err
+	}
+	opt.CellTimeout = msDuration(req.CellTimeoutMS)
+	return experiments.SweepSpec{
+		ID:        req.ID,
+		Kind:      kind,
+		Workloads: req.Workloads,
+		Sizes:     req.Sizes,
+		Config:    experiments.Config{Options: opt},
+	}, nil
+}
+
+// NewSweepRequest is SpecFromRequest's inverse, for a spec whose machines
+// the spec list machines describes. The cell timeout rounds up to whole
+// milliseconds: a sub-millisecond budget must not read as the maximum.
+func NewSweepRequest(spec experiments.SweepSpec, machines string) SweepRequest {
+	timeoutMS := int64(spec.CellTimeout / time.Millisecond)
+	if spec.CellTimeout%time.Millisecond > 0 {
+		timeoutMS++
+	}
+	return SweepRequest{
+		ID:            spec.ID,
+		Kind:          spec.Kind.String(),
+		Machines:      machines,
+		Workloads:     spec.Workloads,
+		Sizes:         spec.Sizes,
+		Seed:          spec.Seed,
+		Trials:        spec.Trials,
+		Knobs:         knobsOf(spec.Options),
+		CellTimeoutMS: timeoutMS,
+	}
+}
+
 // sweepJournalKey content-addresses a sweep's identity for its journal
-// file name: everything that determines the cells' values, nothing that
-// only bounds runtime (CellTimeoutMS). It reads the validated spec, not
-// the raw request, so spellings the server evaluates identically share a
-// journal: the router by kind ("" and "stochastic" are one router), the
-// trial count as every cell runs it (0 resolves to the mode default), and
-// the profile iteration count only in guided mode and only above 1 —
-// EvaluateKey's rule that 0 and 1 are the same single reweight step —
-// and each machine by its canonical arch spec, so key order and spacing
-// inside a spec do not matter. Two clients POSTing the same sweep share
-// one journal; a changed seed or machine list gets a fresh one.
+// file name: the JSON of the request for the validated spec with its
+// options in identity form (core.Options.Identity) and each machine as its
+// canonical arch spec, so spellings the server evaluates identically share
+// a journal and the cell timeout never enters it. (SpecFromRequest never
+// sets Quick, so the identity's default trial count is the cells'.)
 func sweepJournalKey(req SweepRequest, spec experiments.SweepSpec) cache.Key {
-	// SpecFromRequest guarantees a machine and a workload, so the zero
-	// cell resolves; only its Trials is read. It parsed the machine list
-	// too, so parsing it again cannot fail.
-	trials := spec.CellOptions(experiments.SweepCell{}).Trials
+	// The spec was validated from req, so its machine list parses; a
+	// request of strings and numbers always marshals.
 	machines, _ := arch.ParseList(req.Machines)
+	canon := make([]string, len(machines))
+	for i, a := range machines {
+		canon[i] = a.String()
+	}
+	spec.Options = spec.Options.Identity()
+	body, _ := json.Marshal(NewSweepRequest(spec, strings.Join(canon, ";")))
 	h := cache.NewHasher(sweepJournalDomain)
-	h.WriteString(spec.ID)
-	h.WriteInt(int64(spec.Kind))
-	h.WriteInt(int64(len(machines)))
-	for _, a := range machines {
-		h.WriteString(a.String())
-	}
-	h.WriteInt(int64(len(spec.Workloads)))
-	for _, w := range spec.Workloads {
-		h.WriteString(w)
-	}
-	h.WriteInt(int64(len(spec.Sizes)))
-	for _, s := range spec.Sizes {
-		h.WriteInt(int64(s))
-	}
-	h.WriteInt(spec.Seed)
-	h.WriteInt(int64(trials))
-	h.WriteInt(int64(spec.Router))
-	if spec.ProfileGuided {
-		h.WriteInt(1)
-		if spec.ProfileIterations > 1 {
-			h.WriteInt(int64(spec.ProfileIterations))
-		}
-	}
+	h.WriteString(string(body))
 	return h.Sum()
 }
 
@@ -197,9 +182,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEvaluateBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxEvaluateBodyBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
 		return
 	}
@@ -238,13 +221,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// hits stream without waiting for a slot. Every claimed index closes
 	// its ready channel exactly once, so the emitter below never hangs.
 	var next atomic.Int64
-	workers := cap(s.slots)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(cap(s.slots), len(cells)))
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func() {

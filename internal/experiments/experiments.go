@@ -45,10 +45,10 @@ const DefaultSeed = 2022
 // Config is the unified experiment configuration shared by every harness in
 // this package (SweepSpec, HeadlinesContext, CorralScalingContext,
 // RunFig15ConfigContext) and threaded through the qcbench/fidsweep CLIs. It
-// embeds core.Options — seed, trials, router, parallelism, profile-guided
-// mode and iterations, result cache — and adds the experiment-level Quick
-// switch, so a new evaluation knob lands in exactly one struct instead of
-// another positional parameter at every call site.
+// embeds core.Options (the knobs that change results are its Identity) and
+// adds the experiment-level switches below, so a new evaluation knob lands
+// in exactly one struct instead of another positional parameter at every
+// call site.
 type Config struct {
 	core.Options
 
@@ -107,6 +107,11 @@ const (
 	Codesign
 )
 
+// KindNames spells the sweep kinds for the daemon wire ("" is SwapCounts).
+var KindNames = core.Names[SweepKind]{"swaps", "codesign"}
+
+func (k SweepKind) String() string { return KindNames.String(k) }
+
 // Point is one (circuit size → metrics) sample. Fidelity is the cell's
 // estimated output-state fidelity (core.Metrics.EstFidelity); it is zero —
 // and omitted from every rendering — unless the sweep's Config enables a
@@ -127,26 +132,13 @@ type Series struct {
 }
 
 // SweepSpec describes one figure's sweep. The embedded Config supplies the
-// evaluation knobs, promoted so spec.Seed, spec.Trials, spec.Parallelism,
-// spec.Cache, spec.ProfileGuided, and spec.ProfileIterations read and
-// assign exactly as the old flat fields did:
-//
-//   - Parallelism bounds the sweep's worker pool (0 = auto/GOMAXPROCS, 1 =
-//     serial, n = at most n workers); output is identical at every setting
-//     — see the package comment for the determinism scheme.
-//   - Cache, when non-nil, memoizes per-cell Evaluate results so repeated
-//     or overlapping sweeps (Fig. 4/11/12 share workloads and machines)
-//     skip identical routing work; warm results are byte-identical to cold
-//     ones because every cell's seed is a pure function of its coordinates.
-//   - ProfileGuided routes every cell with the pressure-weighted pipeline
-//     (core.Options.ProfileGuided), iterated ProfileIterations times;
-//     guided cells are cache-keyed separately from baseline cells, so the
-//     two modes can share a store (or -cachedir) without contamination.
-//   - Noise/Fidelity/NoiseShots/NoiseRoute (core.Options) make the sweep
-//     noise-aware: every cell estimates fidelity (reported per Point) and
-//     optionally routes against error-weighted edges. Noisy cells carry
-//     the tagged noise/v1 cache-key field, so they never collide with the
-//     baseline entries of a shared store.
+// evaluation knobs, promoted (spec.Seed, spec.Trials, spec.Parallelism,
+// spec.Cache, ...). Parallelism bounds the sweep's worker pool (0 =
+// auto/GOMAXPROCS, 1 = serial) with identical output at every setting (see
+// the package comment); Cache memoizes cells under core.Machine.EvaluateKey,
+// so overlapping sweeps (Fig. 4/11/12 share workloads and machines) skip
+// identical routing, and guided, noisy and baseline cells can share one
+// store (or -cachedir) without contamination.
 type SweepSpec struct {
 	ID        string
 	Kind      SweepKind

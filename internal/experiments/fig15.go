@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/gates"
 	"repro/internal/linalg"
@@ -78,14 +77,8 @@ func fig15MCSeed(seed int64, n, k, sample, fi int) int64 {
 // ctx is done and returns its error, so Ctrl-C or a scheduler's SIGTERM
 // interrupts a long sensitivity sweep instead of riding it to completion.
 func RunFig15ConfigContext(ctx context.Context, samples int, dc decomp.Config, cfg Config) (*Fig15Result, error) {
-	if cfg.Fidelity == core.FidelityMonteCarlo {
-		shots := cfg.NoiseShots
-		if shots <= 0 {
-			shots = noise.DefaultShots
-		}
-		return runFig15(ctx, samples, cfg.Seed, dc, cfg.Parallelism, shots)
-	}
-	return runFig15(ctx, samples, cfg.Seed, dc, cfg.Parallelism, 0)
+	// Identity resolves the shots under the Monte-Carlo model, 0 otherwise.
+	return runFig15(ctx, samples, cfg.Seed, dc, cfg.Parallelism, cfg.Identity().NoiseShots)
 }
 
 // runFig15 is the shared study body. mcShots == 0 runs the closed-form

@@ -93,9 +93,10 @@ type MonteCarloEstimator struct {
 // estimates. core.Machine.EvaluateKey hashes it into Monte-Carlo cache
 // keys: bump it whenever a change moves an estimate for the same inputs,
 // even in the last bits, so a persistent cache never serves an older
-// algorithm's fidelities as fresh ones. v2: the simulator's layer pass no
-// longer fuses a cross-tile 2×2 with a tile-local one, which moves the
-// last bits of some estimates from 14 qubits up.
+// algorithm's fidelities as fresh ones (TestMonteCarloEstimateBits holds
+// 30 estimates to their bits under each version). v2: the simulator's
+// layer pass no longer fuses a cross-tile 2×2 with a tile-local one, which
+// moves the last bits of some estimates from 14 qubits up.
 const MonteCarloVersion = "lockstep/v2"
 
 // errorSitePins pins where the compiled schedule puts error events on two

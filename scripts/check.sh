@@ -64,6 +64,13 @@
 #     write must carry the same Float64bits as the Go loops'
 #     (FuzzSSE2KernelsMatchGo in internal/sim, run for -fuzztime=10s on top
 #     of its committed seed corpus in internal/sim/testdata/fuzz/).
+#   * wire-request fuzz arm: any /evaluate or /sweep body must fail the
+#     handler's decode or validation with an error (its 400 path, never a
+#     panic) or convert to options that survive conversion → inverse →
+#     conversion unchanged, with the same identity form
+#     (core.Options.Identity) and the same sweep journal key
+#     (FuzzWireRequest in internal/daemon, run for -fuzztime=10s on top of
+#     its committed seed corpus in internal/daemon/testdata/fuzz/).
 #   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
 #     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
 #     mean must stay within 3 Welch standard errors of the committed
@@ -87,7 +94,8 @@
 #     ephemeral port, prove 32 concurrent identical /evaluate requests cost
 #     exactly one evaluation (cold) and zero (warm) via the /metrics dedup
 #     counters, prove a -server sweep's stdout is byte-identical to a local
-#     run, then SIGTERM it and require a clean drain (exit 0).
+#     run, noiseless and under a Monte-Carlo noise model with error-weighted
+#     routing, then SIGTERM it and require a clean drain (exit 0).
 #   * one-level-of-parallelism arm: the cell is the only unit that runs in
 #     parallel, so no package in ./... but internal/experiments (sweeps and
 #     the multi-cell drivers) and internal/daemon (its evaluation slots)
@@ -301,6 +309,9 @@ go test -run '^$' -fuzz '^FuzzCountedTranslationMatchesBuilt$' -fuzztime=10s ./i
 echo "check: fuzzing the SSE2 kernels against the Go loops, bit for bit (10s)"
 go test -run '^$' -fuzz '^FuzzSSE2KernelsMatchGo$' -fuzztime=10s ./internal/sim
 
+echo "check: fuzzing the daemon's wire conversion against its inverse (10s)"
+go test -run '^$' -fuzz '^FuzzWireRequest$' -fuzztime=10s ./internal/daemon
+
 echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
 CLAIMS_START=$SECONDS
 go test -count=1 -run '^(TestClaimsEnsemble|TestClaimsGateJudges)$' ./internal/experiments
@@ -317,7 +328,7 @@ GOMAXPROCS=4 go test -race -count=1 \
     ./internal/par/... ./internal/transpile/... ./internal/topology/... ./internal/sim/... \
     ./internal/noise/... ./internal/daemon/...
 
-echo "check: qcbenchd smoke (ephemeral port, 32-way dedup probe, byte-identical remote sweep, SIGTERM drain)"
+echo "check: qcbenchd smoke (ephemeral port, 32-way dedup probe, byte-identical remote sweeps, SIGTERM drain)"
 SMOKEDIR="$(mktemp -d)"
 DPID=""
 cleanup_smoke() {
@@ -355,13 +366,18 @@ if [[ "$WARM" != *"fills=0"* ]]; then
     exit 1
 fi
 SWEEP_ARGS=(-fig 11 -machines "grid:rows=4,cols=4,name=Square-Lattice" -trials 1)
+NOISE_ARGS=(-noise e2q=0.002,tdec=0.001 -noise-model montecarlo -noise-shots 8 -noise-route pure)
 "$SMOKEDIR/qcbench" "${SWEEP_ARGS[@]}" >"$SMOKEDIR/local.txt"
 "$SMOKEDIR/qcbench" -server "$BASE" "${SWEEP_ARGS[@]}" >"$SMOKEDIR/remote.txt"
-if ! cmp -s "$SMOKEDIR/local.txt" "$SMOKEDIR/remote.txt"; then
-    echo "check: FAILED — -server sweep output diverged from the local run"
-    diff "$SMOKEDIR/local.txt" "$SMOKEDIR/remote.txt" || true
-    exit 1
-fi
+"$SMOKEDIR/qcbench" "${SWEEP_ARGS[@]}" "${NOISE_ARGS[@]}" >"$SMOKEDIR/local-noisy.txt"
+"$SMOKEDIR/qcbench" -server "$BASE" "${SWEEP_ARGS[@]}" "${NOISE_ARGS[@]}" >"$SMOKEDIR/remote-noisy.txt"
+for run in "" -noisy; do
+    if ! cmp -s "$SMOKEDIR/local$run.txt" "$SMOKEDIR/remote$run.txt"; then
+        echo "check: FAILED — -server sweep output diverged from the local run (local$run.txt)"
+        diff "$SMOKEDIR/local$run.txt" "$SMOKEDIR/remote$run.txt" || true
+        exit 1
+    fi
+done
 kill -TERM "$DPID"
 if ! wait "$DPID"; then
     echo "check: FAILED — qcbenchd did not drain cleanly on SIGTERM"
