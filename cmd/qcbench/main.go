@@ -380,16 +380,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		headerSuffix := fmt.Sprintf("%s mode%s%s", mode(quick), profiledSuffix(*profile), noiseSuffix(fidelity, routeMode))
 		if *server != "" {
 			series, err := remoteSweep(ctx, *server, *fig, *machines, spec)
-			if err != nil && !spec.Tolerant {
-				var ce experiments.CellErrors
-				if errors.As(err, &ce) && len(ce) > 0 {
-					// Mirror the local fail-fast surface: one cell error,
-					// with the sweep coordinates, instead of a partial print.
-					c := ce[0]
-					return fmt.Errorf("experiments: %s/%s/%s(%d): %w", spec.ID, c.Machine, c.Workload, c.Size, c.Err)
-				}
-				return err
-			}
 			return printSweep(stdout, stderr, *csv, *fig, headerSuffix, spec.Kind, series, err)
 		}
 		if *resume != "" {
@@ -442,12 +432,12 @@ func printSweep(stdout, stderr io.Writer, useCSV bool, fig int, headerSuffix str
 	return nil
 }
 
-// remoteSweep runs a -fig sweep on a qcbenchd server instead of locally.
-// The wire request is the spec the local path would run
-// (daemon.NewSweepRequest), with the figure's machines as declarative
-// specs (FigMachineSpecs round-trips the stock sets
-// name-and-fingerprint-identically), so cell seeds, cache keys, and
-// therefore every metric match a local run exactly.
+// remoteSweep runs a -fig sweep on a qcbenchd server instead of locally
+// (daemon.Client.RunSweep). The wire request is the spec the local path
+// would run, with the figure's machines as declarative specs
+// (FigMachineSpecs round-trips the stock sets name-and-fingerprint
+// identically), so cell seeds, cache keys, every metric and the
+// tolerant or fail-fast error match a local run exactly.
 func remoteSweep(ctx context.Context, server string, fig int, machineSpecs string, spec experiments.SweepSpec) ([]experiments.Series, error) {
 	specList := machineSpecs
 	if specList == "" {
@@ -456,12 +446,7 @@ func remoteSweep(ctx context.Context, server string, fig int, machineSpecs strin
 			return nil, err
 		}
 	}
-	if spec.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
-		defer cancel()
-	}
-	return daemon.NewClient(strings.TrimRight(server, "/")).SweepSeries(ctx, daemon.NewSweepRequest(spec, specList))
+	return daemon.NewClient(strings.TrimRight(server, "/")).RunSweep(ctx, spec, specList)
 }
 
 func mode(quick bool) string {

@@ -281,8 +281,11 @@ func Parse(s string) (Arch, error) {
 		case strings.HasPrefix(key, "t-"):
 			gate := strings.TrimPrefix(key, "t-")
 			d, err := strconv.ParseFloat(val, 64)
-			if err != nil || d < 0 || gate == "" {
+			if err != nil || !(d >= 0) || math.IsInf(d, 1) || gate == "" {
 				return Arch{}, fmt.Errorf("arch: %s: bad timing override %q=%q (want t-<gate>=<duration ≥ 0>)", fam.Name, key, val)
+			}
+			if d == 0 {
+				d = 0 // one zero: -0 would print as -0 and hash apart from 0
 			}
 			if a.Timing == nil {
 				a.Timing = Timing{}

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -75,11 +76,30 @@ func TestParseErrors(t *testing.T) {
 		{"grid:rows=4,cols=4,basis=cz", "unknown basis"},
 		{"grid:rows=4,cols=4,t-cx=fast", "bad timing override"},
 		{"grid:rows=4,cols=4,t-cx=-1", "bad timing override"},
+		{"grid:rows=4,cols=4,t-cx=NaN", "bad timing override"},
+		{"grid:rows=4,cols=4,t-cx=Inf", "bad timing override"},
+		{"grid:rows=4,cols=4,t-cx=+Inf", "bad timing override"},
+		{"grid:rows=4,cols=4,t-cx=-Inf", "bad timing override"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.wantFrag) {
 			t.Errorf("Parse(%q) err = %v, want fragment %q", c.spec, err, c.wantFrag)
 		}
+	}
+}
+
+// TestTimingOverrideNegativeZero: t-<gate>=-0 is the zero duration, with
+// the same canonical spec and the same stored bits as t-<gate>=0.
+func TestTimingOverrideNegativeZero(t *testing.T) {
+	neg, zero := mustParse(t, "grid:rows=4,cols=4,t-cx=-0"), mustParse(t, "grid:rows=4,cols=4,t-cx=0")
+	if neg.String() != zero.String() {
+		t.Errorf("t-cx=-0 prints %q, t-cx=0 prints %q", neg.String(), zero.String())
+	}
+	if d := neg.Timing["cx"]; d != 0 || math.Signbit(d) {
+		t.Errorf("t-cx=-0 stored %v (sign bit %v), want +0", d, math.Signbit(d))
+	}
+	if !neg.Equal(zero) {
+		t.Error("t-cx=-0 and t-cx=0 parse to different machines")
 	}
 }
 

@@ -241,46 +241,34 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResult, err
 	return res, err
 }
 
-// SweepSeries runs a remote sweep and assembles the streamed cells into
-// []experiments.Series exactly as a local SweepSpec.RunContext would:
-// same enumeration order, same labels, same Point projection — so the
-// rendered output is byte-identical to a local run of the same spec. Cell
-// failures surface as experiments.CellErrors alongside the partial
-// series, mirroring a local tolerant sweep.
-func (c *Client) SweepSeries(ctx context.Context, req SweepRequest) ([]experiments.Series, error) {
-	res, err := c.Sweep(ctx, req)
+// RunSweep runs spec on the server the way spec.RunContext runs it
+// locally: the request is NewSweepRequest(spec, machines), spec.Deadline
+// bounds the whole call, and spec's Assemble turns the streamed cells into
+// the result. A remote run therefore returns the Series and the error,
+// tolerant or fail-fast, of a local run of spec.
+func (c *Client) RunSweep(ctx context.Context, spec experiments.SweepSpec, machines string) ([]experiments.Series, error) {
+	if spec.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
+		defer cancel()
+	}
+	res, err := c.Sweep(ctx, NewSweepRequest(spec, machines))
 	if err != nil {
 		return nil, err
 	}
-	spec := res.Spec
-	cells := spec.Cells()
-	out := make([]experiments.Series, spec.NumSeries())
-	for wi, w := range spec.Workloads {
-		for mi, m := range spec.Machines {
-			out[wi*len(spec.Machines)+mi] = experiments.Series{Label: m.Name, Workload: w}
+	outcomes := make([]experiments.CellOutcome, len(res.Cells))
+	for i, cell := range res.Spec.Cells() {
+		outcomes[i].SweepCell = cell
+		switch cr := res.Cells[i]; {
+		case cr != nil && cr.Metrics != nil:
+			outcomes[i].Metrics, outcomes[i].Replayed = *cr.Metrics, cr.Resumed
+		case cr != nil && cr.Error != "":
+			outcomes[i].Err = errors.New(cr.Error)
+		default:
+			outcomes[i].Err = errors.New("cell result missing from stream")
 		}
 	}
-	var cellErrs experiments.CellErrors
-	for i, cell := range cells {
-		cr := res.Cells[i]
-		if cr == nil || cr.Metrics == nil {
-			msg := "cell result missing from stream"
-			if cr != nil && cr.Error != "" {
-				msg = cr.Error
-			}
-			cellErrs = append(cellErrs, experiments.CellError{
-				Workload: spec.Workloads[cell.Workload],
-				Machine:  spec.Machines[cell.Machine].Name,
-				Size:     cell.Size,
-				Err:      errors.New(msg),
-			})
-			continue
-		}
-		out[cell.Series].Points = append(out[cell.Series].Points,
-			experiments.PointFromMetrics(spec.Kind, cell.Size, *cr.Metrics))
-	}
-	if len(cellErrs) > 0 {
-		return out, cellErrs
-	}
-	return out, nil
+	remote := res.Spec
+	remote.Tolerant = spec.Tolerant
+	return remote.Assemble(outcomes)
 }

@@ -30,8 +30,11 @@
 //     and only then exits.
 //
 // POST /sweep streams a whole figure sweep as NDJSON, one event per cell
-// in the fixed experiments.SweepSpec.Cells order, journaling each
-// completed cell so an interrupted sweep resumes byte-identically.
+// in the fixed experiments.SweepSpec.Cells order, on the local sweep
+// engine (experiments.SweepSpec.Stream: circuits, journal, cell timeout)
+// with evaluate, the path /evaluate uses, as its cell evaluation.
+// Client.RunSweep hands the streamed cells to SweepSpec.Assemble, as
+// SweepSpec.RunContext does its own.
 package daemon
 
 import (
@@ -51,10 +54,10 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/par"
+	"repro/internal/sim"
 )
 
 // Default server limits. MaxTimeout bounds any single evaluation (a client
@@ -307,15 +310,17 @@ func (s *Server) acquire(ctx context.Context, shed bool) (release func(), err er
 // runs the EvalHook seam, and evaluates with a recover that converts a
 // panic into a *par.PanicError confined to the requests joined on this
 // key. The server's store is the cache and ctx carries the clamped
-// deadline, so opt's Cache and CellTimeout never apply a second time.
-func (s *Server) evaluate(ctx context.Context, shed bool, key cache.Key, m core.Machine, c *circuit.Circuit, opt core.Options, workload string, size int) (core.Metrics, error) {
+// deadline, so the job's Cache and CellTimeout never apply a second time.
+// With shed unset it is the CellEval of /sweep's engine.
+func (s *Server) evaluate(ctx context.Context, shed bool, job *experiments.CellJob) (core.Metrics, error) {
+	m := job.Machine
 	fill := func() (met core.Metrics, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.met.panics.Add(1)
 				perr := &par.PanicError{Value: r, Stack: debug.Stack()}
 				s.logf("daemon: evaluation panic contained: %s/%s(%d): %v\n%s",
-					m.Name, workload, size, r, perr.Stack)
+					m.Name, job.Workload, job.Size, r, perr.Stack)
 				err = perr
 			}
 		}()
@@ -325,15 +330,15 @@ func (s *Server) evaluate(ctx context.Context, shed bool, key cache.Key, m core.
 		}
 		defer release()
 		if s.cfg.EvalHook != nil {
-			if herr := s.cfg.EvalHook(ctx, workload, size, m.Name); herr != nil {
+			if herr := s.cfg.EvalHook(ctx, job.Workload, job.Size, m.Name); herr != nil {
 				return core.Metrics{}, herr
 			}
 		}
-		eo := opt
-		eo.Cache, eo.CellTimeout = nil, 0
-		return m.EvaluateContext(ctx, c, eo)
+		opt := job.Options
+		opt.Cache, opt.CellTimeout = nil, 0
+		return m.EvaluateContext(ctx, job.Circuit, opt)
 	}
-	return s.store.Do(key, fill)
+	return s.store.Do(job.Key(), fill)
 }
 
 // requestTimeout clamps a client's timeout_ms by the server maximum.
@@ -491,31 +496,36 @@ type EvaluateRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// buildEvaluate validates an EvaluateRequest into its machine, circuit,
-// and options. Every error here is a client mistake (400).
-func buildEvaluate(req EvaluateRequest) (core.Machine, *circuit.Circuit, core.Options, error) {
+// buildEvaluate validates an EvaluateRequest into the cell job it names.
+// Every error here is a client mistake (400).
+func buildEvaluate(req EvaluateRequest) (*experiments.CellJob, error) {
 	opt, err := req.options(req.Seed, req.Trials)
 	if err != nil {
-		return core.Machine{}, nil, opt, err
+		return nil, err
 	}
 	if req.Machine == "" {
-		return core.Machine{}, nil, opt, fmt.Errorf("missing machine spec")
+		return nil, fmt.Errorf("missing machine spec")
 	}
 	m, err := core.FromSpec(req.Machine)
 	if err != nil {
-		return core.Machine{}, nil, opt, fmt.Errorf("machine: %v", err)
+		return nil, fmt.Errorf("machine: %v", err)
 	}
-	if req.Size > m.Graph.N() {
-		return core.Machine{}, nil, opt, fmt.Errorf("size %d exceeds machine %s (%d qubits)", req.Size, m.Name, m.Graph.N())
-	}
-	if (opt.Fidelity != core.FidelityOff || opt.NoiseRoute != core.NoiseRouteOff) && m.Noise.IsZero() && opt.Noise.IsZero() {
-		return core.Machine{}, nil, opt, fmt.Errorf("noise_model/noise_route need a noise profile: set noise, or e2q=/tdec= keys in the machine spec")
+	switch {
+	case req.Size > m.Graph.N():
+		return nil, fmt.Errorf("size %d exceeds machine %s (%d qubits)", req.Size, m.Name, m.Graph.N())
+	case (opt.Fidelity != core.FidelityOff || opt.NoiseRoute != core.NoiseRouteOff) && m.Noise.IsZero() && opt.Noise.IsZero():
+		return nil, fmt.Errorf("noise_model/noise_route need a noise profile: set noise, or e2q=/tdec= keys in the machine spec")
+	case opt.Fidelity == core.FidelityMonteCarlo && req.Size > sim.MaxQubits:
+		// The logical width alone rules the simulation out. A routed
+		// circuit that spreads a narrower workload over more than
+		// sim.MaxQubits physical qubits is still an evaluation failure.
+		return nil, fmt.Errorf("size %d exceeds the %d qubits noise_model montecarlo can simulate", req.Size, sim.MaxQubits)
 	}
 	c, err := experiments.BenchmarkCircuit(req.Workload, req.Size, req.Seed)
 	if err != nil {
-		return core.Machine{}, nil, opt, fmt.Errorf("workload: %v", err)
+		return nil, fmt.Errorf("workload: %v", err)
 	}
-	return m, c, opt, nil
+	return &experiments.CellJob{Workload: req.Workload, Size: req.Size, Machine: m, Circuit: c, Options: opt}, nil
 }
 
 // decodeRequest decodes a JSON request body, refusing unknown fields.
@@ -539,15 +549,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
 		return
 	}
-	m, c, opt, err := buildEvaluate(req)
+	job, err := buildEvaluate(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
-	key := m.EvaluateKey(c, opt)
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 	defer cancel()
-	met, err := s.evaluate(ctx, true, key, m, c, opt, req.Workload, req.Size)
+	met, err := s.evaluate(ctx, true, job)
 	if err != nil {
 		s.writeEvaluateError(w, err)
 		return

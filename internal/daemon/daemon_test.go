@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -308,6 +310,9 @@ func TestEvaluateBadRequest(t *testing.T) {
 		{"bad noise route", func(r *EvaluateRequest) { r.Noise, r.NoiseRoute = "e2q=0.01", "fast" }, "unknown noise_route"},
 		{"shots without montecarlo", func(r *EvaluateRequest) { r.Noise, r.NoiseModel, r.NoiseShots = "e2q=0.01", "count", 8 }, "noise_shots"},
 		{"noise mode without profile", func(r *EvaluateRequest) { r.NoiseModel = "count" }, "need a noise profile"},
+		{"montecarlo too wide to simulate", func(r *EvaluateRequest) {
+			r.Machine, r.Size, r.Trials, r.Noise, r.NoiseModel = "grid:rows=5,cols=6", 30, 0, "e2q=0.01", "montecarlo"
+		}, "montecarlo can simulate"},
 	} {
 		req := testEvaluateRequest()
 		tc.mut(&req)
@@ -467,18 +472,19 @@ func TestSweepStream(t *testing.T) {
 }
 
 // TestSweepSeriesMatchesLocal is the remote-fidelity contract: the series a
-// client assembles from the daemon's stream are identical — labels, sizes,
-// every metric — to the same spec run locally in-process.
+// client assembles from the daemon's stream (Client.RunSweep) are
+// identical — labels, sizes, every metric — to the same spec run locally
+// in-process.
 func TestSweepSeriesMatchesLocal(t *testing.T) {
 	_, base, _ := startServer(t, Config{Parallelism: 2})
 	req := testSweepRequest()
-	remote, err := NewClient(base).SweepSeries(context.Background(), req)
-	if err != nil {
-		t.Fatalf("remote sweep: %v", err)
-	}
 	spec, err := SpecFromRequest(req)
 	if err != nil {
 		t.Fatalf("spec: %v", err)
+	}
+	remote, err := NewClient(base).RunSweep(context.Background(), spec, req.Machines)
+	if err != nil {
+		t.Fatalf("remote sweep: %v", err)
 	}
 	spec.Parallelism = 1
 	local, err := spec.RunContext(context.Background())
@@ -586,22 +592,33 @@ func TestSweepDrainResume(t *testing.T) {
 	}
 }
 
-// TestDrainRefusesNewWork pins the drain admission surface: once draining,
-// /evaluate answers 503 + Retry-After and /sweep refuses up front.
+// TestDrainRefusesNewWork pins the drain admission surface: once
+// draining, a cold /evaluate answers 503 with Retry-After and a valid
+// /sweep is refused with 503 before any NDJSON line. A drain closes the
+// listener, so the handlers are driven directly.
 func TestDrainRefusesNewWork(t *testing.T) {
-	srv, base, shutdown := startServer(t, Config{Parallelism: 1})
-	if err := shutdown(); err != nil {
-		t.Fatalf("drain: %v", err)
+	srv, err := New(Config{Parallelism: 1, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = srv
-	// The listener is closed after drain; admission semantics for a
-	// draining-but-listening server are covered via the in-flight path in
-	// TestSweepDrainResume. Here, the connection refusal itself is the
-	// contract: a drained server holds no port.
-	c := NewClient(base)
-	c.Retries = 0
-	if _, err := c.Evaluate(context.Background(), testEvaluateRequest()); err == nil {
-		t.Fatal("evaluate after drain succeeded; want connection failure")
+	srv.beginDrain()
+	post := func(h http.HandlerFunc, path string, body any) *httptest.ResponseRecorder {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		return rec
+	}
+	rec := post(srv.handleEvaluate, evaluatePath, testEvaluateRequest())
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "5" {
+		t.Errorf("cold /evaluate while draining: %d, Retry-After %q; want 503, Retry-After 5", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	rec = post(srv.handleSweep, sweepPath, testSweepRequest())
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Content-Type") == ndjsonContentType || strings.Contains(rec.Body.String(), `"cell"`) {
+		t.Errorf("/sweep while draining: %d %s %q; want 503 before any NDJSON line", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -168,14 +167,15 @@ func sweepJournalKey(req SweepRequest, spec experiments.SweepSpec) cache.Key {
 }
 
 // handleSweep serves POST /sweep: validate the whole request up front
-// (400 before any streaming), then stream one NDJSON SweepEvent per cell
-// in the fixed Cells order as evaluations complete on the shared worker
-// pool, closing with a summary event. Cell failures are confined: a
-// panicking or failing cell becomes that cell's error event and the sweep
-// continues — the daemon is always a tolerant evaluator; the client
-// decides whether partial results are acceptable. If the server drains
-// mid-sweep, undispatched cells are skipped (not failed), in-flight cells
-// finish, and the journal is synced before the summary goes out.
+// (400 before any streaming), then run it on the sweep engine
+// (experiments.SweepSpec.Stream) with the server's evaluate, streaming one
+// NDJSON SweepEvent per cell in the fixed Cells order and then a summary.
+// The daemon is always a tolerant evaluator: a failing cell becomes that
+// cell's error event, and the client decides whether partial results are
+// acceptable. If the server drains mid-sweep, admission refuses the
+// cells still to fill and they stream as skipped. A client that
+// disconnects stops dispatch; either way the started cells finish and
+// the journal is synced before the handler returns.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST only")
@@ -195,134 +195,76 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, drainRetryAfter, "%v", errDraining)
 		return
 	}
-	var journal *experiments.Journal
 	if s.cfg.JournalDir != "" {
 		path := filepath.Join(s.cfg.JournalDir, sweepJournalKey(req, spec).String()+".journal")
-		journal, err = experiments.OpenJournal(path)
+		journal, err := experiments.OpenJournal(path)
 		if err != nil {
 			// A broken journal degrades to recomputing, never to refusing
 			// the sweep: log and run journal-less.
 			s.logf("daemon: sweep journal %s unusable, recomputing: %v", path, err)
-			journal = nil
 		} else {
 			defer journal.Close()
+			spec.Journal = journal
 		}
 	}
-	cellTimeout := s.requestTimeout(req.CellTimeoutMS)
-	cells := spec.Cells()
-	results := make([]*SweepCellResult, len(cells))
-	ready := make([]chan struct{}, len(cells))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	// Bounded fan-out: at most slot-count workers claim cells from a
-	// shared counter. Admission happens per fill inside evaluate (blocking
-	// acquire — sweeps are paced, not shed), so journal replays and cache
-	// hits stream without waiting for a slot. Every claimed index closes
-	// its ready channel exactly once, so the emitter below never hangs.
-	var next atomic.Int64
-	workers := max(1, min(cap(s.slots), len(cells)))
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				results[i] = s.runSweepCell(r.Context(), spec, cells[i], cellTimeout, journal)
-				close(ready[i])
-			}
-		}()
+	// One engine worker per evaluation slot. Admission happens per fill
+	// inside evaluate (blocking acquire: sweeps are paced, not shed), so
+	// journal replays and cache hits stream without waiting for a slot.
+	spec.Tolerant = true
+	spec.Parallelism = cap(s.slots)
+	spec.CellTimeout = s.requestTimeout(req.CellTimeoutMS)
+	eval := func(ctx context.Context, job *experiments.CellJob) (core.Metrics, error) {
+		return s.evaluate(ctx, false, job)
 	}
 	w.Header().Set("Content-Type", ndjsonContentType)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	sum := SweepSummary{Cells: len(cells)}
-	for i := range cells {
-		<-ready[i]
-		res := results[i]
-		switch {
-		case res.Skipped:
-			sum.Skipped++
-		case res.Error != "":
-			sum.Failed++
-		default:
-			sum.Completed++
-			if res.Resumed {
-				sum.Resumed++
-			}
-		}
-		if err := enc.Encode(SweepEvent{Cell: res}); err != nil {
-			// Client gone: let remaining workers finish (their results are
-			// journaled for the retry) and stop emitting.
-			s.logf("daemon: sweep stream broken at cell %d: %v", i, err)
-			return
+	send := func(ev SweepEvent) error {
+		if err := enc.Encode(ev); err != nil {
+			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
 	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if journal != nil {
-		if err := journal.Sync(); err != nil {
-			s.logf("daemon: %v", err)
+	sum := SweepSummary{Cells: len(spec.Cells())}
+	err = spec.Stream(r.Context(), eval, func(o experiments.CellOutcome) error {
+		res := &SweepCellResult{
+			Index:    o.Index,
+			Series:   o.Series,
+			Workload: spec.Workloads[o.Workload],
+			Machine:  spec.Machines[o.Machine].Name,
+			Size:     o.Size,
 		}
+		switch {
+		case errors.Is(o.Err, errDraining):
+			res.Error, res.Skipped = o.Err.Error(), true
+			sum.Skipped++
+		case o.Err != nil:
+			res.Error = o.Err.Error()
+			sum.Failed++
+		default:
+			res.Metrics, res.Resumed = &o.Metrics, o.Replayed
+			sum.Completed++
+			if o.Replayed {
+				sum.Resumed++
+			}
+		}
+		return send(SweepEvent{Cell: res})
+	})
+	if err := spec.Journal.Sync(); err != nil {
+		s.logf("daemon: %v", err)
+	}
+	switch {
+	case err != nil && sum.Completed+sum.Failed+sum.Skipped == 0:
+		// Nothing streamed: the request's circuits cannot be generated.
+		writeError(w, http.StatusBadRequest, 0, "%v", err)
+		return
+	case err != nil:
+		s.logf("daemon: sweep stream broken: %v", err)
+		return
 	}
 	sum.Draining = s.draining.Load() && sum.Skipped > 0
-	enc.Encode(SweepEvent{Done: &sum}) //nolint:errcheck // stream already committed
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// runSweepCell evaluates one sweep cell: journal replay first (no
-// evaluation, no hook), then the deduplicating admission-controlled
-// evaluate path under the cell's timeout, then journaling the fresh
-// result. Failures — including contained panics — land in the cell result
-// rather than failing the sweep.
-func (s *Server) runSweepCell(ctx context.Context, spec experiments.SweepSpec, cell experiments.SweepCell, cellTimeout time.Duration, journal *experiments.Journal) *SweepCellResult {
-	workload := spec.Workloads[cell.Workload]
-	m := spec.Machines[cell.Machine]
-	res := &SweepCellResult{
-		Index:    cell.Index,
-		Series:   cell.Series,
-		Workload: workload,
-		Machine:  m.Name,
-		Size:     cell.Size,
-	}
-	c, err := experiments.BenchmarkCircuit(workload, cell.Size, spec.Seed)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	opt := spec.CellOptions(cell)
-	key := m.EvaluateKey(c, opt)
-	if journal != nil {
-		if met, ok := journal.Lookup(key); ok {
-			res.Metrics = &met
-			res.Resumed = true
-			return res
-		}
-	}
-	cctx, cancel := context.WithTimeout(ctx, cellTimeout)
-	defer cancel()
-	met, err := s.evaluate(cctx, false, key, m, c, opt, workload, cell.Size)
-	if err != nil {
-		if errors.Is(err, errDraining) {
-			res.Skipped = true
-		}
-		res.Error = err.Error()
-		return res
-	}
-	if journal != nil {
-		if jerr := journal.Record(key, met); jerr != nil {
-			s.logf("daemon: %v", jerr)
-		}
-	}
-	res.Metrics = &met
-	return res
+	send(SweepEvent{Done: &sum}) //nolint:errcheck // the client is gone either way
 }

@@ -5,12 +5,13 @@
 // ablations called out in DESIGN.md. Every experiment is deterministic via
 // fixed seeds; `quick` variants shrink sizes for tests and benchmarks.
 //
-// Sweeps run on a bounded worker pool (SweepSpec.Parallelism: 0 = auto,
-// 1 = serial) and are deterministic by construction: every (workload,
-// size) circuit and every (workload, size, machine) evaluation derives its
-// RNG seed by FNV-hashing those coordinates together with the spec ID and
-// base seed, and results are assembled in fixed nested-loop order. The
-// parallel and serial schedules therefore produce byte-identical Series.
+// Every sweep runs on one engine, SweepSpec.Stream, whose cell evaluation
+// is a parameter: RunContext evaluates in-process, the qcbenchd daemon
+// through its cache and admission slots. Sweeps are deterministic by
+// construction: every circuit and every cell derives its RNG seed by
+// FNV-hashing its coordinates with the spec ID and base seed, and Assemble
+// builds results in fixed nested-loop order, so serial, parallel
+// (SweepSpec.Parallelism) and remote runs produce byte-identical Series.
 //
 // The harnesses are built for long unattended runs: Config.Deadline bounds
 // a whole study and core.Options.CellTimeout bounds each cell,
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -157,8 +159,8 @@ type SweepSpec struct {
 	// CellHook, when non-nil, runs immediately before each cell's
 	// evaluation, under the cell's context (bounded by CellTimeout when
 	// one is set); a non-nil return fails the cell as if its evaluation
-	// had failed, and a panic is isolated by the worker pool like any
-	// task panic. It is the seam the fault-injection harness plugs into
+	// had failed, and a panic fails only that cell (a *par.PanicError).
+	// It is the seam the fault-injection harness plugs into
 	// (see internal/faultinject) and must never mutate sweep state.
 	CellHook CellHook
 
@@ -245,8 +247,7 @@ func (s SweepSpec) taskSeed(workload string, size int, machine string) int64 {
 }
 
 // PointFromMetrics projects one cell's metrics onto the pair of values a
-// sweep Kind reports. Exported so remote sweep clients assemble Series
-// from streamed metrics exactly the way the local engine does.
+// sweep Kind reports, as Assemble does.
 func PointFromMetrics(kind SweepKind, size int, met core.Metrics) Point {
 	p := Point{Size: size, Fidelity: met.EstFidelity}
 	switch kind {
@@ -258,11 +259,6 @@ func PointFromMetrics(kind SweepKind, size int, met core.Metrics) Point {
 		p.Critical = met.PulseDuration
 	}
 	return p
-}
-
-// point applies PointFromMetrics to this sweep's Kind.
-func (s SweepSpec) point(size int, met core.Metrics) Point {
-	return PointFromMetrics(s.Kind, size, met)
 }
 
 // SweepCell locates one evaluation of a sweep: indices into the spec's
@@ -279,9 +275,9 @@ type SweepCell struct {
 // Cells enumerates the sweep's evaluations in the fixed nested-loop order
 // — workload outermost, then machine, then size, skipping sizes that
 // exceed a machine's qubit count. This order is part of the determinism
-// contract: RunContext assembles results by it, and the daemon's /sweep
-// endpoint streams cells indexed by it, so both sides agree on which cell
-// is which without shipping coordinates out of band.
+// contract: Stream emits cells in it, Assemble builds Series by it, and
+// the daemon's /sweep endpoint streams cells indexed by it, so both sides
+// agree on which cell is which without shipping coordinates out of band.
 func (s SweepSpec) Cells() []SweepCell {
 	var cells []SweepCell
 	series := 0
@@ -321,146 +317,219 @@ func (s SweepSpec) CellOptions(c SweepCell) core.Options {
 	return opt
 }
 
-// RunContext executes the sweep, returning one Series per (machine,
-// workload). The sweep stops dispatching cells once ctx is done and
-// returns its error (tightened by Config.Deadline when one is set). Work
-// is spread over the SweepSpec.Parallelism worker pool in two stages —
-// circuit generation per (workload, size), then evaluation per (workload,
-// size, machine) — with results written into index-addressed slots so
-// output order and content match the serial sweep exactly.
-func (s SweepSpec) RunContext(ctx context.Context) ([]Series, error) {
+// CellJob is one cell as Stream hands it to a CellEval: its coordinates,
+// machine, shared (workload, size) circuit and CellOptions, whose
+// CellTimeout Stream has already applied to the context.
+type CellJob struct {
+	Workload string
+	Size     int
+	Machine  core.Machine
+	Circuit  *circuit.Circuit
+	Options  core.Options
+
+	key   cache.Key
+	keyed bool
+}
+
+// Key returns the job's core.Machine.EvaluateKey, hashed once, so a
+// journal lookup and a store fill share one hash.
+func (j *CellJob) Key() cache.Key {
+	if !j.keyed {
+		j.key, j.keyed = j.Machine.EvaluateKey(j.Circuit, j.Options), true
+	}
+	return j.key
+}
+
+// CellEval evaluates one sweep cell for Stream.
+type CellEval func(ctx context.Context, job *CellJob) (core.Metrics, error)
+
+// evaluate is RunContext's CellEval: core.Machine.EvaluateContext,
+// through the spec's Cache when one is set.
+func evaluate(ctx context.Context, job *CellJob) (core.Metrics, error) {
+	return job.Machine.EvaluateContext(ctx, job.Circuit, job.Options)
+}
+
+// CellOutcome is one cell's result as Stream emits it: the metrics, or
+// the error that failed the cell, and whether the journal replayed it.
+type CellOutcome struct {
+	SweepCell
+	Metrics  core.Metrics
+	Err      error
+	Replayed bool
+}
+
+// Stream is the sweep engine: it generates each (workload, size) circuit
+// once, runs the cells with eval on the Parallelism pool in Cells() order,
+// and hands each outcome to emit, on the calling goroutine, in that order.
+// A cell the Journal holds replays without CellHook or eval; any other
+// runs CellHook then eval under its CellTimeout and is journaled (a
+// Record error fails it). A panic fails its cell as a *par.PanicError.
+//
+// Cell failures are outcomes, never Stream's error. A tolerant spec
+// emits every cell; once ctx is done no cell starts, and the unstarted
+// ones carry ctx's error. Otherwise a failure stops dispatch and is the
+// last outcome emitted, and a done ctx ends the stream with its error.
+// An emit error stops dispatch and is returned. Stream returns only once
+// every cell it started has finished; Deadline bounds the whole call.
+func (s SweepSpec) Stream(ctx context.Context, eval CellEval, emit func(CellOutcome) error) error {
 	if s.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.Deadline)
 		defer cancel()
 	}
-	// Stage 1: generate each workload benchmark circuit once, shared by
-	// every machine so all machines route the same logical circuit.
-	type circKey struct {
-		w    int
-		size int
-	}
-	circs := make(map[circKey]*circuit.Circuit, len(s.Workloads)*len(s.Sizes))
-	genKeys := make([]circKey, 0, len(s.Workloads)*len(s.Sizes))
-	for wi := range s.Workloads {
-		for _, size := range s.Sizes {
-			genKeys = append(genKeys, circKey{wi, size})
-		}
-	}
-	genOut := make([]*circuit.Circuit, len(genKeys))
-	err := par.ForEachCtx(ctx, len(genKeys), s.Parallelism, func(i int) error {
-		k := genKeys[i]
-		c, err := BenchmarkCircuit(s.Workloads[k.w], k.size, s.Seed)
+	circs := make([]*circuit.Circuit, len(s.Workloads)*len(s.Sizes))
+	err := par.ForEachCtx(ctx, len(circs), s.Parallelism, func(i int) error {
+		w, size := s.Workloads[i/len(s.Sizes)], s.Sizes[i%len(s.Sizes)]
+		c, err := BenchmarkCircuit(w, size, s.Seed)
 		if err != nil {
-			return fmt.Errorf("experiments: %s/%s(%d): %w", s.ID, s.Workloads[k.w], k.size, err)
+			return fmt.Errorf("experiments: %s/%s(%d): %w", s.ID, w, size, err)
 		}
-		genOut[i] = c
+		circs[i] = c
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	cells := s.Cells()
+	outs := make([]CellOutcome, len(cells))
+	ran := make([]bool, len(cells))
+	ready := make([]chan struct{}, len(cells))
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	// The pool dispatches under its own context, so stopping it never
+	// cancels a started cell; the cells it never ran come back carrying
+	// ctx's error.
+	dispatch, stop := context.WithCancel(ctx)
+	poolDone := make(chan struct{})
+	go func() {
+		defer close(poolDone)
+		// The outcomes carry every error.
+		_ = par.ForEachCtx(dispatch, len(cells), s.Parallelism, func(i int) error {
+			c := cells[i]
+			circ := circs[c.Workload*len(s.Sizes)+slices.Index(s.Sizes, c.Size)]
+			outs[i], ran[i] = s.runCell(ctx, eval, c, circ), true
+			close(ready[i])
+			if s.Tolerant {
+				return nil
+			}
+			return outs[i].Err
+		})
+		for i := range cells {
+			if !ran[i] {
+				outs[i] = CellOutcome{SweepCell: cells[i], Err: ctx.Err()}
+				close(ready[i])
+			}
+		}
+	}()
+	defer func() {
+		stop()
+		<-poolDone
+	}()
+	for i := range cells {
+		<-ready[i]
+		o := outs[i]
+		if !ran[i] && !s.Tolerant {
+			return o.Err
+		}
+		if err := emit(o); err != nil {
+			return err
+		}
+		if o.Err != nil && !s.Tolerant {
+			return nil
+		}
+	}
+	return nil
+}
+
+// runCell runs one dispatched cell: a journal replay, or CellHook and
+// eval under the cell timeout followed by a journal record.
+func (s SweepSpec) runCell(ctx context.Context, eval CellEval, c SweepCell, circ *circuit.Circuit) CellOutcome {
+	o := CellOutcome{SweepCell: c}
+	job := &CellJob{
+		Workload: s.Workloads[c.Workload],
+		Size:     c.Size,
+		Machine:  s.Machines[c.Machine],
+		Circuit:  circ,
+		Options:  s.CellOptions(c),
+	}
+	o.Err = par.Call(func(int) error {
+		// Resume: a journaled cell replays its recorded metrics verbatim —
+		// no evaluation, no CellHook — so a restarted sweep neither redoes
+		// nor re-breaks work it already finished.
+		if s.Journal != nil {
+			if met, ok := s.Journal.Lookup(job.Key()); ok {
+				o.Metrics, o.Replayed = met, true
+				return nil
+			}
+		}
+		if timeout := job.Options.CellTimeout; timeout > 0 {
+			// The per-cell budget covers the hook too, and is applied here
+			// once rather than again inside the evaluation.
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+			job.Options.CellTimeout = 0
+		}
+		if s.CellHook != nil {
+			if err := s.CellHook(ctx, job.Workload, job.Size, job.Machine.Name); err != nil {
+				return err
+			}
+		}
+		met, err := eval(ctx, job)
+		if err != nil {
+			return err
+		}
+		if s.Journal != nil {
+			if err := s.Journal.Record(job.Key(), met); err != nil {
+				return err
+			}
+		}
+		o.Metrics = met
+		return nil
+	}, c.Index)
+	return o
+}
+
+// RunContext executes the sweep in-process, returning one Series per
+// (workload, machine): Stream with evaluate, assembled by Assemble.
+func (s SweepSpec) RunContext(ctx context.Context) ([]Series, error) {
+	var outcomes []CellOutcome
+	err := s.Stream(ctx, evaluate, func(o CellOutcome) error {
+		outcomes = append(outcomes, o)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, k := range genKeys {
-		circs[k] = genOut[i]
-	}
-	// Stage 2: evaluate every (workload, machine, size) cell that fits the
-	// machine, in the shared Cells() enumeration order. Each cell routes
-	// serially with its own FNV-derived seed (CellOptions); the cells are
-	// the only thing that runs in parallel.
-	cells := s.Cells()
-	points := make([]Point, len(cells))
-	runCell := func(i int) error {
-		t := cells[i]
-		w, m := s.Workloads[t.Workload], s.Machines[t.Machine]
-		// CellOptions resolves Trials through the Config contract (0 = mode
-		// default, 5 quick / 20 full) so a hand-built
-		// SweepSpec{Config: QuickConfig()} sweeps at the same trial count as
-		// Headlines/CorralScaling under that Config.
-		opt := s.CellOptions(t)
-		c := circs[circKey{t.Workload, t.Size}]
-		// Resume: a journaled cell replays its recorded metrics verbatim —
-		// no evaluation, no CellHook — so a restarted sweep neither redoes
-		// nor re-breaks work it already finished.
-		var key cache.Key
-		if s.Journal != nil {
-			key = m.EvaluateKey(c, opt)
-			if met, ok := s.Journal.Lookup(key); ok {
-				points[i] = s.point(t.Size, met)
-				return nil
-			}
-		}
-		cctx := ctx
-		if opt.CellTimeout > 0 {
-			// The per-cell budget covers the hook too, and is applied here
-			// once rather than again inside EvaluateContext.
-			var cancel context.CancelFunc
-			cctx, cancel = context.WithTimeout(ctx, opt.CellTimeout)
-			defer cancel()
-			opt.CellTimeout = 0
-		}
-		if s.CellHook != nil {
-			if err := s.CellHook(cctx, w, t.Size, m.Name); err != nil {
-				return err
-			}
-		}
-		met, err := m.EvaluateContext(cctx, c, opt)
-		if err != nil {
-			return err
-		}
-		if s.Journal != nil {
-			if err := s.Journal.Record(key, met); err != nil {
-				return err
-			}
-		}
-		points[i] = s.point(t.Size, met)
-		return nil
-	}
-	var (
-		cellErrs CellErrors
-		failed   []bool
-	)
-	if s.Tolerant {
-		errs, _ := par.ForEachAllCtx(ctx, len(cells), s.Parallelism, runCell)
-		failed = make([]bool, len(cells))
-		for i, cerr := range errs {
-			if cerr == nil {
-				continue
-			}
-			t := cells[i]
-			failed[i] = true
-			cellErrs = append(cellErrs, CellError{
-				Workload: s.Workloads[t.Workload],
-				Machine:  s.Machines[t.Machine].Name,
-				Size:     t.Size,
-				Err:      cerr,
-			})
-		}
-	} else {
-		err := par.ForEachCtx(ctx, len(cells), s.Parallelism, func(i int) error {
-			if err := runCell(i); err != nil {
-				t := cells[i]
-				return fmt.Errorf("experiments: %s/%s/%s(%d): %w",
-					s.ID, s.Machines[t.Machine].Name, s.Workloads[t.Workload], t.Size, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Assemble in the fixed (workload, machine, size) order; a tolerant
-	// run's failed cells leave holes, never shifted or zero-filled points.
+	return s.Assemble(outcomes)
+}
+
+// Assemble builds a sweep's result from its outcomes in Cells() order,
+// for RunContext and for a remote client alike: one Series per (workload,
+// machine). A tolerant spec leaves a failed cell's hole (never a shifted
+// or zero-filled point) and reports the failures as CellErrors beside the
+// partial Series. Otherwise the first failed outcome is the error, as
+// "experiments: id/machine/workload(size): err", so serial, parallel and
+// remote runs name the same cell.
+func (s SweepSpec) Assemble(outcomes []CellOutcome) ([]Series, error) {
 	out := make([]Series, s.NumSeries())
 	for wi, w := range s.Workloads {
 		for mi, m := range s.Machines {
 			out[wi*len(s.Machines)+mi] = Series{Label: m.Name, Workload: w}
 		}
 	}
-	for i, t := range cells {
-		if failed != nil && failed[i] {
-			continue
+	var cellErrs CellErrors
+	for _, o := range outcomes {
+		w, m := s.Workloads[o.Workload], s.Machines[o.Machine].Name
+		switch {
+		case o.Err == nil:
+			out[o.Series].Points = append(out[o.Series].Points, PointFromMetrics(s.Kind, o.Size, o.Metrics))
+		case s.Tolerant:
+			cellErrs = append(cellErrs, CellError{Workload: w, Machine: m, Size: o.Size, Err: o.Err})
+		default:
+			return nil, fmt.Errorf("experiments: %s/%s/%s(%d): %w", s.ID, m, w, o.Size, o.Err)
 		}
-		out[t.Series].Points = append(out[t.Series].Points, points[i])
 	}
 	if len(cellErrs) > 0 {
 		return out, cellErrs

@@ -15,8 +15,9 @@ import (
 
 // Journal is the sweep's crash-resume log: an append-only text file with
 // one line per completed cell — the cell's core.Machine.EvaluateKey in hex,
-// a space, and its JSON-encoded core.Metrics. SweepSpec.RunContext consults
-// it before computing each cell and replays recorded results verbatim, so a
+// a space, and its JSON-encoded core.Metrics. The sweep engine,
+// SweepSpec.Stream, consults it before computing each cell and replays
+// recorded results verbatim, so a
 // run killed mid-sweep and restarted with the same journal file produces
 // output byte-identical to an uninterrupted run while recomputing only the
 // missing cells. Cells are addressed by the same content hash the Evaluate

@@ -59,9 +59,11 @@ func Resolve(parallelism int) int {
 	return parallelism
 }
 
-// safeCall runs fn(i) with panic isolation: a panic is recovered into a
-// *PanicError so the caller's other tasks are unaffected.
-func safeCall(fn func(i int) error, i int) (err error) {
+// Call runs fn(i) with the pools' panic isolation: a panic is recovered
+// into a *PanicError for index i, so the caller's other tasks are
+// unaffected. Exported for dispatch loops of their own, such as the sweep
+// engine's ordered stream.
+func Call(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
@@ -92,7 +94,7 @@ func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) e
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := safeCall(fn, i); err != nil {
+			if err := Call(fn, i); err != nil {
 				return err
 			}
 		}
@@ -139,7 +141,7 @@ func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) e
 					stop.Store(true)
 					return
 				}
-				if err := safeCall(fn, i); err != nil {
+				if err := Call(fn, i); err != nil {
 					fail(i, err)
 					return
 				}
@@ -154,62 +156,4 @@ func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) e
 		return ctx.Err()
 	}
 	return nil
-}
-
-// ForEachAllCtx runs every index in [0, n) regardless of individual task
-// failures — the fault-tolerant counterpart of ForEachCtx for callers that
-// want per-task error isolation instead of fail-fast (a chaos-injected
-// sweep completing around its bad cells). It returns one error slot per
-// index: nil for tasks that succeeded, the task's error (a *PanicError for
-// a recovered panic) for tasks that failed, and ctx.Err() for tasks never
-// started because ctx was cancelled. The second return is ctx.Err() when
-// the run was cut short, nil otherwise — per-task failures alone never
-// make it non-nil.
-func ForEachAllCtx(ctx context.Context, n, parallelism int, fn func(i int) error) ([]error, error) {
-	errs := make([]error, n)
-	workers := Resolve(parallelism)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				for j := i; j < n; j++ {
-					errs[j] = err
-				}
-				return errs, err
-			}
-			errs[i] = safeCall(fn, i)
-		}
-		return errs, nil
-	}
-	var (
-		next      atomic.Int64
-		cancelled atomic.Bool
-		wg        sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					cancelled.Store(true)
-					errs[i] = err
-					continue // mark every undispatched slot, don't run it
-				}
-				errs[i] = safeCall(fn, i)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return errs, ctx.Err()
-	}
-	return errs, nil
 }

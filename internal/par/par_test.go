@@ -175,56 +175,3 @@ func TestTaskErrorBeatsCancellation(t *testing.T) {
 		t.Fatalf("got %v, want the task error to win over cancellation", err)
 	}
 }
-
-// TestForEachAllCtxIsolation: the keep-going variant completes every task,
-// isolating failures (including panics) per index.
-func TestForEachAllCtxIsolation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		boom := errors.New("boom")
-		errs, err := ForEachAllCtx(context.Background(), 10, workers, func(i int) error {
-			switch i {
-			case 2:
-				return boom
-			case 7:
-				panic("seven")
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: run error %v, want nil (per-task failures only)", workers, err)
-		}
-		for i, e := range errs {
-			switch i {
-			case 2:
-				if !errors.Is(e, boom) {
-					t.Errorf("workers=%d: errs[2] = %v", workers, e)
-				}
-			case 7:
-				var pe *PanicError
-				if !errors.As(e, &pe) || pe.Index != 7 {
-					t.Errorf("workers=%d: errs[7] = %v", workers, e)
-				}
-			default:
-				if e != nil {
-					t.Errorf("workers=%d: errs[%d] = %v, want nil", workers, i, e)
-				}
-			}
-		}
-	}
-}
-
-// TestForEachAllCtxCancel: cancellation marks undispatched slots with
-// ctx.Err() and reports the cancellation as the run error.
-func TestForEachAllCtxCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	errs, err := ForEachAllCtx(ctx, 50, 4, func(i int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("run error %v, want context.Canceled", err)
-	}
-	for i, e := range errs {
-		if !errors.Is(e, context.Canceled) {
-			t.Fatalf("errs[%d] = %v, want context.Canceled", i, e)
-		}
-	}
-}

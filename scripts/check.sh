@@ -91,11 +91,16 @@
 #     disk faults and corruption self-heal, cell timeouts, crash-resume
 #     byte-identity — run under the race detector (-run 'Fault|Chaos|Resume').
 #   * daemon smoke arm: build qcbenchd + qcbench, boot the daemon on an
-#     ephemeral port, prove 32 concurrent identical /evaluate requests cost
-#     exactly one evaluation (cold) and zero (warm) via the /metrics dedup
-#     counters, prove a -server sweep's stdout is byte-identical to a local
-#     run, noiseless and under a Monte-Carlo noise model with error-weighted
-#     routing, then SIGTERM it and require a clean drain (exit 0).
+#     ephemeral port with a sweep journal directory, prove 32 concurrent
+#     identical /evaluate requests cost exactly one evaluation (cold) and
+#     zero (warm) via the /metrics dedup counters, prove a -server sweep's
+#     stdout is byte-identical to a local run for a SWAP-count sweep (fig
+#     11), noiseless and under a Monte-Carlo noise model with
+#     error-weighted routing, and for a co-design sweep (fig 13 on a
+#     basis=syc machine), then rerun the noiseless sweep against the same
+#     daemon: it must be served from the journal (no result-cache lookup
+#     on the /metrics counters) and still match the local run. Then
+#     SIGTERM the daemon and require a clean drain (exit 0).
 #   * one-level-of-parallelism arm: the cell is the only unit that runs in
 #     parallel, so no package in ./... but internal/experiments (sweeps and
 #     the multi-cell drivers) and internal/daemon (its evaluation slots)
@@ -328,7 +333,7 @@ GOMAXPROCS=4 go test -race -count=1 \
     ./internal/par/... ./internal/transpile/... ./internal/topology/... ./internal/sim/... \
     ./internal/noise/... ./internal/daemon/...
 
-echo "check: qcbenchd smoke (ephemeral port, 32-way dedup probe, byte-identical remote sweeps, SIGTERM drain)"
+echo "check: qcbenchd smoke (ephemeral port, 32-way dedup probe, byte-identical remote and journal-replayed sweeps, SIGTERM drain)"
 SMOKEDIR="$(mktemp -d)"
 DPID=""
 cleanup_smoke() {
@@ -338,7 +343,8 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 go build -o "$SMOKEDIR/qcbenchd" ./cmd/qcbenchd
 go build -o "$SMOKEDIR/qcbench" ./cmd/qcbench
-"$SMOKEDIR/qcbenchd" -addr 127.0.0.1:0 -cachedir "$SMOKEDIR/cache" \
+mkdir "$SMOKEDIR/journals"
+"$SMOKEDIR/qcbenchd" -addr 127.0.0.1:0 -cachedir "$SMOKEDIR/cache" -journaldir "$SMOKEDIR/journals" \
     >"$SMOKEDIR/daemon.out" 2>"$SMOKEDIR/daemon.err" &
 DPID=$!
 BASE=""
@@ -367,11 +373,27 @@ if [[ "$WARM" != *"fills=0"* ]]; then
 fi
 SWEEP_ARGS=(-fig 11 -machines "grid:rows=4,cols=4,name=Square-Lattice" -trials 1)
 NOISE_ARGS=(-noise e2q=0.002,tdec=0.001 -noise-model montecarlo -noise-shots 8 -noise-route pure)
+CODESIGN_ARGS=(-fig 13 -machines "grid:rows=4,cols=4,basis=syc,name=Square-SYC" -trials 1)
+# store_lookups sums the daemon's result-cache lookups; a sweep served from
+# its journal makes none.
+store_lookups() {
+    curl -fsS "$BASE/metrics" |
+        awk '/^qcbenchd_cache_(mem_hits|disk_hits|misses)_total /{ n += $2 } END { print n + 0 }'
+}
 "$SMOKEDIR/qcbench" "${SWEEP_ARGS[@]}" >"$SMOKEDIR/local.txt"
 "$SMOKEDIR/qcbench" -server "$BASE" "${SWEEP_ARGS[@]}" >"$SMOKEDIR/remote.txt"
 "$SMOKEDIR/qcbench" "${SWEEP_ARGS[@]}" "${NOISE_ARGS[@]}" >"$SMOKEDIR/local-noisy.txt"
 "$SMOKEDIR/qcbench" -server "$BASE" "${SWEEP_ARGS[@]}" "${NOISE_ARGS[@]}" >"$SMOKEDIR/remote-noisy.txt"
-for run in "" -noisy; do
+"$SMOKEDIR/qcbench" "${CODESIGN_ARGS[@]}" >"$SMOKEDIR/local-codesign.txt"
+"$SMOKEDIR/qcbench" -server "$BASE" "${CODESIGN_ARGS[@]}" >"$SMOKEDIR/remote-codesign.txt"
+LOOKUPS="$(store_lookups)"
+cp "$SMOKEDIR/local.txt" "$SMOKEDIR/local-journaled.txt"
+"$SMOKEDIR/qcbench" -server "$BASE" "${SWEEP_ARGS[@]}" >"$SMOKEDIR/remote-journaled.txt"
+if [[ "$(store_lookups)" != "$LOOKUPS" ]]; then
+    echo "check: FAILED — the repeated -server sweep looked up the result cache instead of replaying its journal"
+    exit 1
+fi
+for run in "" -noisy -codesign -journaled; do
     if ! cmp -s "$SMOKEDIR/local$run.txt" "$SMOKEDIR/remote$run.txt"; then
         echo "check: FAILED — -server sweep output diverged from the local run (local$run.txt)"
         diff "$SMOKEDIR/local$run.txt" "$SMOKEDIR/remote$run.txt" || true
