@@ -377,6 +377,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *trialsFlag == 0 {
 			spec.Trials = trials
 		}
+		// Refused here, before the local/-server split, so both refuse alike.
+		if err := experiments.CheckSimulable(spec.Options, spec.Sizes...); err != nil {
+			return cli.Usagef("%v", err)
+		}
 		headerSuffix := fmt.Sprintf("%s mode%s%s", mode(quick), profiledSuffix(*profile), noiseSuffix(fidelity, routeMode))
 		if *server != "" {
 			series, err := remoteSweep(ctx, *server, *fig, *machines, spec)

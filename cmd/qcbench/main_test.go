@@ -273,6 +273,16 @@ func TestNoiseFlagsValidated(t *testing.T) {
 	// Shots under the count model would be ignored; that's a mistake too.
 	_, _, err = runQ(t, "-fig", "11", "-noise", "e2q=0.002", "-noise-shots", "16")
 	wantUsageError(t, err, "-noise-shots")
+	// Fig. 12's 32-qubit cells cannot be simulated: refused before any
+	// routing, and before -server would be contacted, so that a remote run
+	// refuses exactly as a local one.
+	mc := []string{"-fig", "12", "-noise", "e2q=0.002", "-noise-model", "montecarlo"}
+	out, _, err := runQ(t, mc...)
+	wantUsageError(t, err, "size 32 exceeds the 22 qubits noise_model montecarlo can simulate")
+	remote, _, rerr := runQ(t, append(mc, "-server", "http://127.0.0.1:1")...)
+	if out != "" || remote != "" || rerr == nil || rerr.Error() != err.Error() {
+		t.Fatalf("-server refusal %q (stdout %q), local %q (stdout %q)", rerr, remote, err, out)
+	}
 }
 
 func TestNoiseSweepOutput(t *testing.T) {

@@ -94,7 +94,8 @@ func TestEvaluateKeyNoiseStability(t *testing.T) {
 // rounding order), so warm disk tiers must recompute them. Every key moved
 // again with core.Evaluate/v2 (counter-based router draws move every
 // routed circuit); the v2 count-model and noise-free keys are pinned so
-// the next unintended key change fails here.
+// the next unintended key change fails here. The Monte-Carlo key moved
+// once more from lockstep/v2 (virtual SWAPs move estimates' last bits).
 func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 	noisy := HeavyHex20CX()
 	noisy.Noise = &arch.NoiseProfile{E2Q: 0.002, TDec: 0.001}
@@ -115,6 +116,7 @@ func TestEvaluateKeyMonteCarloVersion(t *testing.T) {
 		{"count", count, "00a77f82f7d34bddb460d168c786af747fe50d8db4bdb6e03ae64dfbad610e6f", true},
 		{"montecarlo", mc, "81a764cfc7cc82d2b50df32a0ca0a632bb8698f9e0a3c5d5e64ff7ca56353da0", false},
 		{"montecarlo lockstep/v1", mc, "ff60fb029a6ae2e158c72ba4df223eccc4a889f470f66c1b5bdcaa2aac9e4450", false},
+		{"montecarlo lockstep/v2", mc, "39363b3d05b6d72e03c1245bb034bfcc1691e61dbcc8dd3ca8b6b6746f2dea25", false},
 	} {
 		if got := noisy.EvaluateKey(c, tc.opt).String(); (got == tc.before) != tc.same {
 			t.Errorf("%s key %s (earlier build: %s, want same=%v)", tc.name, got, tc.before, tc.same)

@@ -57,7 +57,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // Default server limits. MaxTimeout bounds any single evaluation (a client
@@ -515,11 +514,9 @@ func buildEvaluate(req EvaluateRequest) (*experiments.CellJob, error) {
 		return nil, fmt.Errorf("size %d exceeds machine %s (%d qubits)", req.Size, m.Name, m.Graph.N())
 	case (opt.Fidelity != core.FidelityOff || opt.NoiseRoute != core.NoiseRouteOff) && m.Noise.IsZero() && opt.Noise.IsZero():
 		return nil, fmt.Errorf("noise_model/noise_route need a noise profile: set noise, or e2q=/tdec= keys in the machine spec")
-	case opt.Fidelity == core.FidelityMonteCarlo && req.Size > sim.MaxQubits:
-		// The logical width alone rules the simulation out. A routed
-		// circuit that spreads a narrower workload over more than
-		// sim.MaxQubits physical qubits is still an evaluation failure.
-		return nil, fmt.Errorf("size %d exceeds the %d qubits noise_model montecarlo can simulate", req.Size, sim.MaxQubits)
+	}
+	if err := experiments.CheckSimulable(opt, req.Size); err != nil {
+		return nil, err
 	}
 	c, err := experiments.BenchmarkCircuit(req.Workload, req.Size, req.Seed)
 	if err != nil {

@@ -114,6 +114,9 @@ func (req SweepRequest) spec() (experiments.SweepSpec, error) {
 	if err != nil {
 		return spec, err
 	}
+	if err := experiments.CheckSimulable(opt, req.Sizes...); err != nil {
+		return spec, err
+	}
 	opt.CellTimeout = msDuration(req.CellTimeoutMS)
 	return experiments.SweepSpec{
 		ID:        req.ID,

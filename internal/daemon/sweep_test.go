@@ -190,6 +190,39 @@ func TestSweepDisconnectResume(t *testing.T) {
 	}
 }
 
+// TestSweepBadRequest: a /sweep the spec conversion refuses is a 400
+// naming the problem, with no stream. A Monte-Carlo size over
+// sim.MaxQubits gets /evaluate's message rather than a 200 whose every
+// cell fails after routing. The bodies are posted as they are: Client.Sweep
+// would refuse them itself before sending.
+func TestSweepBadRequest(t *testing.T) {
+	_, base, _ := startServer(t, Config{Parallelism: 1})
+	c := NewClient(base)
+	c.Retries = 0
+	for _, tc := range []struct {
+		name string
+		mut  func(*SweepRequest)
+		want string
+	}{
+		{"missing sizes", func(r *SweepRequest) { r.Sizes = nil }, "missing sizes"},
+		{"size too small", func(r *SweepRequest) { r.Sizes = []int{1} }, "too small"},
+		{"bad kind", func(r *SweepRequest) { r.Kind = "volume" }, "kind"},
+		{"montecarlo too wide to simulate", func(r *SweepRequest) {
+			r.Machines, r.Sizes, r.Noise, r.NoiseModel = "grid:rows=5,cols=6", []int{4, 30}, "e2q=0.01", "montecarlo"
+		}, "size 30 exceeds the 22 qubits noise_model montecarlo can simulate"},
+	} {
+		req := testSweepRequest()
+		tc.mut(&req)
+		err := c.post(context.Background(), sweepPath, req, func(*http.Response) error {
+			t.Errorf("%s: the server streamed a response", tc.name)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want 400 containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestSweepUngeneratableIsBadRequest: a sweep whose circuits cannot be
 // generated fails with 400 before any event, as a local run of the same
 // spec fails before any cell.

@@ -36,6 +36,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 	"repro/internal/workloads"
@@ -535,6 +536,25 @@ func (s SweepSpec) Assemble(outcomes []CellOutcome) ([]Series, error) {
 		return out, cellErrs
 	}
 	return out, nil
+}
+
+// CheckSimulable refuses, before anything is routed, a Monte-Carlo size
+// whose logical width alone exceeds the sim.MaxQubits the estimator can
+// simulate: every cell of that size would route and then fail. A routed
+// circuit that spreads a narrower workload over more physical qubits than
+// that is still a cell failure, since only routing can tell. qcbench -fig
+// (local or -server) and qcbenchd's /evaluate and /sweep refuse with this
+// one check, so they refuse alike.
+func CheckSimulable(opt core.Options, sizes ...int) error {
+	if opt.Fidelity != core.FidelityMonteCarlo {
+		return nil
+	}
+	for _, size := range sizes {
+		if size > sim.MaxQubits {
+			return fmt.Errorf("size %d exceeds the %d qubits noise_model montecarlo can simulate", size, sim.MaxQubits)
+		}
+	}
+	return nil
 }
 
 // sizes16 and sizes84 are the x-axes for small and scaled machines.

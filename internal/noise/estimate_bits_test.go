@@ -68,6 +68,38 @@ var estimateBitPins = map[string][]estimatePin{
 		{16, 1, 2, 0x3fdc000000000000, 0x3fdd8c7f585406f7, 0x3feb563c5405be86},
 		{16, 1, 3, 0x3fd8000000000000, 0x3fdd8c7f585406f7, 0x3feb563c5405be86},
 	},
+	"lockstep/v3": {
+		{12, 0, 1, 0x3fec000000000000, 0x3fe8ea56cf5226be, 0x3feacf178cf8d683},
+		{12, 0, 2, 0x3fe4000000000000, 0x3fe8ea56cf5226be, 0x3feacf178cf8d683},
+		{12, 0, 3, 0x3fe6000000000000, 0x3fe8ea56cf5226be, 0x3feacf178cf8d683},
+		{12, 1, 1, 0x3fe6000000000000, 0x3fe13160a8376073, 0x3fed4a29bfd138bd},
+		{12, 1, 2, 0x3fe6000000000000, 0x3fe13160a8376073, 0x3fed4a29bfd138bd},
+		{12, 1, 3, 0x3fdc000000000000, 0x3fe13160a8376073, 0x3fed4a29bfd138bd},
+		{13, 0, 1, 0x3fee2ba21a94fbf0, 0x3fed4d4088671ec4, 0x3fee22ef6008dd87},
+		{13, 0, 2, 0x3fea000000000000, 0x3fed4d4088671ec4, 0x3fee22ef6008dd87},
+		{13, 0, 3, 0x3ff0000000000000, 0x3fed4d4088671ec4, 0x3fee22ef6008dd87},
+		{13, 1, 1, 0x3fec2ba21a94fbf0, 0x3feae10ff95ad65b, 0x3fef0de3caa47bcf},
+		{13, 1, 2, 0x3fec000000000000, 0x3feae10ff95ad65b, 0x3fef0de3caa47bcf},
+		{13, 1, 3, 0x3fea000000000000, 0x3feae10ff95ad65b, 0x3fef0de3caa47bcf},
+		{14, 0, 1, 0x3febcbbf4f11b0e4, 0x3fe6a1ef3fddf9e5, 0x3fe90581c2024161},
+		{14, 0, 2, 0x3fe16f3422578f8a, 0x3fe6a1ef3fddf9e5, 0x3fe90581c2024161},
+		{14, 0, 3, 0x3fe7a216c095897b, 0x3fe6a1ef3fddf9e5, 0x3fe90581c2024161},
+		{14, 1, 1, 0x3fdfc6b8e13f0ee8, 0x3fde53cdd056dfb5, 0x3fec4be34ef7ad4e},
+		{14, 1, 2, 0x3fdaf5c362fee2bf, 0x3fde53cdd056dfb5, 0x3fec4be34ef7ad4e},
+		{14, 1, 3, 0x3fe1d4d03c83160d, 0x3fde53cdd056dfb5, 0x3fec4be34ef7ad4e},
+		{15, 0, 1, 0x3fee000000000000, 0x3fee50f1b41c1147, 0x3feded1e7ca3c34e},
+		{15, 0, 2, 0x3fec000000000000, 0x3fee50f1b41c1147, 0x3feded1e7ca3c34e},
+		{15, 0, 3, 0x3ff0000000000000, 0x3fee50f1b41c1147, 0x3feded1e7ca3c34e},
+		{15, 1, 1, 0x3fec000000000000, 0x3feb1bd0c2538a0d, 0x3feef21d24259a14},
+		{15, 1, 2, 0x3fee000000000000, 0x3feb1bd0c2538a0d, 0x3feef21d24259a14},
+		{15, 1, 3, 0x3ff0000000000000, 0x3feb1bd0c2538a0d, 0x3feef21d24259a14},
+		{16, 0, 1, 0x3fe2000000000000, 0x3fe46518be84fe4f, 0x3fe75a6e327f0c54},
+		{16, 0, 2, 0x3fd8000000000001, 0x3fe46518be84fe4f, 0x3fe75a6e327f0c54},
+		{16, 0, 3, 0x3fe4000000000000, 0x3fe46518be84fe4f, 0x3fe75a6e327f0c54},
+		{16, 1, 1, 0x3fe4000000000000, 0x3fdd8c7f585406f7, 0x3feb563c5405be86},
+		{16, 1, 2, 0x3fdc000000000000, 0x3fdd8c7f585406f7, 0x3feb563c5405be86},
+		{16, 1, 3, 0x3fd8000000000000, 0x3fdd8c7f585406f7, 0x3feb563c5405be86},
+	},
 }
 
 // TestMonteCarloEstimateBits holds every pinned estimate to its bits.

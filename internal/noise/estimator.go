@@ -96,8 +96,12 @@ type MonteCarloEstimator struct {
 // algorithm's fidelities as fresh ones (TestMonteCarloEstimateBits holds
 // 30 estimates to their bits under each version). v2: the simulator's
 // layer pass no longer fuses a cross-tile 2×2 with a tile-local one, which
-// moves the last bits of some estimates from 14 qubits up.
-const MonteCarloVersion = "lockstep/v2"
+// moves the last bits of some estimates from 14 qubits up. v3: a SWAP is a
+// relabeling of which storage bit holds which qubit, not a pass over the
+// amplitudes, so the storage order of the amplitudes, the orientation of
+// the 4×4s a SWAP folds into and with them the last bits of some estimates
+// move; the error sites do not.
+const MonteCarloVersion = "lockstep/v3"
 
 // errorSitePins pins where the compiled schedule puts error events on two
 // fixed routed circuits, keyed by width: the routed circuit's fingerprint
@@ -150,7 +154,8 @@ func (e MonteCarloEstimator) Estimate(ctx context.Context, c *circuit.Circuit, m
 }
 
 // pauliEvent is one sampled error injection: Pauli pi (index into paulis)
-// on compact qubit q, right after schedule step `step`.
+// on storage bit q of the program's labeling (sim.Program.Bits), right
+// after schedule step `step`.
 type pauliEvent struct {
 	step int
 	q    int
@@ -159,22 +164,26 @@ type pauliEvent struct {
 
 // trajectories is a circuit compiled for trajectory sampling, shared
 // read-only by every trajectory: the scheduled program over the compacted
-// circuit, and per compact op its error probabilities and the step its
-// errors land after. Error probabilities come from the original ops
-// (physical qubit indices, where EdgeE2Q speaks); injection sites from the
-// compact ones, mapped to the compiled program's fused-step boundaries —
-// an error "after op i" lands after the schedule step that executes op i
-// (the ops fused alongside it commute with or are disjoint from it, so the
-// placement is exact up to the Pauli-twirl approximation already being
-// sampled). maxForks is the most forks run keeps live at once.
+// circuit, and per compact op its error probabilities, the step its
+// errors land after and the bits they land on. Error probabilities come
+// from the original ops (physical qubit indices, where EdgeE2Q speaks);
+// injection sites from the compact ones, mapped to the compiled program's
+// fused-step boundaries — an error "after op i" lands after the schedule
+// step that executes op i (the ops fused alongside it commute with or are
+// disjoint from it, so the placement is exact up to the Pauli-twirl
+// approximation already being sampled) — and on the bit its qubit holds
+// after op i. The program relabels instead of swapping, so the ideal state
+// and every fork live in the program's labeling, where a fidelity is the
+// same overlap as in the circuit's. maxForks is the most forks run keeps
+// live at once.
 type trajectories struct {
 	prog     *sim.Program
 	n        int
 	maxForks int
-	ops      []circuit.Op
 	gateErr  []float64
 	decoErr  []float64
 	step     []int
+	bits     [][2]int
 }
 
 // planTrajectories validates c, compacts it to its touched qubits and
@@ -188,14 +197,15 @@ func (m Model) planTrajectories(c *circuit.Circuit) (*trajectories, error) {
 		prog:     sim.Schedule(compact),
 		n:        compact.N,
 		maxForks: max(1, forkBudget>>(4+compact.N)), // 16 bytes per amplitude
-		ops:      compact.Ops,
 		gateErr:  make([]float64, len(compact.Ops)),
 		decoErr:  make([]float64, len(compact.Ops)),
 		step:     make([]int, len(compact.Ops)),
+		bits:     make([][2]int, len(compact.Ops)),
 	}
 	durs := m.durations()
 	for i, op := range compact.Ops {
 		p.step[i] = p.prog.StepForOp(i)
+		p.bits[i] = p.prog.Bits(i)
 		p.gateErr[i] = m.opGateError(c.Ops[i])
 		if m.DecoherenceRate > 0 {
 			if d := durs.Duration(op.Name); d > 0 {
@@ -214,19 +224,19 @@ func (m Model) planTrajectories(c *circuit.Circuit) (*trajectories, error) {
 // and layering may place a later op in an earlier step.
 func (p *trajectories) sample(rng *rand.Rand) []pauliEvent {
 	var events []pauliEvent
-	for i, op := range p.ops {
+	for i, bit := range p.bits {
 		if g := p.gateErr[i]; g > 0 && rng.Float64() < g {
 			k := 1 + rng.Intn(15)
 			if pa := k % 4; pa > 0 {
-				events = append(events, pauliEvent{step: p.step[i], q: op.Qubits[0], pi: pa - 1})
+				events = append(events, pauliEvent{step: p.step[i], q: bit[0], pi: pa - 1})
 			}
 			if pb := k / 4; pb > 0 {
-				events = append(events, pauliEvent{step: p.step[i], q: op.Qubits[1], pi: pb - 1})
+				events = append(events, pauliEvent{step: p.step[i], q: bit[1], pi: pb - 1})
 			}
 		}
 		if d := p.decoErr[i]; d > 0 {
-			for _, q := range op.Qubits {
-				if rng.Float64() < d {
+			for _, q := range bit {
+				if q >= 0 && rng.Float64() < d {
 					events = append(events, pauliEvent{step: p.step[i], q: q, pi: rng.Intn(3)})
 				}
 			}

@@ -216,11 +216,14 @@ func referenceTrajectory(t *testing.T, prog *sim.Program, n int, ideal *sim.Stat
 // referenceEstimate is the full-run Monte-Carlo algorithm the lockstep
 // runner replaced: the same per-trajectory RNG derivation and draw order,
 // but every errored trajectory simulated from |0…0⟩ to the end of the
-// circuit and compared with a fully run ideal state.
+// circuit and compared with a fully run ideal state. Its program applies
+// each SWAP as a kernel pass (sim.ScheduleRealSwaps), so every qubit stays
+// on its own bit and the events go on the ops' qubits: the reference does
+// not share the relabeling it checks.
 func referenceEstimate(t *testing.T, c *circuit.Circuit, m noise.Model, shots int, seed int64) float64 {
 	t.Helper()
 	compact, _ := c.CompactQubits()
-	prog := sim.Schedule(compact)
+	prog := sim.ScheduleRealSwaps(compact)
 	ideal, err := sim.NewState(compact.N)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +339,89 @@ func TestLockstepMatchesFullRun(t *testing.T) {
 			}
 			if d := math.Abs(got.Fidelity - want); d > 1e-12 {
 				t.Errorf("width %d %s: lockstep %.17g vs full run %.17g (|Δ| %.3g)", w, regime, got.Fidelity, want, d)
+			}
+		}
+	}
+}
+
+// rxx appends rxx(th) on qubits (a, b).
+func rxx(c *circuit.Circuit, a, b int, th float64) {
+	c.Append(circuit.Op{Name: "rxx", Qubits: []int{a, b}, Params: []float64{th}})
+}
+
+// swapDense draws a circuit of ops on n qubits that is half SWAPs, the
+// rest generic 2Q gates (rxx, su4), cx and h·rx runs: the SWAP
+// chains fold into the generic gates or stop at cx, on either orientation.
+func swapDense(n, ops int, rng *rand.Rand) *circuit.Circuit {
+	c := circuit.New(n)
+	for range ops {
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		switch k := rng.Intn(10); {
+		case k < 5:
+			c.Swap(a, b)
+		case k == 5:
+			rxx(c, a, b, rng.Float64()*math.Pi)
+		case k == 6:
+			c.SU4(a, b, gates.RandomSU4(rng))
+		case k == 7:
+			c.CX(a, b)
+		default:
+			c.H(a)
+			c.RX(a, rng.Float64())
+		}
+	}
+	return c
+}
+
+// TestVirtualSwapsMatchRealSwaps: the estimator's program relabels qubits
+// at each SWAP and puts errors on the bits Program.Bits names; its
+// estimate must match, within 1e-12, the full-run reference on a program
+// that applies every SWAP as a kernel pass (sim.ScheduleRealSwaps). The
+// first case folds a relabel into the rxx after it; scanning on past it
+// without reversing the pair would fold the cx in too and move its error
+// site. In the second the last rxx folds the one that holds the relabel;
+// the scan must reverse the pair there as well, or it folds the first rxx.
+func TestVirtualSwapsMatchRealSwaps(t *testing.T) {
+	fold := circuit.New(2)
+	fold.Swap(0, 1)
+	rxx(fold, 1, 0, 0.3)
+	fold.Swap(1, 0)
+	fold.CX(0, 1)
+	fold.Swap(1, 0)
+	rxx(fold, 1, 0, 0.7)
+	refold := circuit.New(2)
+	rxx(refold, 1, 0, 0.3)
+	refold.Swap(0, 1)
+	rxx(refold, 0, 1, 0.5)
+	rxx(refold, 0, 1, 0.7)
+	cases := []struct {
+		name string
+		c    *circuit.Circuit
+	}{{"fold-then-stop", fold}, {"fold-a-fold", refold}}
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{3, 5, 8, 13, 14} {
+		cases = append(cases, struct {
+			name string
+			c    *circuit.Circuit
+		}{fmt.Sprintf("random-%d", n), swapDense(n, 60, rng)})
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, model := range []noise.Model{
+				{GateError: 0.08},
+				{GateError: 0.02, DecoherenceRate: 0.02},
+			} {
+				want := referenceEstimate(t, tc.c, model, 16, seed)
+				got, err := noise.MonteCarloEstimator{Shots: 16, Seed: seed}.Estimate(context.Background(), tc.c, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := math.Abs(got.Fidelity - want); d > 1e-12 {
+					t.Errorf("%s seed %d %+v: relabeled %.17g vs real SWAPs %.17g (|Δ| %.3g)", tc.name, seed, model, got.Fidelity, want, d)
+				}
 			}
 		}
 	}

@@ -13,8 +13,8 @@ type (
 	Trajectories = trajectories
 )
 
-// NewPauliEvent is Pauli pi (0 = X, 1 = Y, 2 = Z) on compact qubit q
-// right after schedule step `step`.
+// NewPauliEvent is Pauli pi (0 = X, 1 = Y, 2 = Z) on bit q of the
+// program's labeling right after schedule step `step`.
 func NewPauliEvent(step, q, pi int) PauliEvent { return pauliEvent{step: step, q: q, pi: pi} }
 
 // PlanTrajectories compiles c for trajectory runs under m.

@@ -32,7 +32,7 @@ func TestKernelAllocs(t *testing.T) {
 		{kind: kMat2Q, qa: 1, qb: 9, u: su4},
 		{kind: kDiag2Q, qa: 0, qb: 7, d: [4]complex128{1, 1i, -1i, -1}},
 		{kind: kCX, qa: 5, qb: 0},
-		{kind: kSwap, qa: 2, qb: 11},
+		{kind: kRelabel, qa: 2, qb: 11},
 		{kind: kMix, qa: 12, qb: 3, d: [4]complex128{siswapDiag, siswapOff}},
 	}
 	diagOp := circuit.Op{Name: "rz", Qubits: []int{3}, Params: []float64{0.3}}
@@ -102,7 +102,7 @@ func TestLayerKernelAllocs(t *testing.T) {
 		{kind: kDiag2Q, qa: 3, qb: n - 4, d: [4]complex128{1, 1, 1, -1}},
 		{kind: kMat2Q, qa: n - 5, qb: n - 6, u: su4}, // tile-local 4×4
 		{kind: kCX, qa: n - 7, qb: n - 8},
-		{kind: kSwap, qa: n - 9, qb: n - 10},
+		{kind: kRelabel, qa: n - 9, qb: n - 10}, // a relabeled SWAP: no kernel
 		{kind: kMix, qa: n - 11, qb: n - 12, d: [4]complex128{iswapDiag, iswapOff}},
 	}
 	s.applyLayer(layer) // warm up

@@ -17,8 +17,21 @@
 //     kernel anyway (su4 blocks, rxx/can/..., explicit unitaries) is
 //     absorbed into that gate's matrix (U·(A⊗B) via linalg.Mul4x4): the 4×4
 //     sweep costs the same and the 1Q sweeps disappear. Gates with
-//     specialized kernels (cx/cz/swap/iswap/...) are never absorbed into —
+//     specialized kernels (cx/cz/iswap/...) are never absorbed into —
 //     trading a phase or permutation kernel for a generic 4×4 is a loss.
+//
+// A SWAP moves no amplitudes at all. The pass keeps a qubit→bit map (which
+// storage bit of the amplitude index holds which circuit qubit), turns each
+// swap into a kernel-less kRelabel member on the two bits it touches,
+// exchanges their entries in the map, and emits every later op on the bits
+// its qubits occupy. The relabel still orders the schedule as the SWAP's
+// pass did: it flushes pending runs on its bits, blocks merges and
+// absorptions across them, and conflicts in the layer pass like any
+// non-diagonal 2Q member, so the program has the same steps, and noise the
+// same error sites, as one that applies each SWAP as a kernel
+// (ScheduleRealSwaps, the reference). RunProgramCtx moves the amplitudes
+// back to the circuit's labeling at the end, in one pass; RunProgramSteps
+// leaves them in the program's.
 //
 // Single leftover gates stay source ops (kOp) through this pass. A second
 // pass (layer.go) converts them to members with opMember — so they keep
@@ -31,6 +44,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -50,6 +65,17 @@ type Program struct {
 	// entry their source ops landed in).
 	srcStep []int
 
+	// bits holds, per source op, the storage bits its first and second
+	// qubit occupy once it has run (-1 past its arity); final is the
+	// qubit→bit map after the last op, nil when it is the identity.
+	bits  [][2]int
+	final []int
+
+	// named holds, per source op kept as a kOp that no kernel can run after
+	// a relabel, the op as the circuit names it, so its error names the
+	// circuit's qubits rather than the bits the op runs on.
+	named map[int]circuit.Op
+
 	// Fused counts how many source ops were folded into fused entries
 	// (diagnostics and tests).
 	Fused int
@@ -66,6 +92,20 @@ func (p *Program) StepForOp(i int) int {
 		return -1
 	}
 	return p.srcStep[i]
+}
+
+// Bits returns the storage bits that source op i's first and second qubit
+// occupy after the op runs, -1 for a qubit the op does not have or when i is
+// out of range. They are the qubits themselves until the first swap: a swap
+// exchanges which bits its two qubits occupy, and every later op runs on
+// the bits its qubits occupy. Noise trajectories put an error on op i's
+// qubit k on bit Bits(i)[k] after step StepForOp(i), on a state stepped
+// with RunProgramSteps.
+func (p *Program) Bits(i int) [2]int {
+	if i < 0 || i >= len(p.bits) {
+		return [2]int{-1, -1}
+	}
+	return p.bits[i]
 }
 
 // ProgramStats summarizes the layering of a compiled schedule.
@@ -126,7 +166,10 @@ func fastDiag1Q(op circuit.Op) bool {
 // fast2Q reports whether a non-diagonal 2Q gate has a specialized
 // permutation or inner-block mix kernel (see opMember), i.e. absorbing a
 // 1Q run into it would be unprofitable. The diagonal cz/cp/rzz are handled
-// before it is asked.
+// before it is asked, and so is a swap, which becomes a relabel. Only a
+// program with real SWAPs (ScheduleRealSwaps) asks about swap: it stays a
+// passthrough there, a 4×4 pass that orders the schedule as the relabel
+// does.
 func fast2Q(op circuit.Op) bool {
 	if op.U != nil {
 		return false
@@ -175,22 +218,53 @@ func isDiag2x2(m *linalg.Matrix) bool {
 // qubits) stay source ops and surface their error — with the original op
 // index — when the program runs.
 func Schedule(c *circuit.Circuit) *Program {
-	p := scheduleUnlayered(c)
+	p := scheduleUnlayered(c, true)
+	p.layerize()
+	return p
+}
+
+// ScheduleRealSwaps is Schedule with every swap applied as a 4×4 pass on
+// the qubits it names instead of relabeled: the same steps and StepForOp,
+// no qubit→bit map. It is the reference the virtual SWAPs are tested
+// against, by tests here and in package noise.
+func ScheduleRealSwaps(c *circuit.Circuit) *Program {
+	p := scheduleUnlayered(c, false)
 	p.layerize()
 	return p
 }
 
 // scheduleUnlayered runs the sequential fusion pass alone (runs, diagonal
-// merges, 4×4 absorption) with no layer batching. Tests pin its structural
-// decisions directly; Schedule layers its output.
-func scheduleUnlayered(c *circuit.Circuit) *Program {
-	p := &Program{n: c.N, srcStep: make([]int, len(c.Ops))}
+// merges, 4×4 absorption, swaps as relabels when virtualSwaps is set) with
+// no layer batching. Tests pin its structural decisions directly; Schedule
+// layers its output.
+func scheduleUnlayered(c *circuit.Circuit, virtualSwaps bool) *Program {
+	p := &Program{n: c.N, srcStep: make([]int, len(c.Ops)), bits: make([][2]int, len(c.Ops))}
 	pend := make([]pending1Q, c.N)
 	src := p.srcStep
+	bitOf := make([]int, c.N) // qubit → the storage bit holding it
+	for q := range bitOf {
+		bitOf[q] = q
+	}
+	relabeled := false
+	var onBitsBuf []int // backing array of the qubit lists onBits rewrites
 	// Entries absorbed into a later 4×4 (marked kDead) map to the entry
 	// that swallowed them; the compaction pass below drops them and chases
 	// these links to fix up srcStep.
 	dead := map[int]int{}
+
+	// barrier emits source op i, which no kernel can run, as a kOp entry
+	// whose error surfaces when the program runs (op is on bits; named
+	// keeps the circuit's op for that error).
+	barrier := func(i int, op circuit.Op) {
+		p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
+		src[i] = len(p.ops) - 1
+		if relabeled {
+			if p.named == nil {
+				p.named = map[int]circuit.Op{}
+			}
+			p.named[i] = c.Ops[i]
+		}
+	}
 
 	flush := func(q int) {
 		pd := &pend[q]
@@ -230,19 +304,24 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 	}
 
 	for i, op := range c.Ops {
+		if relabeled {
+			op, onBitsBuf = onBits(op, bitOf, onBitsBuf)
+		}
+		p.bits[i] = [2]int{-1, -1}
+		for k := 0; k < min(2, len(op.Qubits)); k++ {
+			p.bits[i][k] = op.Qubits[k]
+		}
 		switch len(op.Qubits) {
 		case 1:
 			q := op.Qubits[0]
 			if q < 0 || q >= c.N {
-				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
-				src[i] = len(p.ops) - 1
+				barrier(i, op)
 				continue
 			}
 			u, err := circuit.Unitary(op)
 			if err != nil || u.Rows != 2 || u.Cols != 2 {
 				flush(q)
-				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
-				src[i] = len(p.ops) - 1
+				barrier(i, op)
 				continue
 			}
 			pd := &pend[q]
@@ -257,8 +336,19 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 		case 2:
 			qa, qb := op.Qubits[0], op.Qubits[1]
 			if qa < 0 || qa >= c.N || qb < 0 || qb >= c.N || qa == qb {
-				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
+				barrier(i, op)
+				continue
+			}
+			if virtualSwaps && op.Name == "swap" && op.U == nil {
+				// Relabel: the two qubits trade bits, and nothing moves.
+				flush(qa)
+				flush(qb)
+				p.ops = append(p.ops, member{kind: kRelabel, idx: i, qa: qa, qb: qb})
 				src[i] = len(p.ops) - 1
+				a, b := c.Ops[i].Qubits[0], c.Ops[i].Qubits[1]
+				bitOf[a], bitOf[b] = qb, qa
+				p.bits[i] = [2]int{qb, qa}
+				relabeled = true
 				continue
 			}
 			if d, ok := diag2QPhases(op); ok {
@@ -298,8 +388,7 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 			if err != nil || u2q.Rows != 4 || u2q.Cols != 4 {
 				flush(qa)
 				flush(qb)
-				p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
-				src[i] = len(p.ops) - 1
+				barrier(i, op)
 				continue
 			}
 			u4 := u2q
@@ -325,16 +414,21 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 				linalg.KronInto(kron, ua, ub) // qa is the high bit of the gate basis
 				u4 = linalg.Mul4x4(u2q, kron)
 			}
-			u4 = p.absorbBackward2Q(qa, qb, u4, dead)
-			p.ops = append(p.ops, member{kind: kMat2Q, idx: i, qa: qa, qb: qb, u: u4})
+			u4, flip := p.absorbBackward2Q(qa, qb, u4, dead)
+			p.ops = append(p.ops, member{kind: kMat2Q, idx: i, qa: qa, qb: qb, u: u4, flip: flip})
 			src[i] = len(p.ops) - 1
 		default:
-			p.ops = append(p.ops, member{kind: kOp, idx: i, op: op})
-			src[i] = len(p.ops) - 1
+			barrier(i, op)
 		}
 	}
 	for q := 0; q < c.N; q++ {
-		flush(q)
+		flush(bitOf[q]) // in qubit order, as a schedule without relabels flushes
+	}
+	for q, b := range bitOf {
+		if b != q {
+			p.final = bitOf
+			break
+		}
 	}
 	if len(dead) > 0 {
 		remap := make([]int, len(p.ops))
@@ -363,11 +457,20 @@ func scheduleUnlayered(c *circuit.Circuit) *Program {
 // entries: 1Q entries on either qubit, diagonal/full 4×4 entries on the
 // same pair, and specialized-2Q passthroughs on the same oriented pair all
 // right-multiply into the matrix (they precede it in program order) and
-// their sweeps disappear. Absorbed entries are marked kDead and recorded
-// in dead for the compaction pass. Never mutates u4 in place — it may
-// still alias the source op's own matrix. Returns the folded matrix.
-func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]int) *linalg.Matrix {
+// their sweeps disappear. A relabel of the pair folds where a swap
+// passthrough on the same oriented qubits would: the bits held the two
+// qubits in the other order before it, so the matrix and the pair are
+// reversed and the scan reads on (the matrix is turned back at the end).
+// So does a folded kMat2Q that holds such a relabel itself (flip), since
+// the real SWAP inside it would have moved the qubits too. Absorbed entries
+// are marked kDead and recorded in dead for the compaction pass. Never
+// mutates u4 in place — it may still alias the source op's own matrix.
+// Returns the folded matrix, and whether it folded an odd number of
+// relabels.
+func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]int) (*linalg.Matrix, bool) {
 	target := len(p.ops) // the index the arriving kMat2Q will occupy
+	reversed := false
+scan:
 	for i, steps := len(p.ops)-1, 0; i >= 0 && steps < mergeWindow; i, steps = i-1, steps+1 {
 		f := &p.ops[i]
 		if f.kind == kDead {
@@ -389,7 +492,7 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 		case kDiag2Q:
 			if !((f.qa == qa && f.qb == qb) || (f.qa == qb && f.qb == qa)) {
 				if f.touches(qa) || f.touches(qb) {
-					return u4 // shares one qubit: blocks the scan
+					break scan // shares one qubit: blocks the scan
 				}
 				continue
 			}
@@ -406,11 +509,16 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 		case kMat2Q:
 			if f.qa != qa || f.qb != qb {
 				if f.touches(qa) || f.touches(qb) {
-					return u4
+					break scan
 				}
 				continue
 			}
 			u4 = linalg.Mul4x4(u4, f.u)
+			if f.flip {
+				u4 = reverse4(u4)
+				qa, qb = qb, qa
+				reversed = !reversed
+			}
 		case kOp:
 			if !f.touches(qa) && !f.touches(qb) {
 				continue
@@ -418,7 +526,7 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 			if len(f.op.Qubits) == 1 {
 				u, err := circuit.Unitary(f.op)
 				if err != nil || u.Rows != 2 || u.Cols != 2 {
-					return u4
+					break scan
 				}
 				u4 = linalg.Mul4x4(u4, expand1Q(f.op.Qubits[0] == qa, u))
 				break
@@ -428,14 +536,24 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 			if len(f.op.Qubits) == 2 && f.op.Qubits[0] == qa && f.op.Qubits[1] == qb {
 				u, err := circuit.Unitary(f.op)
 				if err != nil || u.Rows != 4 || u.Cols != 4 {
-					return u4
+					break scan
 				}
 				u4 = linalg.Mul4x4(u4, u)
 				break
 			}
-			return u4
+			break scan
+		case kRelabel:
+			if !f.touches(qa) && !f.touches(qb) {
+				continue
+			}
+			if f.qa != qb || f.qb != qa {
+				break scan
+			}
+			u4 = reverse4(u4)
+			qa, qb = qb, qa
+			reversed = !reversed
 		default:
-			return u4 // kLayer or unknown: never absorbed
+			break scan // kLayer or unknown: never absorbed
 		}
 		f.kind = kDead
 		f.qa, f.qb = -1, -1
@@ -444,7 +562,38 @@ func (p *Program) absorbBackward2Q(qa, qb int, u4 *linalg.Matrix, dead map[int]i
 		dead[i] = target
 		p.Fused++
 	}
-	return u4
+	if reversed {
+		u4 = reverse4(u4)
+	}
+	return u4, reversed
+}
+
+// reverse4 re-expresses a 4×4 on the reversed pair, SWAP·u·SWAP: the
+// gate basis's |01⟩ and |10⟩ trade places in both rows and columns.
+func reverse4(u *linalg.Matrix) *linalg.Matrix {
+	perm := [4]int{0, 2, 1, 3}
+	out := linalg.New(4, 4)
+	for r := range 4 {
+		for c := range 4 {
+			out.Data[4*r+c] = u.Data[4*perm[r]+perm[c]]
+		}
+	}
+	return out
+}
+
+// onBits returns op acting on the bits its qubits occupy (bitOf[q] for
+// each qubit q in range). The new qubit list is appended to buf, never
+// written through to the circuit's; buf comes back for the next call.
+func onBits(op circuit.Op, bitOf, buf []int) (circuit.Op, []int) {
+	start := len(buf)
+	for _, q := range op.Qubits {
+		if q >= 0 && q < len(bitOf) {
+			q = bitOf[q]
+		}
+		buf = append(buf, q)
+	}
+	op.Qubits = buf[start:len(buf):len(buf)]
+	return op, buf
 }
 
 // absorbMat1Q folds a flushing 2×2 on qubit q into an earlier kMat2Q
@@ -540,14 +689,53 @@ func (s *State) RunProgram(p *Program) error { return s.RunProgramCtx(context.Ba
 // granularity), so a deadline-bound simulation stops within one step
 // instead of running the schedule to completion. The state is left
 // partially evolved on cancellation and must be discarded.
+//
+// The program runs in its own labeling, where a swap only changed which
+// bit holds which qubit (see Bits); once every step has run, one pass puts
+// the amplitudes back in the circuit's labeling, qubit q on bit q. A
+// program that relabels nothing skips that pass.
 func (s *State) RunProgramCtx(ctx context.Context, p *Program) error {
-	return s.runSteps(ctx, p, 0, len(p.ops))
+	if err := s.runSteps(ctx, p, 0, len(p.ops)); err != nil {
+		return err
+	}
+	if p.final != nil {
+		s.unlabel(p.final)
+	}
+	return nil
+}
+
+// unlabel moves every amplitude from the labeling where qubit q sits on
+// bit final[q] to the one where it sits on bit q; qubits past len(final)
+// stay put. The index map is looked up in two tables, one per half of the
+// index, each built bit by bit.
+func (s *State) unlabel(final []int) {
+	to := make([]int, s.N) // storage bit position → circuit index mask
+	for pos := range to {
+		to[pos] = 1 << pos
+	}
+	for q, b := range final {
+		to[s.N-1-b] = s.maskOf(q)
+	}
+	half := s.N / 2
+	lo, hi := make([]int, 1<<half), make([]int, 1<<(s.N-half))
+	for k := 1; k < len(lo); k++ {
+		lo[k] = lo[k&(k-1)] | to[bits.TrailingZeros(uint(k))]
+	}
+	for k := 1; k < len(hi); k++ {
+		hi[k] = hi[k&(k-1)] | to[half+bits.TrailingZeros(uint(k))]
+	}
+	src := slices.Clone(s.Amp)
+	for i, a := range src {
+		s.Amp[lo[i&(len(lo)-1)]|hi[i>>half]] = a
+	}
 }
 
 // RunProgramSteps applies schedule steps [from, to) of a compiled program.
 // Noise trajectories step a shared Program one step at a time, injecting
-// Pauli errors at the boundaries StepForOp names; from/to outside
-// [0, Steps] are clamped.
+// Pauli errors at the boundaries StepForOp names, on the bits Bits names;
+// from/to outside [0, Steps] are clamped. The state stays in the program's
+// labeling (see Bits): unlike RunProgramCtx, it is never moved back to the
+// circuit's.
 func (s *State) RunProgramSteps(p *Program, from, to int) error {
 	if from < 0 {
 		from = 0
@@ -571,6 +759,12 @@ func (s *State) runSteps(ctx context.Context, p *Program, from, to int) error {
 		switch f.kind {
 		case kOp:
 			if err := s.ApplyOp(f.op); err != nil {
+				if op, ok := p.named[f.idx]; ok {
+					// Relabeling keeps an op valid or not, so the circuit's
+					// op fails too, naming the circuit's qubits.
+					_, err = opMember(op, s.N)
+					return fmt.Errorf("sim: op %d (%s): %w", f.idx, op, err)
+				}
 				return fmt.Errorf("sim: op %d (%s): %w", f.idx, f.op, err)
 			}
 		case kLayer:

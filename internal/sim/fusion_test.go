@@ -164,7 +164,7 @@ func TestScheduleShapes(t *testing.T) {
 	c.Z(2)
 	c.CP(0, 1, 0.4)
 	c.CP(1, 0, 0.5) // opposite orientation still merges
-	p := scheduleUnlayered(c)
+	p := scheduleUnlayered(c, true)
 	nDiag2 := 0
 	for _, f := range p.ops {
 		if f.kind == kDiag2Q {

@@ -23,9 +23,10 @@ import (
 // row's products are summed left to right, as written below. That holds
 // against the Go loops compiled at the default GOAMD64=v1; at v3 Go itself
 // fuses multiply-adds, which round once and move the last bit, and so
-// would an FMA routine. The exchanges (tileX, tileCX, tileSwap) are plain
-// 16-byte moves, and tileMix is on no timed path, so they are Go
-// everywhere.
+// would an FMA routine. The exchanges (tileX, tileCX) are plain 16-byte
+// moves, and tileMix is on no timed path, so they are Go everywhere. A
+// scheduled SWAP runs no kernel at all: it is a kRelabel member, a change of
+// which storage bit holds which qubit (fusion.go).
 
 // iSWAP-family inner-block entries, read once from the same memoized
 // matrices circuit.Unitary resolves, so the mix kernel multiplies the exact
@@ -40,17 +41,17 @@ var (
 type kind uint8
 
 const (
-	kMat1Q  kind = iota // generic 2×2 u on qa
-	kDiag1Q             // diag(d[0], d[1]) on qa
-	kX                  // Pauli-X: amplitude pair exchange on qa
-	kMat2Q              // generic 4×4 u on (qa, qb), qa the high bit of the gate basis
-	kDiag2Q             // diag(d) in the |qa qb⟩ basis
-	kCX                 // CNOT, qa controls
-	kSwap               // SWAP
-	kMix                // iSWAP-family inner block: d[0] = diag, d[1] = off
-	kOp                 // a source op kept as is (see Schedule); a barrier to layering
-	kLayer              // batched independent members (layer.go)
-	kDead               // absorbed into a later entry; dropped by compaction
+	kMat1Q   kind = iota // generic 2×2 u on qa
+	kDiag1Q              // diag(d[0], d[1]) on qa
+	kX                   // Pauli-X: amplitude pair exchange on qa
+	kMat2Q               // generic 4×4 u on (qa, qb), qa the high bit of the gate basis
+	kDiag2Q              // diag(d) in the |qa qb⟩ basis
+	kCX                  // CNOT, qa controls
+	kRelabel             // SWAP as a relabeling of (qa, qb): no kernel
+	kMix                 // iSWAP-family inner block: d[0] = diag, d[1] = off
+	kOp                  // a source op kept as is (see Schedule); a barrier to layering
+	kLayer               // batched independent members (layer.go)
+	kDead                // absorbed into a later entry; dropped by compaction
 )
 
 // member is one operation of a compiled schedule: a step of its own, or
@@ -61,6 +62,7 @@ type member struct {
 	qa, qb  int
 	d       [4]complex128  // diagonal kinds; kMix uses d[0] (diag), d[1] (off)
 	u       *linalg.Matrix // kMat1Q (2×2) and kMat2Q (4×4)
+	flip    bool           // kMat2Q that folded an odd number of relabels of its pair
 	op      circuit.Op     // kOp only
 	members []member       // kLayer only, in program order
 }
@@ -99,10 +101,12 @@ func diag2QPhases(op circuit.Op) ([4]complex128, bool) {
 
 // opMember validates an op against an n-qubit register and converts it to
 // the member that applies it: named diagonal gates (z/s/sdg/t/tdg/rz/p,
-// cz/cp/rzz) become pure phase multiplies, x/cx/swap amplitude exchanges,
+// cz/cp/rzz) become pure phase multiplies, x/cx amplitude exchanges,
 // and the iSWAP family (iswap/siswap — the SNAIL-native basis gates) a 2×2
 // mix of each quad's |01⟩/|10⟩ pair. Every other gate, and any op carrying
-// an explicit unitary, becomes a generic 2×2 or 4×4 member. The specialized
+// an explicit unitary, becomes a generic 2×2 or 4×4 member; so does swap,
+// which the scheduler relabels instead and ApplyOp, the op-by-op reference,
+// applies as its 4×4 unitary. The specialized
 // kernels are exact: they compute the generic kernels' floating-point
 // products minus the terms that are structurally zero or one.
 func opMember(op circuit.Op, n int) (member, error) {
@@ -163,8 +167,6 @@ func opMember(op circuit.Op, n int) (member, error) {
 			switch op.Name {
 			case "cx":
 				return member{kind: kCX, qa: qa, qb: qb}, nil
-			case "swap":
-				return member{kind: kSwap, qa: qa, qb: qb}, nil
 			case "iswap":
 				return member{kind: kMix, qa: qa, qb: qb, d: [4]complex128{iswapDiag, iswapOff}}, nil
 			case "siswap":
@@ -199,7 +201,7 @@ func (s *State) ApplyOp(op circuit.Op) error {
 // first amplitude has global index base. region = s.Amp, base = 0 is a
 // whole-array sweep; a layer pass hands in one tile at a time, and only
 // diagonal members may have a stride outside it (their kernels read the
-// qubit's bit from base).
+// qubit's bit from base). A kRelabel member has no kernel and moves nothing.
 func (s *State) apply(m *member, region []complex128, base int) {
 	switch m.kind {
 	case kMat1Q:
@@ -214,8 +216,6 @@ func (s *State) apply(m *member, region []complex128, base int) {
 		tileDiag2Q(region, base, s.maskOf(m.qa), s.maskOf(m.qb), m.d)
 	case kCX:
 		tileCX(region, s.maskOf(m.qa), s.maskOf(m.qb))
-	case kSwap:
-		tileSwap(region, s.maskOf(m.qa), s.maskOf(m.qb))
 	case kMix:
 		tileMix(region, s.maskOf(m.qa), s.maskOf(m.qb), m.d[0], m.d[1])
 	}
@@ -367,23 +367,6 @@ func tileCX(region []complex128, maskA, maskB int) {
 				i10 := i00 + maskA
 				i11 := i10 + maskB
 				region[i10], region[i11] = region[i11], region[i10]
-			}
-		}
-	}
-}
-
-// tileSwap applies SWAP over a region: exchange the |01⟩ and |10⟩
-// amplitudes of every quad.
-func tileSwap(region []complex128, maskA, maskB int) {
-	lo, hi := maskA, maskB
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for outer := 0; outer < len(region); outer += hi << 1 {
-		for mid := outer; mid < outer+hi; mid += lo << 1 {
-			for i00 := mid; i00 < mid+lo; i00++ {
-				i01, i10 := i00+maskB, i00+maskA
-				region[i01], region[i10] = region[i10], region[i01]
 			}
 		}
 	}

@@ -145,8 +145,8 @@ func (s *State) crossTile(m *member, tile int) bool {
 // and the two run back to back, and one left unpaired runs after every
 // other member. Members on disjoint qubits commute, but not in the last
 // bits: a phase d applied after a 2×2 rounds as d·(u00·a0 + u01·a1),
-// before it as u00·(d·a0) + u01·(d·a1). Keeping the order keeps every
-// Monte-Carlo estimate of noise.MonteCarloVersion lockstep/v2
+// before it as u00·(d·a0) + u01·(d·a1). The order has been kept since
+// noise.MonteCarloVersion lockstep/v2, whose estimates it decided
 // (TestLayerOrderBits pins it).
 func (s *State) applyLayer(members []member) {
 	tile := min(1<<layerTileExp, len(s.Amp))

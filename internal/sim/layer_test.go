@@ -248,7 +248,7 @@ func TestScheduleBackwardAbsorption(t *testing.T) {
 	c.CZ(0, 1) // merges with the cp
 	c.T(2)     // disjoint: commutes past, stays its own entry
 	c.SU4(0, 1, gates.RandomSU4(rng))
-	p = scheduleUnlayered(c) // pinned pre-layering: the layer pass would batch the leftover t
+	p = scheduleUnlayered(c, true) // pinned pre-layering: the layer pass would batch the leftover t
 	n2q := 0
 	for i := range p.ops {
 		if p.ops[i].kind == kMat2Q {

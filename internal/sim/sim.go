@@ -8,14 +8,18 @@
 // Every gate, fused or not, runs through one set of stride-based region
 // kernels per platform (kernels.go): a 2×2 or 4×4 matrix for generic
 // gates, phase multiplies for diagonals (z/s/sdg/t/tdg/rz/p/cz/cp/rzz),
-// amplitude exchanges for x/cx/swap, and a 2×2 inner-block mix for the
-// iSWAP family (iswap/siswap — the SNAIL-native basis gates). A kernel
-// visits each (i, i+2^k) pair or index quad of its region exactly once,
-// and the same kernel sweeps either the whole amplitude array or one
-// cache-sized tile of a batched layer (layer.go). Apply1Q, Apply2Q and
-// ApplyOp validate their input and sweep the whole array; Run compiles the
-// circuit with the fusion scheduler (fusion.go) first. Every specialized
-// kernel is checked against the generic matrix kernels in kernels_test.go.
+// amplitude exchanges for x/cx, and a 2×2 inner-block mix for the iSWAP
+// family (iswap/siswap — the SNAIL-native basis gates). A kernel visits
+// each (i, i+2^k) pair or index quad of its region exactly once, and the
+// same kernel sweeps either the whole amplitude array or one cache-sized
+// tile of a batched layer (layer.go). Apply1Q, Apply2Q and ApplyOp
+// validate their input and sweep the whole array (ApplyOp runs a swap as
+// its 4×4 unitary); RunCtx compiles the circuit with the fusion scheduler
+// (fusion.go) first, which runs no kernel for a swap at all: it relabels
+// which bit of the amplitude index holds which qubit, and moves the
+// amplitudes back to the circuit's labeling once, at the end. Every
+// specialized kernel is checked against the generic matrix kernels in
+// kernels_test.go.
 //
 // The Go loops of kernels.go are the portable kernel set. On amd64 the
 // matrix kernels and the strided complex scale under every phase multiply
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/linalg"
@@ -72,11 +77,10 @@ func NewBasisState(n int, bits int) (*State, error) {
 	return s, nil
 }
 
-// Copy returns a deep copy of the state.
+// Copy returns a deep copy of the state. slices.Clone allocates without
+// zeroing the buffer the copy then overwrites.
 func (s *State) Copy() *State {
-	out := &State{N: s.N, Amp: make([]complex128, len(s.Amp))}
-	copy(out.Amp, s.Amp)
-	return out
+	return &State{N: s.N, Amp: slices.Clone(s.Amp)}
 }
 
 // maskOf returns the amplitude-index mask of qubit q.

@@ -194,4 +194,17 @@ func TestErrors(t *testing.T) {
 	if err := s.Apply2Q(0, 0, gates.CX()); err == nil {
 		t.Error("repeated qubit accepted")
 	}
+	// An op no kernel can run is reported as the circuit names it, even
+	// where a swap has moved its qubits to other bits.
+	for _, bad := range []circuit.Op{{Name: "bogus", Qubits: []int{0}}, {Name: "cx", Qubits: []int{2, 2}}} {
+		c := circuit.New(3)
+		c.Swap(0, 2)
+		c.Ops = append(c.Ops, bad) // past Append, which refuses the repeated qubit
+		a, _ := NewState(3)
+		b, _ := NewState(3)
+		fused, unfused := a.RunCtx(context.Background(), c), b.RunUnfused(c)
+		if fused == nil || unfused == nil || fused.Error() != unfused.Error() {
+			t.Errorf("scheduled run reports %v, op-by-op run %v", fused, unfused)
+		}
+	}
 }

@@ -30,8 +30,11 @@
 #     with the full-run algorithm it replaced within 1e-12 on routed
 #     circuits at widths 12–16, in both regimes and with a per-edge
 #     override; plus hand-built edge cases, the live-fork cap and the zero-allocation
-#     error-free trajectory (-run TestLockstep in internal/noise), under the
-#     race detector.
+#     error-free trajectory (-run TestLockstep in internal/noise), and the
+#     virtual SWAPs: on swap-dense circuits the estimator, whose program
+#     relabels qubits at each SWAP, must match the full run of a program
+#     that applies every SWAP as a kernel (TestVirtualSwapsMatchRealSwaps),
+#     all under the race detector.
 #   * lazy-perturbation fuzz arm: the router's counter-based gaussian
 #     draws, made on first read and kept under per-pair generation stamps,
 #     must bit-equal the eager loop that draws every pair's ordinal, for
@@ -64,6 +67,16 @@
 #     write must carry the same Float64bits as the Go loops'
 #     (FuzzSSE2KernelsMatchGo in internal/sim, run for -fuzztime=10s on top
 #     of its committed seed corpus in internal/sim/testdata/fuzz/).
+#   * simulator differential fuzz arm: random circuits over the full gate
+#     vocabulary, swap-dense, at widths 2–16 biased to 12–16 so the layer
+#     pass's tiles are crossed, run from one random state through RunCtx
+#     (fused, layered, SWAPs relabeled), RunUnfused and a real-SWAP program
+#     (ScheduleRealSwaps) must each match a naive dense-unitary reference
+#     that shares no kernel with the simulator, within 1e-12; the relabeled
+#     and real-SWAP programs must have the same steps and error sites, and
+#     the stepped state must match the reference on the labeling
+#     Program.Bits reports (FuzzScheduleMatchesReference in internal/sim,
+#     run for -fuzztime=10s on top of its committed seed corpus).
 #   * wire-request fuzz arm: any /evaluate or /sweep body must fail the
 #     handler's decode or validation with an error (its 400 path, never a
 #     panic) or convert to options that survive conversion → inverse →
@@ -71,6 +84,15 @@
 #     (core.Options.Identity) and the same sweep journal key
 #     (FuzzWireRequest in internal/daemon, run for -fuzztime=10s on top of
 #     its committed seed corpus in internal/daemon/testdata/fuzz/).
+#   * stale-cache probe arm: twenty EvaluateContext calls (both routers,
+#     profile-guided on and off, every noise route and fidelity model,
+#     three registry families, two workloads), hashed over each routed
+#     fingerprint, the integer metrics and the float metrics at the
+#     goldens' printed precision, must give the hash pinned for the current
+#     evaluateKeyDomain and noise.MonteCarloVersion; a moved hash under an
+#     unchanged domain fails with "bump evaluateKeyDomain", so a persistent
+#     cache never serves an older build's numbers as fresh (TestEvaluateProbe
+#     in internal/core, well under 2 s).
 #   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
 #     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
 #     mean must stay within 3 Welch standard errors of the committed
@@ -296,8 +318,8 @@ go test -count=1 -run 'TestRegistryIntegrity' ./internal/arch
 echo "check: noise-model equivalence (Monte-Carlo vs closed-form count model)"
 go test -count=1 -run 'TestNoiseEquivalence' ./internal/noise
 
-echo "check: lockstep trajectories vs the full-run reference under the race detector"
-GOMAXPROCS=4 go test -race -count=1 -run 'TestLockstep' ./internal/noise
+echo "check: lockstep trajectories and virtual SWAPs vs the full-run reference under the race detector"
+GOMAXPROCS=4 go test -race -count=1 -run 'TestLockstep|TestVirtualSwapsMatchRealSwaps' ./internal/noise
 
 echo "check: chaos suite under the race detector (-run 'Fault|Chaos|Resume')"
 GOMAXPROCS=4 go test -race -count=1 -run 'Fault|Chaos|Resume' ./internal/...
@@ -314,8 +336,14 @@ go test -run '^$' -fuzz '^FuzzCountedTranslationMatchesBuilt$' -fuzztime=10s ./i
 echo "check: fuzzing the SSE2 kernels against the Go loops, bit for bit (10s)"
 go test -run '^$' -fuzz '^FuzzSSE2KernelsMatchGo$' -fuzztime=10s ./internal/sim
 
+echo "check: fuzzing the scheduled simulator against a naive dense-unitary reference (10s)"
+go test -run '^$' -fuzz '^FuzzScheduleMatchesReference$' -fuzztime=10s ./internal/sim
+
 echo "check: fuzzing the daemon's wire conversion against its inverse (10s)"
 go test -run '^$' -fuzz '^FuzzWireRequest$' -fuzztime=10s ./internal/daemon
+
+echo "check: stale-cache probe (TestEvaluateProbe: a moved evaluation needs a new key domain)"
+go test -count=1 -run '^TestEvaluateProbe$' ./internal/core
 
 echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
 CLAIMS_START=$SECONDS
