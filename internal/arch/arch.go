@@ -258,8 +258,14 @@ func Parse(s string) (Arch, error) {
 	if !hasParams || strings.TrimSpace(rest) == "" {
 		return a, nil
 	}
+	parts, unclosed := splitOutsideParens(rest, ',')
+	if unclosed {
+		// The open parenthesis would swallow every parameter String
+		// sorts after it.
+		return Arch{}, fmt.Errorf("arch: %s: unclosed parenthesis in %q", fam.Name, strings.TrimSpace(rest))
+	}
 	seen := map[string]bool{}
-	for _, part := range splitOutsideParens(rest, ',') {
+	for _, part := range parts {
 		key, val, ok := strings.Cut(part, "=")
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if !ok || key == "" || val == "" {
@@ -370,7 +376,8 @@ func ParseNoise(s string) (*NoiseProfile, error) {
 	}
 	p := &NoiseProfile{}
 	seen := map[string]bool{}
-	for _, part := range splitOutsideParens(s, ',') {
+	parts, _ := splitOutsideParens(s, ',')
+	for _, part := range parts {
 		key, val, ok := strings.Cut(part, "=")
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if !ok || key == "" || val == "" {
@@ -442,9 +449,9 @@ func (a Arch) String() string {
 }
 
 // splitOutsideParens splits s on every sep not enclosed in parentheses, so
-// display labels like "Corral(1,1)" survive parameter and list splitting.
-func splitOutsideParens(s string, sep byte) []string {
-	var out []string
+// display labels like "Corral(1,1)" survive parameter and list splitting,
+// and reports whether s leaves a parenthesis open.
+func splitOutsideParens(s string, sep byte) (parts []string, unclosed bool) {
 	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -456,12 +463,12 @@ func splitOutsideParens(s string, sep byte) []string {
 			}
 		case sep:
 			if depth == 0 {
-				out = append(out, s[start:i])
+				parts = append(parts, s[start:i])
 				start = i + 1
 			}
 		}
 	}
-	return append(out, s[start:])
+	return append(parts, s[start:]), depth > 0
 }
 
 // SplitList cuts a list of specs into individual spec strings. Semicolons
@@ -479,7 +486,8 @@ func SplitList(s string) []string {
 				cur = nil
 			}
 		}
-		for _, tok := range splitOutsideParens(chunk, ',') {
+		toks, _ := splitOutsideParens(chunk, ',')
+		for _, tok := range toks {
 			trimmed := strings.TrimSpace(tok)
 			head := trimmed
 			if i := strings.IndexByte(trimmed, ':'); i >= 0 {

@@ -15,18 +15,19 @@ import (
 // strided complex scale under tileDiag1Q, diagQuarter and so tileDiag2Q —
 // are bound per platform: kernels_generic.go forwards them to the Go loops
 // here (tileMat1QGo, tileMat2QGo, scaleGo), and on amd64 kernels_amd64.go
-// runs them as SSE2 routines, with the Go loops kept as the oracle
-// FuzzSSE2KernelsMatchGo compares them against bit for bit. The routines
-// are exact: Go lowers m·a to (mr·ar − mi·ai, mr·ai + mi·ar); SSE2 forms
-// (mr·ar, mr·ai) + (−mi·ai, mi·ar), which is the same pair of IEEE results
-// because (−x)·y = −(x·y), x + (−y) = x − y and addition commutes; and a
-// row's products are summed left to right, as written below. That holds
-// against the Go loops compiled at the default GOAMD64=v1; at v3 Go itself
-// fuses multiply-adds, which round once and move the last bit, and so
-// would an FMA routine. The exchanges (tileX, tileCX) are plain 16-byte
-// moves, and tileMix is on no timed path, so they are Go everywhere. A
-// scheduled SWAP runs no kernel at all: it is a kRelabel member, a change of
-// which storage bit holds which qubit (fusion.go).
+// runs them as AVX routines, or as the Go loops on a host without AVX, with
+// the Go loops kept as the oracle FuzzAVXKernelsMatchGo compares the
+// routines against bit for bit. The routines are exact: Go lowers m·a to
+// (mr·ar − mi·ai, mr·ai + mi·ar); AVX forms (mr·ar, mr·ai) + (−mi·ai, mi·ar),
+// which is the same pair of IEEE results because (−x)·y = −(x·y),
+// x + (−y) = x − y and addition commutes; and a row's products are summed
+// left to right, as written below. That holds against the Go loops
+// compiled at the default GOAMD64=v1; at v3 Go itself fuses multiply-adds,
+// which round once and move the last bit, and so would an FMA routine. The
+// exchanges (tileX, tileCX) are plain 16-byte moves, and tileMix is on no
+// timed path, so they are Go everywhere. A scheduled SWAP runs no kernel at
+// all: it is a kRelabel member, a change of which storage bit holds which
+// qubit (fusion.go).
 
 // iSWAP-family inner-block entries, read once from the same memoized
 // matrices circuit.Unitary resolves, so the mix kernel multiplies the exact

@@ -1,3 +1,8 @@
+//go:build amd64
+
+// Off amd64 the Go loops are the only kernel set, so nothing here has a
+// second set to compare.
+
 package sim
 
 import (
@@ -62,16 +67,18 @@ func requireSameBits(t *testing.T, name string, region []complex128, platform, g
 	}
 }
 
-// FuzzSSE2KernelsMatchGo pins the platform kernel set to the Go loops bit
-// for bit. On amd64 tileMat1Q, tileMat2Q and scale run SSE2 routines, and
-// every amplitude they write must carry the Float64bits the Go loop
-// writes; elsewhere both sides are the Go loops. scale is checked at the
-// three stride shapes its callers use: a half of a 1Q stride (tileDiag1Q
-// below the region), the whole region (tileDiag1Q's fixed-bit scalar) and
-// a quarter of a pair's quads (diagQuarter). Inputs: widths 1–14, masks in
-// both orders, a region that is the whole array or a tile at a nonzero
-// base, and factors and amplitudes from fuzzFactor.
-func FuzzSSE2KernelsMatchGo(f *testing.F) {
+// FuzzAVXKernelsMatchGo pins the AVX kernel set to the Go loops bit for
+// bit: every amplitude tileMat1Q, tileMat2Q and scale write must carry the
+// Float64bits the Go loop writes. It skips on a host without AVX, where the
+// wrappers run the Go loops themselves. scale is checked at the three
+// stride shapes its callers use: a half of a 1Q stride (tileDiag1Q below
+// the region), the whole region (tileDiag1Q's fixed-bit scalar) and a
+// quarter of a pair's quads (diagQuarter). Inputs: widths 1–14, masks in
+// both orders (so runs of one amplitude, the VEX.128 path, and of two or
+// more), a region that is the whole array or a tile at a nonzero base, and
+// factors and amplitudes from fuzzFactor.
+func FuzzAVXKernelsMatchGo(f *testing.F) {
+	skipWithoutAVX(f)
 	f.Fuzz(func(t *testing.T, nb, qa, qb uint8, tiled bool, seed int64) {
 		n := 1 + int(nb)%14
 		r := rand.New(rand.NewSource(seed))
@@ -123,8 +130,9 @@ func FuzzSSE2KernelsMatchGo(f *testing.F) {
 // BenchmarkKernels reports ns per amplitude of each complex-arithmetic
 // kernel over a 13-qubit region (scale at tileDiag1Q's half-stride shape
 // and diagQuarter's quarter shape), once as the Go loop and once as the
-// platform kernel (SSE2 on amd64, the Go loop again elsewhere), at the
-// lowest, a middle and the highest strides.
+// assembly routine (AVX; the Go loop again on a host without it), at the
+// lowest strides (a run of one amplitude, the VEX.128 path), the lowest
+// with runs of two (lo = 2), a middle and the highest strides.
 func BenchmarkKernels(b *testing.B) {
 	const n = 13
 	rng := rand.New(rand.NewSource(1))
@@ -141,21 +149,21 @@ func BenchmarkKernels(b *testing.B) {
 	}{
 		{"mat1Q", [2]side{
 			{"go", func(lo, _ int) { tileMat1QGo(amp, lo, u) }},
-			{"sse2", func(lo, _ int) { tileMat1Q(amp, lo, u) }}}},
+			{"asm", func(lo, _ int) { tileMat1Q(amp, lo, u) }}}},
 		{"mat2Q", [2]side{
 			{"go", func(lo, hi int) { tileMat2QGo(amp, hi, lo, u4) }},
-			{"sse2", func(lo, hi int) { tileMat2Q(amp, hi, lo, u4) }}}},
+			{"asm", func(lo, hi int) { tileMat2Q(amp, hi, lo, u4) }}}},
 		{"scaleHalf", [2]side{
 			{"go", func(lo, _ int) { scaleGo(amp, lo, len(amp), lo, d) }},
-			{"sse2", func(lo, _ int) { scale(amp, lo, len(amp), lo, d) }}}},
+			{"asm", func(lo, _ int) { scale(amp, lo, len(amp), lo, d) }}}},
 		{"scaleQuarter", [2]side{
 			{"go", func(lo, hi int) { scaleGo(amp, lo, hi, lo|hi, d) }},
-			{"sse2", func(lo, hi int) { scale(amp, lo, hi, lo|hi, d) }}}},
+			{"asm", func(lo, hi int) { scale(amp, lo, hi, lo|hi, d) }}}},
 	}
 	strides := []struct {
 		name   string
 		lo, hi int
-	}{{"low", 1, 2}, {"mid", 1 << 5, 1 << 7}, {"high", 1 << (n - 2), 1 << (n - 1)}}
+	}{{"low", 1, 2}, {"lo2", 2, 4}, {"mid", 1 << 5, 1 << 7}, {"high", 1 << (n - 2), 1 << (n - 1)}}
 	for _, k := range kernels {
 		for _, st := range strides {
 			for _, sd := range k.sides {

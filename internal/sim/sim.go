@@ -23,13 +23,13 @@
 //
 // The Go loops of kernels.go are the portable kernel set. On amd64 the
 // matrix kernels and the strided complex scale under every phase multiply
-// are SSE2 routines (kernels_amd64.s)
-// that perform the Go loops' IEEE operations in the same order, two
-// float64 lanes at a time, so every amplitude, and every Monte-Carlo
-// estimate built on them, is bit-identical; the Go loops are their oracle
-// (FuzzSSE2KernelsMatchGo). The routines use no FMA, whose single rounding
-// would move those bits, and no AVX, which the GOAMD64=v1 baseline does not
-// guarantee: SSE2 needs no CPU dispatch and no third code path.
+// are AVX routines (kernels_amd64.s), chosen once at load time by a
+// CPUID/XGETBV check, that perform the Go loops' IEEE operations in the
+// same order, two amplitudes per 256-bit register, so every amplitude, and
+// every Monte-Carlo estimate built on them, is bit-identical; the Go loops
+// are their oracle (FuzzAVXKernelsMatchGo). An amd64 host without AVX runs
+// the Go loops and gets the same bits (TestKernelSetsSameBits). The
+// routines use no FMA, whose single rounding would move those bits.
 package sim
 
 import (

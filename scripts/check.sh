@@ -2,7 +2,7 @@
 # check.sh — static and concurrency preflight for the repository:
 #   * gofmt -l over every Go file: unformatted code is rejected repo-wide
 #   * go vet over every package (on amd64 this includes asmdecl, which
-#     checks the SSE2 kernels' frame sizes and argument names against their
+#     checks the AVX kernels' frame sizes and argument names against their
 #     Go declarations)
 #   * portable-path vet: GOARCH=arm64 go vet ./... compiles and vets the
 #     files amd64 leaves out (internal/sim/kernels_generic.go binds the
@@ -58,15 +58,22 @@
 #     (to the bit) must equal those read from TranslateToBasis's circuit
 #     (FuzzCountedTranslationMatchesBuilt in internal/transpile, run for
 #     -fuzztime=10s on top of its committed seed corpus).
-#   * SSE2 kernel fuzz arm: on random widths 1–14, both mask orders, the
-#     whole array or a tile at a nonzero base, scale at the half-stride,
-#     whole-region and quarter-lattice shapes its callers use, and finite
-#     factors and amplitudes including ±0, subnormals and near-overflow
-#     magnitudes, every amplitude the platform kernels (tileMat1Q,
-#     tileMat2Q, scale: SSE2 on amd64)
-#     write must carry the same Float64bits as the Go loops'
-#     (FuzzSSE2KernelsMatchGo in internal/sim, run for -fuzztime=10s on top
-#     of its committed seed corpus in internal/sim/testdata/fuzz/).
+#   * AVX kernel fuzz arm: on random widths 1–14, both mask orders (runs
+#     of one amplitude, the routines' VEX.128 path, and of two or more),
+#     the whole array or a tile at a nonzero base, scale at the
+#     half-stride, whole-region and quarter-lattice shapes its callers use,
+#     and finite factors and amplitudes including ±0, subnormals and
+#     near-overflow magnitudes, every amplitude the AVX kernels (tileMat1Q,
+#     tileMat2Q, scale on amd64) write must carry the same Float64bits as
+#     the Go loops' (FuzzAVXKernelsMatchGo in internal/sim, run for
+#     -fuzztime=10s on top of its committed seed corpus in
+#     internal/sim/testdata/fuzz/; it skips on a host without AVX, where
+#     the Go loops are the only kernel set).
+#   * arch spec fixed-point fuzz arm: any string arch.Parse accepts must
+#     print (Arch.String) to a spec that parses to an equal Arch and prints
+#     the same again (FuzzParseFixedPoint in internal/arch, run for
+#     -fuzztime=10s on top of its committed seed corpus in
+#     internal/arch/testdata/fuzz/).
 #   * simulator differential fuzz arm: random circuits over the full gate
 #     vocabulary, swap-dense, at widths 2–16 biased to 12–16 so the layer
 #     pass's tiles are crossed, run from one random state through RunCtx
@@ -92,7 +99,11 @@
 #     evaluateKeyDomain and noise.MonteCarloVersion; a moved hash under an
 #     unchanged domain fails with "bump evaluateKeyDomain", so a persistent
 #     cache never serves an older build's numbers as fresh (TestEvaluateProbe
-#     in internal/core, well under 2 s).
+#     in internal/core, well under 2 s). The fig11 goldens, whose 108
+#     cells see router changes the probe's twenty evaluations miss, are
+#     pinned the same way: their hash, keyed by the EvaluateKey of one
+#     fixed evaluation, must not move under an unchanged key
+#     (TestFig11GoldensPinnedToCacheDomain in internal/experiments).
 #   * paper-claims arm: the seed-ensemble gate. Quick Figs. 11–14 and the
 #     §1/§6 headline study rerun at base seeds 1..8; each headline ratio's
 #     mean must stay within 3 Welch standard errors of the committed
@@ -161,6 +172,11 @@
 #     Programs are shared read-only across concurrent cells, and the noise
 #     package, whose estimators run inside concurrent cells),
 #     pinned to GOMAXPROCS=4 so races reproduce even on single-core runners.
+#     The sim run includes TestKernelSetsSameBits: routed 12–14-qubit
+#     circuits, relabeled SWAPs and cross-tile gates included, run once on
+#     the AVX kernels and once on the Go loops an amd64 host without AVX
+#     runs, and every amplitude and a Monte-Carlo estimate must carry the
+#     same Float64bits.
 #
 # Run directly, or via scripts/bench.sh which uses it as its preflight.
 set -euo pipefail
@@ -333,8 +349,11 @@ go test -run '^$' -fuzz '^FuzzStochasticSwapMatchesReference$' -fuzztime=10s ./i
 echo "check: fuzzing the counted translation against the built one (10s)"
 go test -run '^$' -fuzz '^FuzzCountedTranslationMatchesBuilt$' -fuzztime=10s ./internal/transpile
 
-echo "check: fuzzing the SSE2 kernels against the Go loops, bit for bit (10s)"
-go test -run '^$' -fuzz '^FuzzSSE2KernelsMatchGo$' -fuzztime=10s ./internal/sim
+echo "check: fuzzing the AVX kernels against the Go loops, bit for bit (10s)"
+go test -run '^$' -fuzz '^FuzzAVXKernelsMatchGo$' -fuzztime=10s ./internal/sim
+
+echo "check: fuzzing arch.Parse's fixed point: a printed spec parses to itself (10s)"
+go test -run '^$' -fuzz '^FuzzParseFixedPoint$' -fuzztime=10s ./internal/arch
 
 echo "check: fuzzing the scheduled simulator against a naive dense-unitary reference (10s)"
 go test -run '^$' -fuzz '^FuzzScheduleMatchesReference$' -fuzztime=10s ./internal/sim
@@ -344,6 +363,7 @@ go test -run '^$' -fuzz '^FuzzWireRequest$' -fuzztime=10s ./internal/daemon
 
 echo "check: stale-cache probe (TestEvaluateProbe: a moved evaluation needs a new key domain)"
 go test -count=1 -run '^TestEvaluateProbe$' ./internal/core
+go test -count=1 -run '^TestFig11GoldensPinnedToCacheDomain$' ./internal/experiments
 
 echo "check: paper claims over the 8-seed quick ensemble (TestClaimsEnsemble)"
 CLAIMS_START=$SECONDS
